@@ -66,20 +66,53 @@ class Pi0Estimate:
     trial_values: tuple[tuple[float, float], ...]
 
 
-def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
-    """Trial estimates at every guiding value; one pass per hypothesis."""
+def as_pvalues(pvalues) -> np.ndarray:
+    """``pvalues`` as a float array, rejecting any value outside (0, 1].
+
+    NaN and infinities fail the check too.
+    """
     pvalues = np.asarray(pvalues, dtype=float)
+    bad = ~((pvalues > 0.0) & (pvalues <= 1.0))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InvalidConfigError(
+            f"p-values must lie in (0, 1]; got {pvalues.flat[i]!r} at index {i}"
+        )
+    return pvalues
+
+
+def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
+    """Trial estimates at every guiding value; one pass per null class.
+
+    Hypotheses that share a support object form one null class.  Within a
+    class every hypothesis has the same lambda at each guiding value, so the
+    class contributes (number of its p-values above lambda) / (1 - lambda),
+    counted by binary search in its sorted p-values.  Classes are summed in
+    order of first occurrence, so the result never depends on where the
+    supports happen to live in memory.
+    """
+    pvalues = as_pvalues(pvalues)
+    # the list keeps every support alive, so no two of them share an id
+    supports = list(supports)
     m = pvalues.size
     if m == 0:
         raise EmptyStudyError("no hypotheses")
     if len(supports) != m:
         raise InvalidConfigError("pvalues and supports must have equal length")
+    ids = np.fromiter(map(id, supports), dtype=np.uintp, count=m)
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    cls = rank[inverse]
+    order = np.lexsort((pvalues, cls))
+    p_sorted = pvalues[order]
+    bounds = np.searchsorted(cls[order], np.arange(first.size + 1))
     total = np.zeros(taus.size)
-    one = np.ones(taus.size)
-    for p_i, support in zip(pvalues, supports):
-        s = np.asarray(support, dtype=float)
+    for c, i in enumerate(np.sort(first)):
+        s = np.asarray(supports[i], dtype=float)
+        p_class = p_sorted[bounds[c]:bounds[c + 1]]
         idx = np.searchsorted(s, taus, side="right") - 1
-        contrib = one.copy()
+        contrib = np.full(taus.size, float(p_class.size))
         has_point = idx >= 0
         if np.any(has_point):
             lam = s[idx[has_point]]
@@ -87,7 +120,8 @@ def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
                 raise InvalidConfigError(
                     "a guiding value reached a support point of 1"
                 )
-            contrib[has_point] = (p_i > lam) / (1.0 - lam)
+            above = p_class.size - np.searchsorted(p_class, lam, side="right")
+            contrib[has_point] = above / (1.0 - lam)
         total += contrib
     return total / m
 
@@ -109,7 +143,8 @@ def estimate_pi0(pvalues, supports, cfg: Pi0Config) -> Pi0Estimate:
     """Null-proportion estimate: minimum trial estimate over the grid.
 
     The raw minimum can exceed 1 on sparse data; the returned ``value`` is
-    clamped to [0, 1] with the raw value kept in the estimate.
+    clamped to [0, 1] with the raw value kept in the estimate.  Raises
+    ``InvalidConfigError`` for a p-value outside (0, 1] or NaN.
     """
     taus = cfg.guiding_values()
     betas = _trial_grid(pvalues, supports, taus)
@@ -127,7 +162,7 @@ def groupwise_pi0(
     pvalues, supports, partition: Partition, cfg: Pi0Config
 ) -> list[Pi0Estimate]:
     """Apply ``estimate_pi0`` to each group of the partition."""
-    pvalues = np.asarray(pvalues, dtype=float)
+    pvalues = as_pvalues(pvalues)
     supports = list(supports)
     if partition.m != pvalues.size:
         raise InvalidConfigError("partition does not cover the study")

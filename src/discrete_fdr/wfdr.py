@@ -34,6 +34,7 @@ from .proportion import (
     BINOMIAL_PI0_CONFIG,
     Pi0Config,
     Pi0Estimate,
+    as_pvalues,
     groupwise_pi0,
     overall_pi0,
 )
@@ -154,10 +155,11 @@ def bh_reject(pvalues, alpha: float) -> RejectionReport:
 
     Rejects the k smallest p-values where k is the largest index with
     p_(k) <= k * alpha / m; rejects nothing when no index qualifies.
+    Raises ``InvalidConfigError`` for a p-value outside (0, 1] or NaN.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InvalidConfigError(f"alpha must be in [0, 1], got {alpha}")
-    pvalues = np.asarray(pvalues, dtype=float)
+    pvalues = as_pvalues(pvalues)
     k, v = _step_up_index(pvalues, 1.0, alpha)
     threshold = float(v[k - 1]) if k else 0.0
     # p-values are positive, so threshold 0 rejects nothing
@@ -236,11 +238,12 @@ def wfdr_reject(
     Groups the hypotheses (quantile binning of the conditioning statistics by
     default, metric-ball grouping on their pairwise distances when
     ``cfg.grouping == "metric"``), estimates the null proportion per group,
-    weights the p-values, and applies the step-up rejection rule.
+    weights the p-values, and applies the step-up rejection rule.  Raises
+    ``InvalidConfigError`` for a p-value outside (0, 1] or NaN.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InvalidConfigError(f"alpha must be in [0, 1], got {alpha}")
-    pvalues = np.asarray(pvalues, dtype=float)
+    pvalues = as_pvalues(pvalues)
     supports = list(supports)
     stats = list(conditioning_stats)
     if not (pvalues.size == len(supports) == len(stats)):

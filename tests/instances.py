@@ -4,6 +4,9 @@ import numpy as np
 
 from discrete_fdr import fdr_estimate, rejection_threshold
 
+# p-values every entry point must reject: non-finite or outside (0, 1]
+INVALID_PVALUES = [np.nan, np.inf, -np.inf, 0.0, 1.5]
+
 
 def random_weighted_instance(rng, max_m=200):
     """A random study: p-values (with discrete ties), groups, weights.

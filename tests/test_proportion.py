@@ -1,7 +1,11 @@
 """Tests for the null-proportion estimator on discrete supports."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discrete_fdr import (
     BINOMIAL_PI0_CONFIG,
@@ -19,9 +23,58 @@ from discrete_fdr import (
     overall_pi0,
     trial_estimate,
 )
+from discrete_fdr.proportion import _trial_grid
 from discrete_fdr.simulate import score_study
+from instances import INVALID_PVALUES
+from rational_oracles import binomial_pmf_exact, null_distribution_exact
 
 TWO_POINT = np.array([0.5, 1.0])
+
+
+def reference_trial_grid(pvalues, supports, taus):
+    """The per-hypothesis loop that the null-class form replaced."""
+    pvalues = np.asarray(pvalues, dtype=float)
+    m = pvalues.size
+    if m == 0:
+        raise EmptyStudyError("no hypotheses")
+    if len(supports) != m:
+        raise InvalidConfigError("pvalues and supports must have equal length")
+    total = np.zeros(taus.size)
+    one = np.ones(taus.size)
+    for p_i, support in zip(pvalues, supports):
+        s = np.asarray(support, dtype=float)
+        idx = np.searchsorted(s, taus, side="right") - 1
+        contrib = one.copy()
+        has_point = idx >= 0
+        if np.any(has_point):
+            lam = s[idx[has_point]]
+            if np.any(lam >= 1.0):
+                raise InvalidConfigError(
+                    "a guiding value reached a support point of 1"
+                )
+            contrib[has_point] = (p_i > lam) / (1.0 - lam)
+        total += contrib
+    return total / m
+
+
+def random_class_instance(rng, max_m=300):
+    """p-values and supports drawn from a few shared support objects.
+
+    Supports include the single atom {1}, a support with no point below
+    0.3, and equal-but-distinct copies of shared arrays; p-values are points
+    of their own support, so ties with lambda occur.
+    """
+    base = [np.array([1.0]), np.array([0.3, 0.6, 1.0])]
+    for _ in range(int(rng.integers(1, 6))):
+        size = int(rng.integers(1, 8))
+        points = rng.choice(np.arange(1, 40) / 40.0, size, replace=False)
+        base.append(np.append(np.sort(points), 1.0))
+    m = int(rng.integers(1, max_m + 1))
+    pick = rng.integers(0, len(base), size=m)
+    copy = rng.random(m) < 0.2
+    supports = [base[k].copy() if c else base[k] for k, c in zip(pick, copy)]
+    pvalues = np.array([rng.choice(s) for s in supports])
+    return pvalues, supports
 
 
 class TestTrialEstimate:
@@ -44,6 +97,141 @@ class TestTrialEstimate:
         # tau < 1 cannot select a support point of 1 (no division by zero);
         # the hypothesis counts as having no usable support point
         assert trial_estimate([1.0], [np.array([1.0])], 1.0 - 1e-12) == 1.0
+
+
+class TestTrialGridAgainstReference:
+    TAUS = Pi0Config(0.5, 0.01).guiding_values()
+
+    def assert_matches_reference(self, pvalues, supports):
+        expected = reference_trial_grid(pvalues, supports, self.TAUS)
+        got = _trial_grid(pvalues, supports, self.TAUS)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    def test_seeded_instances(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            self.assert_matches_reference(*random_class_instance(rng))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_generated_instances(self, seed):
+        self.assert_matches_reference(
+            *random_class_instance(np.random.default_rng(seed), max_m=60)
+        )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.floats(min_value=1e-6, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_generated_pvalues_off_support(self, rows):
+        # arbitrary p-values, not only support points, on shared objects
+        shared = [np.array([1.0]), TWO_POINT, np.array([0.05, 0.2, 1.0]),
+                  np.array([0.6, 1.0])]
+        pvalues = [p for _, p in rows]
+        self.assert_matches_reference(pvalues, [shared[k] for k, _ in rows])
+
+    def test_equal_but_distinct_arrays(self):
+        p = np.array([0.2, 1.0, 0.05, 0.2, 1.0, 0.05])
+        one = np.array([0.05, 0.2, 1.0])
+        shared = [one] * 6
+        distinct = [one.copy() for _ in range(6)]
+        self.assert_matches_reference(p, shared)
+        self.assert_matches_reference(p, distinct)
+
+    def test_no_support_point_below_tau_counts_class_size(self):
+        support = np.array([0.6, 1.0])
+        got = _trial_grid([0.6, 1.0, 1.0], [support] * 3, self.TAUS)
+        # every guiding value is below 0.6, so each hypothesis counts 1
+        assert got.tolist() == [1.0] * self.TAUS.size
+        self.assert_matches_reference([0.6, 1.0, 1.0], [support] * 3)
+
+    def test_single_atom_support(self):
+        self.assert_matches_reference([1.0] * 5, [np.array([1.0])] * 5)
+        assert _trial_grid([1.0], [np.array([1.0])], self.TAUS).tolist() == (
+            [1.0] * self.TAUS.size
+        )
+
+    def test_support_point_of_one_error(self):
+        taus = np.array([0.5, 1.0])
+        for grid in (reference_trial_grid, _trial_grid):
+            with pytest.raises(InvalidConfigError, match="support point of 1"):
+                grid([0.5, 1.0], [TWO_POINT, TWO_POINT], taus)
+
+    def test_length_and_empty_errors(self):
+        with pytest.raises(InvalidConfigError, match="equal length"):
+            _trial_grid([0.5, 1.0], [TWO_POINT], self.TAUS)
+        with pytest.raises(EmptyStudyError):
+            _trial_grid([], [], self.TAUS)
+
+    def test_exact_rational_binomial_supports(self):
+        # dyadic supports of small totals are exact in double precision, so
+        # only the division and summation are rounded
+        taus = Pi0Config(0.45, 0.015).guiding_values()
+        rng = np.random.default_rng(31)
+        exact = {t: null_distribution_exact(binomial_pmf_exact(t), "two")[0]
+                 for t in range(1, 9)}
+        floats = {t: np.array([float(x) for x in s]) for t, s in exact.items()}
+        totals = rng.integers(1, 9, size=60)
+        picks = [int(rng.integers(0, len(exact[t]))) for t in totals]
+        p_exact = [exact[t][j] for t, j in zip(totals, picks)]
+        got = _trial_grid([float(x) for x in p_exact],
+                          [floats[t] for t in totals], taus)
+        for tau, beta in zip(taus, got):
+            total = Fraction(0)
+            for t, p in zip(totals, p_exact):
+                below = [x for x in exact[t] if x <= Fraction(tau)]
+                total += 1 if not below else (p > below[-1]) / (1 - below[-1])
+            assert beta == pytest.approx(float(total / len(totals)), rel=1e-12)
+
+    def test_independent_of_support_addresses(self):
+        # classes first occur in the order 0, 1, ..., 5; their support
+        # objects lie in memory once in that order and once in reverse
+        rng = np.random.default_rng(37)
+        values = [np.append(np.sort(rng.choice(np.arange(1, 50) / 100.0, 8,
+                                               replace=False)), 1.0)
+                  for _ in range(6)]
+
+        def supports_by_address(descending):
+            objs = sorted((np.empty(9) for _ in values), key=id, reverse=descending)
+            for obj, v in zip(objs, values):
+                obj[:] = v
+            return objs
+
+        cls = rng.integers(0, 6, size=300)
+        cls[:6] = np.arange(6)
+        p = rng.uniform(0.01, 1.0, size=300)
+        cfg = Pi0Config(0.5, 0.01)
+        traces = []
+        for descending in (False, True):
+            objs = supports_by_address(descending)
+            ids = [id(o) for o in objs]
+            assert ids == sorted(ids, reverse=descending)
+            traces.append(estimate_pi0(p, [objs[k] for k in cls], cfg).trial_values)
+        assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize("bad", INVALID_PVALUES)
+class TestPValueValidation:
+    def test_trial_estimate(self, bad):
+        with pytest.raises(InvalidConfigError, match=r"\(0, 1\]"):
+            trial_estimate([0.5, bad], [TWO_POINT, TWO_POINT], 0.6)
+
+    def test_estimate_pi0(self, bad):
+        with pytest.raises(InvalidConfigError, match=r"\(0, 1\]"):
+            estimate_pi0([bad, 1.0], [TWO_POINT, TWO_POINT], Pi0Config(0.6, 0.3))
+
+    def test_groupwise_pi0(self, bad):
+        part = Partition((np.array([0, 1]), np.array([2, 3])))
+        with pytest.raises(InvalidConfigError, match=r"\(0, 1\]"):
+            groupwise_pi0([0.5, 1.0, 1.0, bad], [TWO_POINT] * 4, part,
+                          Pi0Config(0.6, 0.3))
 
 
 class TestPi0Config:

@@ -24,7 +24,12 @@ from discrete_fdr import (
     wfdr_reject,
 )
 from discrete_fdr.exact_tests import PoissonPair
-from instances import grid_sup_rejections, random_weighted_instance, step_up_rejections
+from instances import (
+    INVALID_PVALUES,
+    grid_sup_rejections,
+    random_weighted_instance,
+    step_up_rejections,
+)
 
 
 class TestGroupWeights:
@@ -202,6 +207,19 @@ class TestMonotonicityAndInvariance:
         perm = rng.permutation(p.size)
         rejected_perm = step_up_rejections(ptilde[perm], pi0, alpha)
         assert rejected_perm == {int(np.flatnonzero(perm == i)[0]) for i in rejected}
+
+
+@pytest.mark.parametrize("bad", INVALID_PVALUES)
+class TestPValueValidation:
+    def test_bh_reject(self, bad):
+        with pytest.raises(InvalidConfigError, match=r"\(0, 1\]"):
+            bh_reject([bad, 0.001, 0.002], 0.05)
+
+    def test_wfdr_reject(self, bad):
+        supports = [np.array([0.001, 0.002, 1.0])] * 3
+        with pytest.raises(InvalidConfigError, match=r"\(0, 1\]"):
+            wfdr_reject([0.001, bad, 0.002], supports, [3.0] * 3, 0.05,
+                        WfdrConfig(l_star=1, pi0=Pi0Config(0.2, 0.1)))
 
 
 class TestWfdrReject:
