@@ -67,17 +67,18 @@ from .simulate import (
     StudyResult,
     generate_binomial_scenario,
     generate_poisson_scenario,
-    run_replication,
     run_study,
 )
 from .wfdr import (
     RejectionReport,
+    WeightedStudy,
     WfdrConfig,
     bh_reject,
     fdr_estimate,
     group_weights,
     rejection_threshold,
     theorem1_compare,
+    weight_study,
     weighted_pvalues,
     wfdr_reject,
 )

@@ -4,7 +4,7 @@
 procedure and/or the BH baseline, and writes a per-hypothesis report plus a
 JSON summary.  ``discrete-fdr simulate`` runs the Monte Carlo harness and
 writes its long-format table plus a JSON summary.  Exit codes: 0 success,
-2 usage, 3 schema error, 4 parse error, 5 compute/IO error.
+2 usage, 3 schema error, 4 parse error, 5 compute, IO or memory error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DiscreteFdrError, ParseError, SchemaError
 from .exact_tests import Sidedness
-from .io import FilterRule, apply_filter, parse_counts_csv, score_input
+from .io import MAX_COUNT, FilterRule, apply_filter, parse_counts_csv, score_input
 from .proportion import (
     BINOMIAL_PI0_CONFIG,
     FET_PI0_CONFIG,
@@ -27,7 +27,7 @@ from .proportion import (
     estimate_pi0,
 )
 from .simulate import Family, ScenarioConfig, run_study
-from .wfdr import WfdrConfig, bh_reject, wfdr_reject
+from .wfdr import WfdrConfig, bh_reject, weight_study
 
 EXIT_OK = 0
 EXIT_SCHEMA = 3
@@ -70,6 +70,8 @@ def _parse_study_totals(raw: str | None) -> tuple[int, int] | None:
         raise SchemaError(
             f"--study-totals expects CASES,EVENTS integers, got {raw!r}"
         ) from None
+    if max(cases, events) > MAX_COUNT:
+        raise SchemaError(f"--study-totals must not exceed {MAX_COUNT}, got {raw!r}")
     return cases, events
 
 
@@ -133,20 +135,22 @@ def _analyze(args) -> int:
         raise SchemaError("no rows left to analyze after filtering")
 
     sided = _sidedness(args.sided)
-    pvalues, supports, stats = score_input(study, sided)
+    pvalues, supports, stats = score_input(
+        study.c1, study.c2, sided, study.n1, study.n2
+    )
     pi0_cfg = _pi0_config(args, args.test)
 
     cfg = WfdrConfig(l_star=args.groups, grouping=args.grouping, pi0=pi0_cfg)
-    wfdr_report = wfdr_reject(pvalues, supports, stats, args.alpha, cfg)
+    weighted = weight_study(pvalues, supports, stats, cfg)
+    wfdr_report = weighted.reject(args.alpha)
     pi0_g = estimate_pi0(pvalues, supports, pi0_cfg)
 
     procedures = ("wfdr", "bh") if args.procedure == "all" else (args.procedure,)
     bh_report = bh_reject(pvalues, args.alpha) if "bh" in procedures else None
 
-    partition = wfdr_report.partition
+    partition = weighted.partition
     group_of = partition.group_of()
-    weights = wfdr_report.weights
-    ptilde = pvalues * weights[group_of]
+    weights = weighted.weights
     rejected_wfdr = np.zeros(study.m, dtype=bool)
     rejected_wfdr[wfdr_report.rejected] = True
     rejected_bh = np.zeros(study.m, dtype=bool)
@@ -169,7 +173,7 @@ def _analyze(args) -> int:
                 repr(float(pvalues[i])),
                 int(group_of[i]),
                 repr(float(weights[group_of[i]])),
-                repr(float(ptilde[i])),
+                repr(float(weighted.weighted[i])),
             ]
             if "wfdr" in procedures:
                 row.append(int(rejected_wfdr[i]))
@@ -198,12 +202,12 @@ def _analyze(args) -> int:
         "m_analyzed": study.m,
         "filtered_out": m_input - study.m,
         "pi0_g": pi0_g.value,
-        "pi0_star": wfdr_report.pi0_overall,
+        "pi0_star": weighted.pi0_overall,
         "groups": {
             "sizes": list(partition.sizes),
-            "pi0": [e.value for e in wfdr_report.group_pi0],
-            "pi0_raw": [e.raw_value for e in wfdr_report.group_pi0],
-            "clamped": [e.clamped for e in wfdr_report.group_pi0],
+            "pi0": [e.value for e in weighted.group_pi0],
+            "pi0_raw": [e.raw_value for e in weighted.group_pi0],
+            "clamped": [e.clamped for e in weighted.group_pi0],
             "weights": list(weights),
         },
     }
@@ -323,6 +327,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except (DiscreteFdrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

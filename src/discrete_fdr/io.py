@@ -29,6 +29,7 @@ from .exact_tests import (
 BINOMIAL_COLUMNS = ("id", "c1", "c2")
 FET_COLUMNS = ("id", "c1", "n1", "c2", "n2")
 FET_TOTALS_COLUMNS = ("id", "c1", "n1")
+MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,19 +73,6 @@ class StudyInput:
     def m(self) -> int:
         return len(self.ids)
 
-    def margins(self) -> list[MarginalVector]:
-        if self.family != "fet":
-            raise ValueError("margins are only defined for the fet family")
-        return [
-            MarginalVector(int(a), int(b), int(c + d))
-            for a, b, c, d in zip(self.n1, self.n2, self.c1, self.c2)
-        ]
-
-    def pairs(self) -> list[PoissonPair]:
-        if self.family != "binomial":
-            raise ValueError("pairs are only defined for the binomial family")
-        return [PoissonPair(int(a), int(b)) for a, b in zip(self.c1, self.c2)]
-
 
 @dataclass(frozen=True)
 class FilterRule:
@@ -107,6 +95,8 @@ def _parse_count(row: dict, column: str, line: int) -> int:
         raise ParseError(line, f"column {column!r}: not an integer: {raw!r}") from None
     if value < 0:
         raise ParseError(line, f"column {column!r}: negative count {value}")
+    if value > MAX_COUNT:
+        raise ParseError(line, f"column {column!r}: count {value} exceeds {MAX_COUNT}")
     return value
 
 
@@ -222,27 +212,34 @@ def apply_filter(study: StudyInput, rule: FilterRule) -> StudyInput:
     )
 
 
-def score_input(study: StudyInput, sided: Sidedness):
-    """P-values, null supports and conditioning statistics of a parsed study.
+def score_input(c1, c2, sided: Sidedness, n1=None, n2=None):
+    """P-values, null supports and conditioning statistics of count arrays.
 
-    Rows without data (a zero binomial total) score p = 1 with support {1}.
+    Without row totals each pair (c1, c2) gets the binomial test given its
+    total, which is its conditioning statistic (a float); a pair with total
+    0 has no data and scores p = 1 with support {1}.  With row totals
+    ``n1``, ``n2`` each row is a 2x2 table tested with Fisher's exact test
+    given its margins ``MarginalVector(n1, n2, c1 + c2)``.
     """
-    pvalues = np.empty(study.m)
+    c1, c2 = np.asarray(c1).tolist(), np.asarray(c2).tolist()
+    pvalues = np.empty(len(c1))
     supports: list[np.ndarray] = []
-    stats: list = []
-    unit_support = np.array([1.0])
-    if study.family == "binomial":
-        for i, pair in enumerate(study.pairs()):
-            stats.append(float(pair.total))
-            if pair.total == 0:
+    if n1 is None:
+        stats: list = []
+        unit_support = np.array([1.0])
+        for i, (a, b) in enumerate(zip(c1, c2)):
+            total = a + b
+            stats.append(float(total))
+            if total == 0:
                 pvalues[i] = 1.0
                 supports.append(unit_support)
             else:
-                pvalues[i] = binomial_pvalue(pair, sided)
-                supports.append(binomial_null_distribution(pair.total, sided).support)
+                pvalues[i] = binomial_pvalue(PoissonPair(a, b), sided)
+                supports.append(binomial_null_distribution(total, sided).support)
     else:
-        for i, margins in enumerate(study.margins()):
-            stats.append(margins)
-            pvalues[i] = fet_pvalue(int(study.c1[i]), margins, sided)
+        n1, n2 = np.asarray(n1).tolist(), np.asarray(n2).tolist()
+        stats = [MarginalVector(a, b, c + d) for a, b, c, d in zip(n1, n2, c1, c2)]
+        for i, (a, margins) in enumerate(zip(c1, stats)):
+            pvalues[i] = fet_pvalue(a, margins, sided)
             supports.append(fet_null_distribution(margins, sided).support)
     return pvalues, supports, stats

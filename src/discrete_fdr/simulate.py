@@ -22,32 +22,10 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidConfigError
-from .exact_tests import (
-    MarginalVector,
-    PoissonPair,
-    Sidedness,
-    binomial_null_distribution,
-    binomial_pvalue,
-    fet_null_distribution,
-    fet_pvalue,
-)
-from .grouping import group_by_statistic_quantiles
-from .proportion import (
-    BINOMIAL_PI0_CONFIG,
-    FET_PI0_CONFIG,
-    Pi0Config,
-    estimate_pi0,
-    groupwise_pi0,
-    overall_pi0,
-)
-from .wfdr import (
-    WfdrConfig,
-    bh_reject,
-    group_weights,
-    rejection_threshold,
-    weighted_pvalues,
-    wfdr_reject,
-)
+from .exact_tests import Sidedness
+from .io import score_input
+from .proportion import BINOMIAL_PI0_CONFIG, FET_PI0_CONFIG, Pi0Config, estimate_pi0
+from .wfdr import WfdrConfig, bh_reject, weight_study
 
 WORKERS_ENV_VAR = "DISCRETE_FDR_WORKERS"
 
@@ -173,30 +151,13 @@ def generate_scenario(cfg: ScenarioConfig, seed) -> SimulatedStudy:
 def score_study(study: SimulatedStudy, sided: Sidedness):
     """P-values, null supports and conditioning statistics of a dataset.
 
-    Hypotheses with no data (a zero total in the Poisson scenario) score
-    p = 1 with the single-atom support {1} so a batch never fails.
+    Scores with ``io.score_input``, giving the FET scenario's tables their
+    row totals of ``FET_TRIALS`` trials each.
     """
-    totals = study.c1 + study.c2
-    pvalues = np.empty(study.m)
-    supports: list[np.ndarray] = []
-    unit_support = np.array([1.0])
-    if study.family is Family.POISSON_BINOMIAL:
-        for i in range(study.m):
-            t = int(totals[i])
-            if t == 0:
-                pvalues[i] = 1.0
-                supports.append(unit_support)
-            else:
-                pvalues[i] = binomial_pvalue(
-                    PoissonPair(int(study.c1[i]), int(study.c2[i])), sided
-                )
-                supports.append(binomial_null_distribution(t, sided).support)
-    else:
-        for i in range(study.m):
-            margins = MarginalVector(FET_TRIALS, FET_TRIALS, int(totals[i]))
-            pvalues[i] = fet_pvalue(int(study.c1[i]), margins, sided)
-            supports.append(fet_null_distribution(margins, sided).support)
-    return pvalues, supports, totals.astype(float)
+    trials = None
+    if study.family is Family.BINOMIAL_FET:
+        trials = np.full(study.m, FET_TRIALS)
+    return score_input(study.c1, study.c2, sided, n1=trials, n2=trials)
 
 
 def _discovery_proportions(rejected: np.ndarray, is_null: np.ndarray):
@@ -208,56 +169,18 @@ def _discovery_proportions(rejected: np.ndarray, is_null: np.ndarray):
     return fdp, tdp
 
 
-def run_replication(
-    study: SimulatedStudy,
-    alpha: float,
-    l_star: int,
-    procedures=("wfdr", "bh"),
-    pi0_config: Pi0Config | None = None,
-    sided: Sidedness = Sidedness.TWO_SIDED,
-) -> dict[str, ReplicationStats]:
-    """Score one dataset and run the requested procedures at one design point."""
-    pvalues, supports, stats = score_study(study, sided)
-    if pi0_config is None:
-        pi0_config = (
-            BINOMIAL_PI0_CONFIG
-            if study.family is Family.POISSON_BINOMIAL
-            else FET_PI0_CONFIG
-        )
-    out: dict[str, ReplicationStats] = {}
-    for procedure in procedures:
-        if procedure == "wfdr":
-            report = wfdr_reject(
-                pvalues,
-                supports,
-                stats,
-                alpha,
-                WfdrConfig(l_star=l_star, pi0=pi0_config),
-            )
-            pi0_g = estimate_pi0(pvalues, supports, pi0_config).value
-            pi0_star = report.pi0_overall
-        elif procedure == "bh":
-            report = bh_reject(pvalues, alpha)
-            pi0_g = pi0_star = None
-        else:
-            raise InvalidConfigError(f"unknown procedure {procedure!r}")
-        fdp, tdp = _discovery_proportions(report.rejected, study.is_null)
-        out[procedure] = ReplicationStats(
-            procedure=procedure,
-            fdp=fdp,
-            tdp=tdp,
-            n_rejected=report.n_rejected,
-            pi0_g=pi0_g,
-            pi0_star=pi0_star,
-        )
-    return out
+def _replication_stats(procedure, report, is_null, **estimates):
+    fdp, tdp = _discovery_proportions(report.rejected, is_null)
+    return ReplicationStats(
+        procedure, fdp, tdp, n_rejected=report.n_rejected, **estimates
+    )
 
 
 def _replication_records(cfg: ScenarioConfig, rep: int):
     """All per-cell statistics of one replication.
 
     The dataset and its p-values are shared across the alpha and l_star
-    grids; the per-group estimation runs once per l_star and BH once per
+    grids; the weighting runs once per l_star and each step-up once per
     alpha.  Returns (l_star, alpha, procedure) -> ReplicationStats tuples.
     """
     seed = np.random.SeedSequence([cfg.master_seed, rep])
@@ -266,38 +189,24 @@ def _replication_records(cfg: ScenarioConfig, rep: int):
     pi0_cfg = cfg.resolved_pi0_config()
     pi0_g = estimate_pi0(pvalues, supports, pi0_cfg).value
 
+    bh_by_alpha = {
+        alpha: _replication_stats("bh", bh_reject(pvalues, alpha), study.is_null)
+        for alpha in cfg.alpha_grid
+    }
     records = []
-    bh_by_alpha = {}
-    for alpha in cfg.alpha_grid:
-        report = bh_reject(pvalues, alpha)
-        fdp, tdp = _discovery_proportions(report.rejected, study.is_null)
-        bh_by_alpha[alpha] = ReplicationStats(
-            procedure="bh", fdp=fdp, tdp=tdp, n_rejected=report.n_rejected
-        )
     for l_star in cfg.l_star_grid:
-        partition = group_by_statistic_quantiles(stats, l_star)
-        estimates = groupwise_pi0(pvalues, supports, partition, pi0_cfg)
-        weights = group_weights(estimates)
-        pi0_star = overall_pi0(partition, estimates)
-        ptilde = weighted_pvalues(pvalues, partition, weights)
+        weighted = weight_study(
+            pvalues, supports, stats, WfdrConfig(l_star=l_star, pi0=pi0_cfg)
+        )
         for alpha in cfg.alpha_grid:
-            tau = rejection_threshold(alpha, ptilde, pi0_star)
-            rejected = np.flatnonzero(ptilde <= tau)
-            fdp, tdp = _discovery_proportions(rejected, study.is_null)
-            records.append(
-                (
-                    l_star,
-                    alpha,
-                    ReplicationStats(
-                        procedure="wfdr",
-                        fdp=fdp,
-                        tdp=tdp,
-                        n_rejected=int(rejected.size),
-                        pi0_g=pi0_g,
-                        pi0_star=pi0_star,
-                    ),
-                )
+            wfdr = _replication_stats(
+                "wfdr",
+                weighted.reject(alpha),
+                study.is_null,
+                pi0_g=pi0_g,
+                pi0_star=weighted.pi0_overall,
             )
+            records.append((l_star, alpha, wfdr))
             records.append((l_star, alpha, bh_by_alpha[alpha]))
     return records
 

@@ -4,7 +4,9 @@ The weighted procedure runs in four steps: partition the hypotheses, estimate
 the proportion of true nulls within each group, convert the estimates into
 multiplicative p-value weights pi/(1 - pi) (infinite when a group looks all
 null), and apply a step-up rule to the weighted p-values with the overall
-estimated null proportion folded into the threshold.  A group whose estimate
+estimated null proportion folded into the threshold.  Only the last step
+depends on the level alpha: ``weight_study`` runs the first three once and
+``WeightedStudy.reject`` the step-up at each level.  A group whose estimate
 is 1 gets infinite weights, so none of its hypotheses can be rejected; when
 the overall estimate is 1 the procedure rejects nothing.
 """
@@ -124,14 +126,21 @@ def fdr_estimate(t: float, weighted, pi0_overall: float) -> float:
     return min(1.0, (1.0 - pi0_overall) * t / (max(n_rejected, 1) / m))
 
 
-def _step_up_index(values: np.ndarray, scale: float, alpha: float):
-    """Largest i with scale * v_(i) <= i * alpha / m, plus the sorted values."""
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidConfigError(f"alpha must be in [0, 1], got {alpha}")
+
+
+def _step_up_threshold(values: np.ndarray, scale: float, alpha: float) -> float:
+    """v_(k) for the largest k with scale * v_(k) <= k * alpha / m, else 0.
+
+    The largest such k always ends a run of equal values, so exactly k
+    values lie at or below the returned threshold (none when it is 0).
+    """
     m = values.size
-    order = np.argsort(values, kind="stable")
-    v = values[order]
+    v = np.sort(values)
     ok = scale * v <= alpha * np.arange(1, m + 1) / m
-    k = int(np.flatnonzero(ok)[-1]) + 1 if ok.any() else 0
-    return k, v
+    return float(v[np.flatnonzero(ok)[-1]]) if ok.any() else 0.0
 
 
 def rejection_threshold(alpha: float, weighted, pi0_overall: float) -> float:
@@ -141,13 +150,11 @@ def rejection_threshold(alpha: float, weighted, pi0_overall: float) -> float:
     or when no order statistic satisfies the step-up inequality.  The set
     {i : weighted p-value <= threshold} is exactly the step-up rejection set.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidConfigError(f"alpha must be in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     if pi0_overall >= 1.0:
         return 0.0
     weighted = np.asarray(weighted, dtype=float)
-    k, v = _step_up_index(weighted, 1.0 - pi0_overall, alpha)
-    return float(v[k - 1]) if k else 0.0
+    return _step_up_threshold(weighted, 1.0 - pi0_overall, alpha)
 
 
 def bh_reject(pvalues, alpha: float) -> RejectionReport:
@@ -157,17 +164,13 @@ def bh_reject(pvalues, alpha: float) -> RejectionReport:
     p_(k) <= k * alpha / m; rejects nothing when no index qualifies.
     Raises ``InvalidConfigError`` for a p-value outside (0, 1] or NaN.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidConfigError(f"alpha must be in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     pvalues = as_pvalues(pvalues)
-    k, v = _step_up_index(pvalues, 1.0, alpha)
-    threshold = float(v[k - 1]) if k else 0.0
+    threshold = _step_up_threshold(pvalues, 1.0, alpha)
     # p-values are positive, so threshold 0 rejects nothing
+    rejected = np.flatnonzero(pvalues <= threshold)
     return RejectionReport(
-        procedure="bh",
-        rejected=np.flatnonzero(pvalues <= threshold),
-        threshold=threshold,
-        k_star=k,
+        procedure="bh", rejected=rejected, threshold=threshold, k_star=rejected.size
     )
 
 
@@ -177,15 +180,16 @@ def theorem1_compare(pvalues, weighted, pi0_overall: float, alpha: float):
     Returns (k_star, k_tilde_star, wfdr_geq_bh) where k_star counts BH
     rejections, k_tilde_star counts weighted rejections, and the flag is
     k_tilde_star >= k_star.  Undefined when the overall estimate is 1.
+    ``alpha`` and ``pvalues`` are validated as in ``bh_reject``.
     """
+    k_star = bh_reject(pvalues, alpha).k_star
     if pi0_overall >= 1.0:
         raise NotApplicableError(
             "comparison requires an overall null-proportion estimate below 1"
         )
-    pvalues = np.asarray(pvalues, dtype=float)
     weighted = np.asarray(weighted, dtype=float)
-    k_star, _ = _step_up_index(pvalues, 1.0, alpha)
-    k_tilde_star, _ = _step_up_index(weighted, 1.0 - pi0_overall, alpha)
+    tau = rejection_threshold(alpha, weighted, pi0_overall)
+    k_tilde_star = int(np.count_nonzero(weighted <= tau))
     return k_star, k_tilde_star, k_tilde_star >= k_star
 
 
@@ -230,19 +234,55 @@ def _metric_partition(conditioning_stats, cfg: WfdrConfig) -> Partition:
         return group_by_statistic_quantiles(quantile_statistic(stats), cfg.l_star)
 
 
-def wfdr_reject(
-    pvalues, supports, conditioning_stats, alpha: float, cfg: WfdrConfig
-) -> RejectionReport:
-    """Run the weighted FDR procedure end to end.
+@dataclass(frozen=True)
+class WeightedStudy:
+    """The alpha-independent part of the weighted procedure on one study.
+
+    Holds the partition, the per-group estimates and weights, the overall
+    estimate and the weighted p-values; ``reject`` applies the step-up rule
+    at a level.  The arrays are read-only.
+    """
+
+    partition: Partition
+    group_pi0: tuple[Pi0Estimate, ...]
+    weights: np.ndarray
+    pi0_overall: float
+    weighted: np.ndarray
+
+    def __post_init__(self):
+        self.weights.setflags(write=False)
+        self.weighted.setflags(write=False)
+
+    def reject(self, alpha: float) -> RejectionReport:
+        """Step-up rejections of the weighted procedure at level ``alpha``."""
+        threshold = rejection_threshold(alpha, self.weighted, self.pi0_overall)
+        # a zero-weight group (estimate 0) has weighted p-values of exactly 0,
+        # which the threshold rule rejects even at threshold 0; otherwise a
+        # zero threshold rejects nothing since weighted p-values are positive
+        rejected = np.flatnonzero(self.weighted <= threshold)
+        return RejectionReport(
+            procedure="wfdr",
+            rejected=rejected,
+            threshold=threshold,
+            pi0_overall=self.pi0_overall,
+            k_tilde_star=rejected.size,
+            weights=self.weights,
+            partition=self.partition,
+            group_pi0=self.group_pi0,
+        )
+
+
+def weight_study(
+    pvalues, supports, conditioning_stats, cfg: WfdrConfig
+) -> WeightedStudy:
+    """The steps of the weighted procedure that do not depend on alpha.
 
     Groups the hypotheses (quantile binning of the conditioning statistics by
     default, metric-ball grouping on their pairwise distances when
-    ``cfg.grouping == "metric"``), estimates the null proportion per group,
-    weights the p-values, and applies the step-up rejection rule.  Raises
-    ``InvalidConfigError`` for a p-value outside (0, 1] or NaN.
+    ``cfg.grouping == "metric"``), estimates the null proportion per group
+    and weights the p-values.  Raises ``InvalidConfigError`` for a p-value
+    outside (0, 1] or NaN, or for inputs of unequal lengths.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidConfigError(f"alpha must be in [0, 1], got {alpha}")
     pvalues = as_pvalues(pvalues)
     supports = list(supports)
     stats = list(conditioning_stats)
@@ -258,27 +298,23 @@ def wfdr_reject(
             quantile_statistic(stats), cfg.l_star
         )
 
-    estimates = groupwise_pi0(pvalues, supports, partition, cfg.pi0)
+    estimates = tuple(groupwise_pi0(pvalues, supports, partition, cfg.pi0))
     weights = group_weights(estimates)
-    pi0_star = overall_pi0(partition, estimates)
-    ptilde = weighted_pvalues(pvalues, partition, weights)
-
-    if pi0_star >= 1.0:
-        k_tilde, threshold = 0, 0.0
-    else:
-        k_tilde, v = _step_up_index(ptilde, 1.0 - pi0_star, alpha)
-        threshold = float(v[k_tilde - 1]) if k_tilde else 0.0
-    # a zero-weight group (estimate 0) has weighted p-values of exactly 0,
-    # which the threshold rule rejects even at threshold 0; otherwise a zero
-    # threshold rejects nothing since weighted p-values are positive
-    rejected = np.flatnonzero(ptilde <= threshold)
-    return RejectionReport(
-        procedure="wfdr",
-        rejected=rejected,
-        threshold=threshold,
-        pi0_overall=pi0_star,
-        k_tilde_star=k_tilde,
-        weights=weights,
+    return WeightedStudy(
         partition=partition,
-        group_pi0=tuple(estimates),
+        group_pi0=estimates,
+        weights=weights,
+        pi0_overall=overall_pi0(partition, estimates),
+        weighted=weighted_pvalues(pvalues, partition, weights),
     )
+
+
+def wfdr_reject(
+    pvalues, supports, conditioning_stats, alpha: float, cfg: WfdrConfig
+) -> RejectionReport:
+    """Run the weighted FDR procedure end to end at level ``alpha``.
+
+    ``weight_study`` followed by ``WeightedStudy.reject``; raises
+    ``InvalidConfigError`` for a p-value outside (0, 1] or NaN.
+    """
+    return weight_study(pvalues, supports, conditioning_stats, cfg).reject(alpha)

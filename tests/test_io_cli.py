@@ -1,20 +1,27 @@
 """Tests for count-table ingestion, filtering, and the command-line surface."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from discrete_fdr import (
+    BINOMIAL_PI0_CONFIG,
     FilterRule,
     ParseError,
     SchemaError,
+    Sidedness,
     StudyInput,
+    WfdrConfig,
     apply_filter,
     parse_counts_csv,
+    wfdr_reject,
     write_counts_csv,
 )
+from discrete_fdr import cli
 from discrete_fdr.cli import EXIT_COMPUTE, EXIT_PARSE, EXIT_SCHEMA, main
+from discrete_fdr.io import score_input
 
 
 def write(path, text):
@@ -28,13 +35,13 @@ class TestParseCountsCsv:
         study = parse_counts_csv(path, "binomial")
         assert study.ids == ("g1",)
         assert study.c1.tolist() == [3] and study.c2.tolist() == [9]
-        assert study.pairs()[0].total == 12
+        assert study.n1 is None and study.n2 is None
 
     def test_fet_row_margins(self, tmp_path):
         path = write(tmp_path / "c.csv", "id,c1,n1,c2,n2\nd1,19,19,35071,75146\n")
         study = parse_counts_csv(path, "fet")
-        margins = study.margins()[0]
-        assert margins.as_tuple() == (19, 75146, 35090)
+        assert study.n1.tolist() == [19] and study.n2.tolist() == [75146]
+        assert (study.c1 + study.c2).tolist() == [35090]
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path / "c.csv", "")
@@ -75,9 +82,18 @@ class TestParseCountsCsv:
     def test_study_totals_expansion(self, tmp_path):
         path = write(tmp_path / "c.csv", "id,c1,n1\nd1,2,127\n")
         study = parse_counts_csv(path, "fet", study_totals=(2051, 686911))
-        margins = study.margins()[0]
-        assert margins.as_tuple() == (127, 686911 - 127, 2051)
+        assert study.n1.tolist() == [127] and study.n2.tolist() == [686911 - 127]
         assert study.c2.tolist() == [2049]
+        assert (study.c1 + study.c2).tolist() == [2051]
+
+    def test_count_above_int64(self, tmp_path):
+        # 2**63, one above the largest int64
+        path = write(
+            tmp_path / "c.csv", "id,c1,c2\ng1,3,9\ng2,1,9223372036854775808\n"
+        )
+        with pytest.raises(ParseError, match="'c2'") as exc_info:
+            parse_counts_csv(path, "binomial")
+        assert exc_info.value.line == 3
 
     def test_round_trip(self, tmp_path):
         path = write(
@@ -207,6 +223,30 @@ class TestAnalyzeCommand:
              "--groups", "0"]
         ) == EXIT_COMPUTE
 
+    def test_count_above_int64_exit_code(self, tmp_path):
+        path = write(tmp_path / "big.csv", "id,c1,c2\nx,1,99999999999999999999\n")
+        assert run_cli(
+            ["analyze", "--test", "binomial", "--input", path,
+             "--output", tmp_path / "out", "--groups", "2"]
+        ) == EXIT_PARSE
+
+    def test_study_totals_above_int64_exit_code(self, tmp_path):
+        path = write(tmp_path / "drugs.csv", "id,c1,n1\nd1,2,127\n")
+        assert run_cli(
+            ["analyze", "--test", "fet", "--input", path, "--output", tmp_path / "out",
+             "--groups", "1", "--study-totals", "99999999999999999999,686911"]
+        ) == EXIT_SCHEMA
+
+    def test_memory_error_exit_code(self, tmp_path, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("simulated allocation failure")
+
+        monkeypatch.setattr(cli, "score_input", out_of_memory)
+        assert run_cli(
+            ["analyze", "--test", "binomial", "--input", self.make_input(tmp_path),
+             "--output", tmp_path / "out", "--groups", "2"]
+        ) == EXIT_COMPUTE
+
     def test_metric_grouping_flag(self, tmp_path):
         path = self.make_input(tmp_path)
         out = tmp_path / "out"
@@ -230,6 +270,46 @@ class TestAnalyzeCommand:
         ) == 0
         summary = json.loads((tmp_path / "out.summary.json").read_text())
         assert summary["m_analyzed"] == 5
+
+
+class TestAnalyzeMatchesLibrary:
+    """The report and summary equal the library's procedure on the same data."""
+
+    @pytest.mark.parametrize("grouping", ["quantile", "metric"])
+    def test_report_equals_wfdr_reject(self, tmp_path, grouping):
+        rng = np.random.default_rng(61)
+        mu = 7.0 * (1.0 + rng.pareto(7.0, 80))
+        c1 = rng.poisson(mu)
+        c2 = rng.poisson(mu * np.where(np.arange(80) < 50, 1.0, 4.0))
+        rows = "".join(f"g{i},{a},{b}\n" for i, (a, b) in enumerate(zip(c1, c2)))
+        path = write(tmp_path / "counts.csv", "id,c1,c2\n" + rows)
+        assert run_cli(
+            ["analyze", "--test", "binomial", "--input", path, "--output",
+             tmp_path / "out", "--groups", "3", "--grouping", grouping,
+             "--alpha", "0.1"]
+        ) == 0
+        with open(tmp_path / "out.report.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        summary = json.loads((tmp_path / "out.summary.json").read_text())
+
+        study = parse_counts_csv(path, "binomial")
+        pvalues, supports, stats = score_input(
+            study.c1, study.c2, Sidedness.TWO_SIDED
+        )
+        cfg = WfdrConfig(l_star=3, grouping=grouping, pi0=BINOMIAL_PI0_CONFIG)
+        report = wfdr_reject(pvalues, supports, stats, 0.1, cfg)
+        group_of = report.partition.group_of()
+        rejected = np.zeros(study.m, dtype=int)
+        rejected[report.rejected] = 1
+        assert report.n_rejected > 0 and len(report.partition.groups) > 1
+        assert [r["id"] for r in rows] == list(study.ids)
+        assert [float(r["weighted_p"]) for r in rows] == (
+            pvalues * report.weights[group_of]
+        ).tolist()
+        assert [int(r["group"]) for r in rows] == group_of.tolist()
+        assert [int(r["rejected_wfdr"]) for r in rows] == rejected.tolist()
+        assert summary["wfdr"]["tau_alpha"] == report.threshold
+        assert summary["pi0_star"] == report.pi0_overall
 
 
 class TestSimulateCommand:

@@ -6,14 +6,19 @@ import pytest
 from discrete_fdr import (
     Family,
     InvalidConfigError,
+    MarginalVector,
     ScenarioConfig,
     Sidedness,
+    WfdrConfig,
+    bh_reject,
+    estimate_pi0,
     generate_binomial_scenario,
     generate_poisson_scenario,
-    run_replication,
     run_study,
+    wfdr_reject,
 )
 from discrete_fdr.simulate import FET_TRIALS, _num_true_nulls, score_study
+from discrete_fdr.wfdr import quantile_statistic
 
 
 def poisson_cfg(**overrides):
@@ -74,7 +79,10 @@ class TestGenerators:
         study = generate_binomial_scenario(cfg, 5)
         assert np.all(study.c1 <= FET_TRIALS) and np.all(study.c2 <= FET_TRIALS)
         _, _, stats = score_study(study, Sidedness.TWO_SIDED)
-        assert np.array_equal(stats, (study.c1 + study.c2).astype(float))
+        totals = study.c1 + study.c2
+        assert stats == [MarginalVector(FET_TRIALS, FET_TRIALS, t) for t in totals]
+        # quantile grouping sees the same statistic as the float totals
+        assert np.array_equal(quantile_statistic(stats), totals.astype(float))
 
     def test_all_alternatives_use_fixed_rates(self):
         cfg = binomial_cfg(pi0=0.0, m=4000)
@@ -117,50 +125,55 @@ class TestScoreStudy:
         assert stats[0] == 0.0
 
 
-class TestRunReplication:
-    def test_pure_null_tdp_zero(self):
-        cfg = poisson_cfg(pi0=1.0)
-        study = generate_poisson_scenario(cfg, 3)
-        stats = run_replication(study, alpha=0.1, l_star=3)
-        assert stats["wfdr"].tdp == 0.0
-        assert stats["bh"].tdp == 0.0
-
-    def test_alpha_zero_fdp_zero(self):
-        cfg = binomial_cfg()
-        study = generate_binomial_scenario(cfg, 3)
-        stats = run_replication(study, alpha=0.0, l_star=3)
-        for procedure in ("wfdr", "bh"):
-            assert stats[procedure].n_rejected == 0
-            assert stats[procedure].fdp == 0.0
-
-    def test_bounds(self):
-        cfg = binomial_cfg(m=400)
-        study = generate_binomial_scenario(cfg, 17)
-        stats = run_replication(study, alpha=0.1, l_star=3)
-        for s in stats.values():
-            assert 0.0 <= s.fdp <= 1.0
-            assert 0.0 <= s.tdp <= 1.0
-
-    def test_unknown_procedure(self):
-        cfg = binomial_cfg(m=50)
-        study = generate_binomial_scenario(cfg, 3)
-        with pytest.raises(InvalidConfigError):
-            run_replication(study, 0.1, 3, procedures=("storey",))
-
-
 class TestRunStudy:
     def test_single_replication_equals_its_values(self):
-        cfg = binomial_cfg(replications=1, alpha_grid=(0.05, 0.1), m=300)
-        result = run_study(cfg)
-        study = generate_binomial_scenario(
-            cfg, np.random.SeedSequence([cfg.master_seed, 0])
-        )
+        # every cell of a one-replication study, recomputed from the scored
+        # data with the one-shot procedures, for both families
+        for make_cfg, generate in (
+            (poisson_cfg, generate_poisson_scenario),
+            (binomial_cfg, generate_binomial_scenario),
+        ):
+            cfg = make_cfg(
+                replications=1, alpha_grid=(0.05, 0.1), l_star_grid=(1, 3), m=300
+            )
+            result = run_study(cfg)
+            assert len(result.cells) == 2 * 2 * 2
+            study = generate(cfg, np.random.SeedSequence([cfg.master_seed, 0]))
+            pvalues, supports, stats = score_study(study, cfg.sided)
+            pi0_cfg = cfg.resolved_pi0_config()
+            for cell in result.cells:
+                if cell.procedure == "wfdr":
+                    wcfg = WfdrConfig(l_star=cell.l_star, pi0=pi0_cfg)
+                    report = wfdr_reject(pvalues, supports, stats, cell.alpha, wcfg)
+                    assert cell.pi0_star_mean == report.pi0_overall
+                    pi0_g = estimate_pi0(pvalues, supports, pi0_cfg).value
+                    assert cell.pi0_g_mean == pi0_g
+                else:
+                    report = bh_reject(pvalues, cell.alpha)
+                n = report.n_rejected
+                n_false = int(np.count_nonzero(study.is_null[report.rejected]))
+                m1 = int(np.count_nonzero(~study.is_null))
+                assert cell.fdr == n_false / max(n, 1)
+                assert cell.power == (n - n_false) / m1
+                assert cell.mean_rejections == n
+                assert cell.fdp_std == 0.0 and cell.tdp_std == 0.0
+
+    def test_pure_null_power_zero(self):
+        result = run_study(poisson_cfg(pi0=1.0, alpha_grid=(0.1,), replications=1))
+        assert [c.power for c in result.cells] == [0.0, 0.0]
+
+    def test_alpha_zero_rejects_nothing(self):
+        result = run_study(binomial_cfg(alpha_grid=(0.0,), replications=1))
         for cell in result.cells:
-            stats = run_replication(study, cell.alpha, cell.l_star)[cell.procedure]
-            assert cell.fdr == stats.fdp
-            assert cell.power == stats.tdp
-            assert cell.mean_rejections == stats.n_rejected
-            assert cell.fdp_std == 0.0 and cell.tdp_std == 0.0
+            assert cell.mean_rejections == 0.0
+            assert cell.fdr == 0.0
+
+    def test_fdp_tdp_bounds(self):
+        # one replication per cell, so fdr and power are its fdp and tdp
+        cfg = binomial_cfg(m=400, alpha_grid=(0.1,), replications=1, master_seed=17)
+        for cell in run_study(cfg).cells:
+            assert 0.0 <= cell.fdr <= 1.0
+            assert 0.0 <= cell.power <= 1.0
 
     def test_deterministic_across_runs_and_workers(self):
         cfg = binomial_cfg(replications=4, m=150)

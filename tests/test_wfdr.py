@@ -164,6 +164,11 @@ class TestTheorem1Compare:
         ptilde = np.array([0.01, 0.05, 0.6, 0.9])
         assert theorem1_compare(p, ptilde, 0.5, 0.2) == (1, 2, True)
 
+    def test_alpha_validation(self):
+        for alpha in (-0.1, 2.0, np.nan):
+            with pytest.raises(InvalidConfigError, match="alpha"):
+                theorem1_compare([0.01, 0.5], [0.01, 0.5], 0.5, alpha)
+
     def test_not_applicable_at_pi0_one(self):
         with pytest.raises(NotApplicableError):
             theorem1_compare([0.5], [0.5], 1.0, 0.1)
@@ -214,6 +219,10 @@ class TestPValueValidation:
     def test_bh_reject(self, bad):
         with pytest.raises(InvalidConfigError, match=r"\(0, 1\]"):
             bh_reject([bad, 0.001, 0.002], 0.05)
+
+    def test_theorem1_compare(self, bad):
+        with pytest.raises(InvalidConfigError, match=r"\(0, 1\]"):
+            theorem1_compare([bad, 0.001, 0.002], [0.001] * 3, 0.5, 0.2)
 
     def test_wfdr_reject(self, bad):
         supports = [np.array([0.001, 0.002, 1.0])] * 3
