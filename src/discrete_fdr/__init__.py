@@ -37,8 +37,6 @@ from .exact_tests import (
     binomial_pvalue,
     fet_null_distribution,
     fet_pvalue,
-    pvalue_support,
-    unit_cdf,
 )
 from .grouping import (
     GroupingConfig,
@@ -48,7 +46,7 @@ from .grouping import (
     group_from_distances,
     pairwise_delta_matrix,
 )
-from .io import FilterRule, StudyInput, apply_filter, parse_counts_csv, write_counts_csv
+from .io import FilterRule, StudyInput, apply_filter, parse_counts_csv
 from .proportion import (
     BINOMIAL_PI0_CONFIG,
     FET_PI0_CONFIG,
@@ -57,7 +55,6 @@ from .proportion import (
     estimate_pi0,
     groupwise_pi0,
     overall_pi0,
-    trial_estimate,
 )
 from .simulate import (
     Family,

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -55,10 +56,6 @@ def _write_json(payload: dict, path: str) -> None:
     with open(path, "w") as handle:
         json.dump(_jsonable(payload), handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _sidedness(flag: str) -> Sidedness:
-    return Sidedness.ONE_SIDED if flag == "one" else Sidedness.TWO_SIDED
 
 
 def _parse_study_totals(raw: str | None) -> tuple[int, int] | None:
@@ -134,7 +131,7 @@ def _analyze(args) -> int:
     if study.m == 0:
         raise SchemaError("no rows left to analyze after filtering")
 
-    sided = _sidedness(args.sided)
+    sided = Sidedness(args.sided)
     pvalues, supports, stats = score_input(
         study.c1, study.c2, sided, study.n1, study.n2
     )
@@ -249,17 +246,9 @@ def _simulate(args) -> int:
         rows.extend(result.long_table())
         summaries.extend(
             {
-                "pi0": cell.pi0,
-                "alpha": cell.alpha,
-                "l_star": cell.l_star,
-                "procedure": cell.procedure,
-                "fdr": cell.fdr,
-                "power": cell.power,
-                "fdp_std": cell.fdp_std,
-                "tdp_std": cell.tdp_std,
-                "mean_rejections": cell.mean_rejections,
-                "pi0_star_mean": cell.pi0_star_mean,
-                "pi0_g_mean": cell.pi0_g_mean,
+                key: value
+                for key, value in asdict(cell).items()
+                if key not in ("family", "replications")
             }
             for cell in result.cells
         )
@@ -280,7 +269,7 @@ def _simulate(args) -> int:
                     row["l_star"],
                     row["procedure"],
                     row["metric"],
-                    repr(float(row["value"])) if row["value"] is not None else "",
+                    repr(float(row["value"])),
                 ]
             )
     _write_json(

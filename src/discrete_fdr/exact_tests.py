@@ -145,11 +145,6 @@ class DiscreteCDF:
         return int(self.support.size)
 
 
-def unit_cdf() -> DiscreteCDF:
-    """The null distribution of a hypothesis without data: all mass at 1."""
-    return DiscreteCDF(np.array([1.0]), np.array([1.0]))
-
-
 def _log_binom_coeff(n, k):
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
@@ -413,8 +408,3 @@ def fet_pvalue(c1: int, margins: MarginalVector, sided: Sidedness) -> float:
             f"({n1}, {n2}, {m_obs}) underflows double precision"
         )
     return p
-
-
-def pvalue_support(dist: DiscreteCDF) -> np.ndarray:
-    """The attainable p-values (jump locations) of a p-value distribution."""
-    return dist.support

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
+from .errors import InvalidConfigError, ParseError, SchemaError
 from .exact_tests import (
     MarginalVector,
     PoissonPair,
@@ -56,22 +56,6 @@ class StudyInput:
         if self.family == "fet" and (self.n1 is None or self.n2 is None):
             raise ValueError("fet study needs row totals n1 and n2")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StudyInput):
-            return NotImplemented
-        optional_equal = all(
-            (a is None and b is None)
-            or (a is not None and b is not None and np.array_equal(a, b))
-            for a, b in ((self.n1, other.n1), (self.n2, other.n2))
-        )
-        return (
-            self.family == other.family
-            and self.ids == other.ids
-            and np.array_equal(self.c1, other.c1)
-            and np.array_equal(self.c2, other.c2)
-            and optional_equal
-        )
-
     @property
     def m(self) -> int:
         return len(self.ids)
@@ -87,7 +71,9 @@ class FilterRule:
 
     def __post_init__(self):
         if self.min_total < 0:
-            raise ValueError("min_total must be nonnegative")
+            raise InvalidConfigError(
+                f"min_total must be nonnegative, got {self.min_total}"
+            )
 
 
 def _parse_count(row: dict, column: str, line: int) -> int:
@@ -186,23 +172,6 @@ def parse_counts_csv(
         family=family, ids=tuple(ids), c1=c1, c2=np.asarray(c2),
         n1=n1, n2=np.asarray(n2),
     )
-
-
-def write_counts_csv(study: StudyInput, path) -> None:
-    """Emit a study in the schema ``parse_counts_csv`` reads back."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        if study.family == "binomial":
-            writer.writerow(BINOMIAL_COLUMNS)
-            for i, row_id in enumerate(study.ids):
-                writer.writerow([row_id, int(study.c1[i]), int(study.c2[i])])
-        else:
-            writer.writerow(FET_COLUMNS)
-            for i, row_id in enumerate(study.ids):
-                writer.writerow(
-                    [row_id, int(study.c1[i]), int(study.n1[i]),
-                     int(study.c2[i]), int(study.n2[i])]
-                )
 
 
 def apply_filter(study: StudyInput, rule: FilterRule) -> StudyInput:

@@ -126,19 +126,6 @@ def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
     return total / m
 
 
-def trial_estimate(pvalues, supports, tau: float) -> float:
-    """Trial estimate of the null proportion at a single guiding value.
-
-    For each hypothesis i, let lambda be the largest point of its support
-    that is <= ``tau``.  The trial estimate averages 1{p_i > lambda} /
-    (1 - lambda) over hypotheses, counting hypotheses with no such support
-    point as 1.
-    """
-    if not 0.0 <= tau < 1.0:
-        raise InvalidConfigError(f"tau must be in [0, 1), got {tau}")
-    return float(_trial_grid(pvalues, supports, np.array([float(tau)]))[0])
-
-
 def estimate_pi0(pvalues, supports, cfg: Pi0Config) -> Pi0Estimate:
     """Null-proportion estimate: minimum trial estimate over the grid.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -213,7 +213,10 @@ def _replication_records(cfg: ScenarioConfig, rep: int):
 
 @dataclass(frozen=True)
 class CellSummary:
-    """Aggregated statistics of one (pi0, alpha, l_star, procedure) cell."""
+    """Aggregated statistics of one (pi0, alpha, l_star, procedure) cell.
+
+    The fields after ``replications`` are the statistics, in output order.
+    """
 
     family: str
     pi0: float
@@ -229,6 +232,16 @@ class CellSummary:
     pi0_star_mean: float | None = None
     pi0_g_mean: float | None = None
 
+    def statistics(self) -> dict:
+        """The statistics that apply to the procedure; the pi0 means are None,
+        and left out, for bh."""
+        names = [f.name for f in fields(self)]
+        return {
+            name: getattr(self, name)
+            for name in names[names.index("replications") + 1:]
+            if getattr(self, name) is not None
+        }
+
 
 @dataclass(frozen=True)
 class StudyResult:
@@ -239,36 +252,22 @@ class StudyResult:
 
     def long_table(self) -> list[dict]:
         """Plot-ready rows: family, pi0, alpha, l_star, procedure, metric, value."""
-        rows = []
-        for cell in self.cells:
-            metrics = {
-                "fdr": cell.fdr,
-                "power": cell.power,
-                "fdp_std": cell.fdp_std,
-                "tdp_std": cell.tdp_std,
-                "mean_rejections": cell.mean_rejections,
-            }
-            if cell.procedure == "wfdr":
-                metrics["pi0_star_mean"] = cell.pi0_star_mean
-                metrics["pi0_g_mean"] = cell.pi0_g_mean
-            for metric, value in metrics.items():
-                rows.append(
-                    {
-                        "family": cell.family,
-                        "pi0": cell.pi0,
-                        "alpha": cell.alpha,
-                        "l_star": cell.l_star,
-                        "procedure": cell.procedure,
-                        "metric": metric,
-                        "value": value,
-                    }
-                )
-        return rows
+        return [
+            dict(family=cell.family, pi0=cell.pi0, alpha=cell.alpha,
+                 l_star=cell.l_star, procedure=cell.procedure,
+                 metric=metric, value=value)
+            for cell in self.cells
+            for metric, value in cell.statistics().items()
+        ]
 
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+        raw = os.environ.get(WORKERS_ENV_VAR, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise InvalidConfigError(f"{WORKERS_ENV_VAR}={raw!r} is not an integer") from None
     if workers < 1:
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     return workers

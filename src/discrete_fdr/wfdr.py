@@ -50,7 +50,6 @@ class WfdrConfig:
     g_star: int = 1
     grouping: str = "quantile"  # "quantile" or "metric"
     pi0: Pi0Config = field(default_factory=lambda: BINOMIAL_PI0_CONFIG)
-    max_restarts: int = 64
 
     def __post_init__(self):
         if self.grouping not in ("quantile", "metric"):
@@ -220,9 +219,7 @@ def _metric_partition(conditioning_stats, cfg: WfdrConfig) -> Partition:
     for i in range(m):
         for j in range(i + 1, m):
             dmat[i, j] = dmat[j, i] = marginal_distance(stats[i], stats[j])
-    grouping_cfg = GroupingConfig(
-        l_star=cfg.l_star, g_star=cfg.g_star, max_restarts=cfg.max_restarts
-    )
+    grouping_cfg = GroupingConfig(l_star=cfg.l_star, g_star=cfg.g_star)
     try:
         return group_from_distances(dmat, grouping_cfg)
     except GroupingDidNotConvergeError:

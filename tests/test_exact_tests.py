@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from discrete_fdr import (
     DegenerateDataError,
@@ -20,8 +20,6 @@ from discrete_fdr import (
     binomial_pvalue,
     fet_null_distribution,
     fet_pvalue,
-    pvalue_support,
-    unit_cdf,
 )
 from discrete_fdr.exact_tests import (
     AGGREGATION_RTOL,
@@ -59,11 +57,6 @@ class TestDiscreteCDF:
         assert d.cdf(0.5) == 0.25
         assert d.cdf(1.0) == 1.0
         assert_allclose(d.cdf(np.array([0.2, 0.25, 0.9, 1.0])), [0, 0.25, 0.25, 1.0])
-
-    def test_unit_cdf(self):
-        d = unit_cdf()
-        assert d.support.tolist() == [1.0]
-        assert d.cdf(0.999) == 0.0
 
 
 class TestBinomialNullDistribution:
@@ -191,14 +184,11 @@ class TestFetPvalue:
 
 class TestPvalueSupport:
     def test_examples(self):
+        assert_allclose(binomial_null_distribution(2, TWO).support, [0.5, 1.0])
         assert_allclose(
-            pvalue_support(binomial_null_distribution(2, TWO)), [0.5, 1.0]
-        )
-        assert_allclose(
-            pvalue_support(fet_null_distribution(MarginalVector(2, 2, 2), TWO)),
+            fet_null_distribution(MarginalVector(2, 2, 2), TWO).support,
             [1 / 3, 1.0],
         )
-        assert_allclose(pvalue_support(unit_cdf()), [1.0])
 
 
 class TestAgainstRationalOracle:
@@ -299,8 +289,22 @@ def _reference_log_binom_coeff(n, k):
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
+def _reference_logsumexp(a):
+    """log(sum(exp(a))) evaluated as ``scipy.special.logsumexp`` does in
+    scipy 1.17: the maximal terms are separated out of the sum, which enters
+    through ``log1p``.  Kept here so that the bit-identity checks below do
+    not depend on the installed scipy's formula."""
+    peak = a.max()
+    at_peak = a == peak
+    n_peak = np.float64(np.count_nonzero(at_peak))
+    rest = np.exp(np.where(at_peak, -np.inf, a - peak)).sum()
+    if rest != 0.0:
+        rest = rest / n_peak
+    return np.log1p(rest) + np.log(n_peak) + peak
+
+
 def _reference_table(log_weights, sided):
-    pmf = np.exp(log_weights - logsumexp(log_weights))
+    pmf = np.exp(log_weights - _reference_logsumexp(log_weights))
     return reference_aggregate(_outcome_pvalues(pmf, sided), pmf)
 
 

@@ -10,6 +10,7 @@ import pytest
 from discrete_fdr import (
     BINOMIAL_PI0_CONFIG,
     FilterRule,
+    InvalidConfigError,
     ParseError,
     SchemaError,
     Sidedness,
@@ -18,7 +19,6 @@ from discrete_fdr import (
     apply_filter,
     parse_counts_csv,
     wfdr_reject,
-    write_counts_csv,
 )
 from discrete_fdr import cli
 from discrete_fdr.cli import EXIT_COMPUTE, EXIT_PARSE, EXIT_SCHEMA, main
@@ -118,19 +118,12 @@ class TestParseCountsCsv:
         study = parse_counts_csv(path, "binomial")
         assert (study.c1 + study.c2).tolist() == [2**63 - 1]
 
-    def test_round_trip(self, tmp_path):
-        path = write(
-            tmp_path / "c.csv",
-            "id,c1,n1,c2,n2\nd1,19,19,35071,75146\nd2,0,5,100,2000\n",
-        )
-        study = parse_counts_csv(path, "fet")
-        out = tmp_path / "out.csv"
-        write_counts_csv(study, out)
-        again = parse_counts_csv(out, "fet")
-        assert again == study
-
 
 class TestApplyFilter:
+    def test_negative_min_total_rejected(self):
+        with pytest.raises(InvalidConfigError, match="min_total"):
+            FilterRule(min_total=-1)
+
     def test_boundary_total_dropped(self):
         study = StudyInput("binomial", ("a",), np.array([3]), np.array([2]))
         assert apply_filter(study, FilterRule(5, 25)).m == 0
@@ -244,6 +237,12 @@ class TestAnalyzeCommand:
         assert run_cli(
             ["analyze", "--test", "binomial", "--input", path, "--output", out,
              "--groups", "0"]
+        ) == EXIT_COMPUTE
+
+    def test_negative_min_total_exit_code(self, tmp_path):
+        assert run_cli(
+            ["analyze", "--test", "binomial", "--input", self.make_input(tmp_path),
+             "--output", tmp_path / "out", "--groups", "2", "--min-total", "-1"]
         ) == EXIT_COMPUTE
 
     def test_count_above_int64_exit_code(self, tmp_path):
@@ -375,3 +374,28 @@ class TestSimulateCommand:
         payload = json.loads((tmp_path / "s.json").read_text())
         assert len(payload["cells"]) == 2 * 2 * 2 * 2  # pi0 x alpha x l* x procedure
         assert payload["flags"]["pi0"] == [0.5, 0.8]
+
+    def test_json_cell_keys(self, tmp_path):
+        assert run_cli(
+            ["simulate", "--family", "poisson", "--m", "80", "--reps", "2",
+             "--seed", "5", "--output", tmp_path / "s"]
+        ) == 0
+        cells = {
+            cell["procedure"]: cell
+            for cell in json.loads((tmp_path / "s.json").read_text())["cells"]
+        }
+        keys = {"pi0", "alpha", "l_star", "procedure", "fdr", "power", "fdp_std",
+                "tdp_std", "mean_rejections", "pi0_star_mean", "pi0_g_mean"}
+        assert set(cells) == {"wfdr", "bh"}
+        assert set(cells["wfdr"]) == set(cells["bh"]) == keys
+        assert cells["bh"]["pi0_star_mean"] is None
+        assert cells["bh"]["pi0_g_mean"] is None
+
+    def test_malformed_worker_count_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DISCRETE_FDR_WORKERS", "abc")
+        assert run_cli(
+            ["simulate", "--family", "poisson", "--m", "20", "--reps", "1",
+             "--seed", "5", "--output", tmp_path / "s"]
+        ) == EXIT_COMPUTE
+        assert "DISCRETE_FDR_WORKERS='abc'" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()

@@ -209,6 +209,17 @@ class TestRunStudy:
                 "value",
             }
 
+    def test_long_table_metric_order(self):
+        rows = run_study(binomial_cfg(replications=2, m=100)).long_table()
+        order = {}
+        for row in rows:
+            order.setdefault(row["procedure"], []).append(row["metric"])
+        shared = ["fdr", "power", "fdp_std", "tdp_std", "mean_rejections"]
+        assert order == {
+            "wfdr": shared + ["pi0_star_mean", "pi0_g_mean"],
+            "bh": shared,
+        }
+
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
             binomial_cfg(m=0)
