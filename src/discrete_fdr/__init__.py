@@ -58,7 +58,6 @@ from .proportion import (
 )
 from .simulate import (
     Family,
-    ReplicationStats,
     ScenarioConfig,
     SimulatedStudy,
     StudyResult,

@@ -211,13 +211,13 @@ def _analyze(args) -> int:
     if "wfdr" in procedures:
         summary["wfdr"] = {
             "tau_alpha": wfdr_report.threshold,
-            "k_tilde_star": wfdr_report.k_tilde_star,
+            "k_tilde_star": wfdr_report.n_rejected,
             "n_rejected": wfdr_report.n_rejected,
         }
     if bh_report is not None:
         summary["bh"] = {
             "threshold": bh_report.threshold,
-            "k_star": bh_report.k_star,
+            "k_star": bh_report.n_rejected,
             "n_rejected": bh_report.n_rejected,
         }
     _write_json(summary, summary_path)

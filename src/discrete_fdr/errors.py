@@ -33,8 +33,11 @@ class EmptyStudyError(DiscreteFdrError):
     """An operation that needs at least one hypothesis received none."""
 
 
-class InvalidConfigError(DiscreteFdrError):
-    """Configuration values violate their documented constraints."""
+class InvalidConfigError(DiscreteFdrError, ValueError):
+    """Configuration or constructor values violate their documented constraints.
+
+    Also a ``ValueError``, the built-in type for an invalid argument value.
+    """
 
 
 class InvalidEstimateError(DiscreteFdrError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DegenerateDataError, InvalidTableError
+from .errors import DegenerateDataError, InvalidConfigError, InvalidTableError
 
 # Outcomes whose null probability is within this relative tolerance of the
 # observed outcome's probability count as "equally likely" in the two-sided
@@ -64,7 +64,9 @@ class PoissonPair:
         for name in ("c1", "c2"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+                raise InvalidConfigError(
+                    f"{name} must be a nonnegative integer, got {v!r}"
+                )
 
     @property
     def total(self) -> int:
@@ -88,9 +90,11 @@ class MarginalVector:
         for name in ("n1", "n2", "m_obs"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+                raise InvalidConfigError(
+                    f"{name} must be a nonnegative integer, got {v!r}"
+                )
         if self.m_obs > self.n1 + self.n2:
-            raise ValueError(
+            raise InvalidConfigError(
                 f"m_obs={self.m_obs} exceeds n1+n2={self.n1 + self.n2}"
             )
 
@@ -114,18 +118,20 @@ class DiscreteCDF:
         support = np.asarray(self.support, dtype=float)
         mass = np.asarray(self.mass, dtype=float)
         if support.ndim != 1 or support.size == 0:
-            raise ValueError("support must be a nonempty 1-d array")
+            raise InvalidConfigError("support must be a nonempty 1-d array")
         if mass.shape != support.shape:
-            raise ValueError("support and mass must have matching shapes")
+            raise InvalidConfigError("support and mass must have matching shapes")
         if np.any(support <= 0.0) or np.any(support > 1.0):
-            raise ValueError("support points must lie in (0, 1]")
+            raise InvalidConfigError("support points must lie in (0, 1]")
         if np.any(np.diff(support) <= 0.0):
-            raise ValueError("support must be strictly increasing")
+            raise InvalidConfigError("support must be strictly increasing")
         if np.any(mass <= 0.0):
-            raise ValueError("masses must be positive")
+            raise InvalidConfigError("masses must be positive")
         total = mass.sum()
         if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"masses must sum to 1 within 1e-10, got {total!r}")
+            raise InvalidConfigError(
+                f"masses must sum to 1 within 1e-10, got {total!r}"
+            )
         support.setflags(write=False)
         mass.setflags(write=False)
         object.__setattr__(self, "support", support)

@@ -49,11 +49,11 @@ class Partition:
             np.sort(np.asarray(g, dtype=np.intp)) for g in self.groups
         )
         if not groups or any(g.size == 0 for g in groups):
-            raise ValueError("every group must be nonempty")
+            raise InvalidConfigError("every group must be nonempty")
         merged = np.concatenate(groups)
         m = merged.size
         if not np.array_equal(np.sort(merged), np.arange(m)):
-            raise ValueError("groups must form a disjoint cover of 0..m-1")
+            raise InvalidConfigError("groups must form a disjoint cover of 0..m-1")
         for g in groups:
             g.setflags(write=False)
         object.__setattr__(self, "groups", groups)

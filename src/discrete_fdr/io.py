@@ -52,9 +52,9 @@ class StudyInput:
 
     def __post_init__(self):
         if self.family not in ("binomial", "fet"):
-            raise ValueError(f"unknown family {self.family!r}")
+            raise InvalidConfigError(f"unknown family {self.family!r}")
         if self.family == "fet" and (self.n1 is None or self.n2 is None):
-            raise ValueError("fet study needs row totals n1 and n2")
+            raise InvalidConfigError("fet study needs row totals n1 and n2")
 
     @property
     def m(self) -> int:

@@ -31,6 +31,10 @@ WORKERS_ENV_VAR = "DISCRETE_FDR_WORKERS"
 
 FET_TRIALS = 50  # number of trials of each binomial count in the FET scenario
 
+# the last two axes of a replication's records
+PROCEDURES = ("wfdr", "bh")
+STATISTICS = ("fdp", "tdp", "n_rejected", "pi0_star", "pi0_g")
+
 
 class Family(enum.Enum):
     """Data-generating scenario (and the exact test it is analysed with)."""
@@ -41,7 +45,11 @@ class Family(enum.Enum):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation scenario: a single null proportion, full design grids."""
+    """One simulation scenario: a single null proportion, full design grids.
+
+    The tests are two-sided and the null proportion is estimated on the
+    family's default guiding-value grid.
+    """
 
     family: Family
     m: int
@@ -50,8 +58,6 @@ class ScenarioConfig:
     l_star_grid: tuple[int, ...]
     replications: int
     master_seed: int
-    sided: Sidedness = Sidedness.TWO_SIDED
-    pi0_config: Pi0Config | None = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -60,12 +66,17 @@ class ScenarioConfig:
             raise InvalidConfigError(f"pi0 must be in [0, 1], got {self.pi0}")
         if not self.alpha_grid or not self.l_star_grid:
             raise InvalidConfigError("alpha and l_star grids must be nonempty")
+        if not all(0.0 <= alpha <= 1.0 for alpha in self.alpha_grid):
+            raise InvalidConfigError(f"alpha must be in [0, 1], got {self.alpha_grid}")
+        if min(self.l_star_grid) < 1:
+            raise InvalidConfigError(f"l_star must be >= 1, got {self.l_star_grid}")
+        for name, grid in (("alpha", self.alpha_grid), ("l_star", self.l_star_grid)):
+            if len(set(grid)) != len(grid):
+                raise InvalidConfigError(f"{name} grid has a repeated value: {grid}")
         if self.replications < 1:
             raise InvalidConfigError("replications must be >= 1")
 
     def resolved_pi0_config(self) -> Pi0Config:
-        if self.pi0_config is not None:
-            return self.pi0_config
         if self.family is Family.POISSON_BINOMIAL:
             return BINOMIAL_PI0_CONFIG
         return FET_PI0_CONFIG
@@ -83,18 +94,6 @@ class SimulatedStudy:
     @property
     def m(self) -> int:
         return int(self.c1.size)
-
-
-@dataclass(frozen=True)
-class ReplicationStats:
-    """Discovery proportions of one procedure in one replication."""
-
-    procedure: str
-    fdp: float
-    tdp: float
-    n_rejected: int
-    pi0_g: float | None = None
-    pi0_star: float | None = None
 
 
 def _num_true_nulls(m: int, pi0: float) -> int:
@@ -169,46 +168,40 @@ def _discovery_proportions(rejected: np.ndarray, is_null: np.ndarray):
     return fdp, tdp
 
 
-def _replication_stats(procedure, report, is_null, **estimates):
-    fdp, tdp = _discovery_proportions(report.rejected, is_null)
-    return ReplicationStats(
-        procedure, fdp, tdp, n_rejected=report.n_rejected, **estimates
-    )
-
-
-def _replication_records(cfg: ScenarioConfig, rep: int):
+def _replication_records(cfg: ScenarioConfig, rep: int) -> np.ndarray:
     """All per-cell statistics of one replication.
 
     The dataset and its p-values are shared across the alpha and l_star
     grids; the weighting runs once per l_star and each step-up once per
-    alpha.  Returns (l_star, alpha, procedure) -> ReplicationStats tuples.
+    alpha.  Returns an array indexed (l_star, alpha, procedure, statistic)
+    in the order of the grids, ``PROCEDURES`` and ``STATISTICS``; bh's pi0
+    statistics are NaN.
     """
     seed = np.random.SeedSequence([cfg.master_seed, rep])
     study = generate_scenario(cfg, seed)
-    pvalues, supports, stats = score_study(study, cfg.sided)
+    pvalues, supports, stats = score_study(study, Sidedness.TWO_SIDED)
     pi0_cfg = cfg.resolved_pi0_config()
     pi0_g = estimate_pi0(pvalues, supports, pi0_cfg).value
 
-    bh_by_alpha = {
-        alpha: _replication_stats("bh", bh_reject(pvalues, alpha), study.is_null)
-        for alpha in cfg.alpha_grid
-    }
-    records = []
-    for l_star in cfg.l_star_grid:
+    def record(report, *estimates):
+        fdp, tdp = _discovery_proportions(report.rejected, study.is_null)
+        return fdp, tdp, report.n_rejected, *estimates
+
+    out = np.full(
+        (len(cfg.l_star_grid), len(cfg.alpha_grid), len(PROCEDURES), len(STATISTICS)),
+        np.nan,
+    )
+    wfdr, bh = PROCEDURES.index("wfdr"), PROCEDURES.index("bh")
+    for j, alpha in enumerate(cfg.alpha_grid):
+        out[:, j, bh, :3] = record(bh_reject(pvalues, alpha))
+    for i, l_star in enumerate(cfg.l_star_grid):
         weighted = weight_study(
             pvalues, supports, stats, WfdrConfig(l_star=l_star, pi0=pi0_cfg)
         )
-        for alpha in cfg.alpha_grid:
-            wfdr = _replication_stats(
-                "wfdr",
-                weighted.reject(alpha),
-                study.is_null,
-                pi0_g=pi0_g,
-                pi0_star=weighted.pi0_overall,
-            )
-            records.append((l_star, alpha, wfdr))
-            records.append((l_star, alpha, bh_by_alpha[alpha]))
-    return records
+        for j, alpha in enumerate(cfg.alpha_grid):
+            report = weighted.reject(alpha)
+            out[i, j, wfdr] = record(report, weighted.pi0_overall, pi0_g)
+    return out
 
 
 @dataclass(frozen=True)
@@ -273,11 +266,6 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _std(values: np.ndarray) -> float:
-    # sample standard deviation; 0 for a single replication
-    return float(np.std(values, ddof=1)) if values.size > 1 else 0.0
-
-
 def run_study(cfg: ScenarioConfig, workers: int | None = None) -> StudyResult:
     """Run all replications of a scenario and aggregate per-cell statistics.
 
@@ -294,41 +282,38 @@ def run_study(cfg: ScenarioConfig, workers: int | None = None) -> StudyResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(task, reps))
 
-    by_cell: dict[tuple, list[ReplicationStats]] = {}
-    for records in per_rep:  # replication order is fixed
-        for l_star, alpha, stats in records:
-            by_cell.setdefault((l_star, alpha, stats.procedure), []).append(stats)
+    # replications on the contiguous last axis, so that each cell reduces
+    # exactly like the 1-d array of its values
+    records = np.ascontiguousarray(np.stack(per_rep, axis=-1))
+    means = records.mean(axis=-1)
+    # sample standard deviation; 0 for a single replication
+    if cfg.replications > 1:
+        stds = records.std(axis=-1, ddof=1)
+    else:
+        stds = np.zeros_like(means)
 
     cells = []
-    for l_star in cfg.l_star_grid:
-        for alpha in cfg.alpha_grid:
-            for procedure in ("wfdr", "bh"):
-                stats = by_cell[(l_star, alpha, procedure)]
-                fdp = np.array([s.fdp for s in stats])
-                tdp = np.array([s.tdp for s in stats])
-                nrej = np.array([s.n_rejected for s in stats], dtype=float)
-                cell = CellSummary(
-                    family=cfg.family.value,
-                    pi0=cfg.pi0,
-                    alpha=alpha,
-                    l_star=l_star,
-                    procedure=procedure,
-                    replications=cfg.replications,
-                    fdr=float(fdp.mean()),
-                    power=float(tdp.mean()),
-                    fdp_std=_std(fdp),
-                    tdp_std=_std(tdp),
-                    mean_rejections=float(nrej.mean()),
-                    pi0_star_mean=(
-                        float(np.mean([s.pi0_star for s in stats]))
-                        if procedure == "wfdr"
-                        else None
-                    ),
-                    pi0_g_mean=(
-                        float(np.mean([s.pi0_g for s in stats]))
-                        if procedure == "wfdr"
-                        else None
-                    ),
+    for i, l_star in enumerate(cfg.l_star_grid):
+        for j, alpha in enumerate(cfg.alpha_grid):
+            for k, procedure in enumerate(PROCEDURES):
+                fdr, power, n_rejected, pi0_star, pi0_g = means[i, j, k].tolist()
+                fdp_std, tdp_std = stds[i, j, k, :2].tolist()
+                wfdr = procedure == "wfdr"
+                cells.append(
+                    CellSummary(
+                        family=cfg.family.value,
+                        pi0=cfg.pi0,
+                        alpha=alpha,
+                        l_star=l_star,
+                        procedure=procedure,
+                        replications=cfg.replications,
+                        fdr=fdr,
+                        power=power,
+                        fdp_std=fdp_std,
+                        tdp_std=tdp_std,
+                        mean_rejections=n_rejected,
+                        pi0_star_mean=pi0_star if wfdr else None,
+                        pi0_g_mean=pi0_g if wfdr else None,
+                    )
                 )
-                cells.append(cell)
     return StudyResult(config=cfg, cells=tuple(cells))

@@ -65,19 +65,14 @@ class RejectionReport:
     ``rejected`` holds sorted 0-based hypothesis indices.  ``threshold`` is
     the realised rejection threshold on the scale the procedure compares
     against (weighted p-values for the weighted procedure, raw p-values for
-    BH); it is 0 when nothing is rejected.  Fields that do not apply to a
-    procedure are None.
+    BH); it is 0 when nothing is rejected.  The partition, weights and
+    null-proportion estimates of the weighted procedure are in the
+    ``WeightedStudy`` whose ``reject`` made the report.
     """
 
     procedure: str
     rejected: np.ndarray
     threshold: float
-    pi0_overall: float | None = None
-    k_star: int | None = None
-    k_tilde_star: int | None = None
-    weights: np.ndarray | None = None
-    partition: Partition | None = None
-    group_pi0: tuple[Pi0Estimate, ...] | None = None
 
     def __post_init__(self):
         rejected = np.sort(np.asarray(self.rejected, dtype=np.intp))
@@ -168,9 +163,7 @@ def bh_reject(pvalues, alpha: float) -> RejectionReport:
     threshold = _step_up_threshold(pvalues, 1.0, alpha)
     # p-values are positive, so threshold 0 rejects nothing
     rejected = np.flatnonzero(pvalues <= threshold)
-    return RejectionReport(
-        procedure="bh", rejected=rejected, threshold=threshold, k_star=rejected.size
-    )
+    return RejectionReport(procedure="bh", rejected=rejected, threshold=threshold)
 
 
 def theorem1_compare(pvalues, weighted, pi0_overall: float, alpha: float):
@@ -181,7 +174,7 @@ def theorem1_compare(pvalues, weighted, pi0_overall: float, alpha: float):
     k_tilde_star >= k_star.  Undefined when the overall estimate is 1.
     ``alpha`` and ``pvalues`` are validated as in ``bh_reject``.
     """
-    k_star = bh_reject(pvalues, alpha).k_star
+    k_star = bh_reject(pvalues, alpha).n_rejected
     if pi0_overall >= 1.0:
         raise NotApplicableError(
             "comparison requires an overall null-proportion estimate below 1"
@@ -257,16 +250,7 @@ class WeightedStudy:
         # which the threshold rule rejects even at threshold 0; otherwise a
         # zero threshold rejects nothing since weighted p-values are positive
         rejected = np.flatnonzero(self.weighted <= threshold)
-        return RejectionReport(
-            procedure="wfdr",
-            rejected=rejected,
-            threshold=threshold,
-            pi0_overall=self.pi0_overall,
-            k_tilde_star=rejected.size,
-            weights=self.weights,
-            partition=self.partition,
-            group_pi0=self.group_pi0,
-        )
+        return RejectionReport(procedure="wfdr", rejected=rejected, threshold=threshold)
 
 
 def weight_study(

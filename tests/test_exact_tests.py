@@ -12,10 +12,13 @@ from scipy.special import gammaln
 from discrete_fdr import (
     DegenerateDataError,
     DiscreteCDF,
+    DiscreteFdrError,
     InvalidTableError,
     MarginalVector,
+    Partition,
     PoissonPair,
     Sidedness,
+    StudyInput,
     binomial_null_distribution,
     binomial_pvalue,
     fet_null_distribution,
@@ -37,6 +40,26 @@ from rational_oracles import (
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED
+
+
+@pytest.mark.parametrize("construct", [
+    lambda: PoissonPair(-1, 2),
+    lambda: PoissonPair(1.5, 2),
+    lambda: MarginalVector(1, 1, 5),
+    lambda: MarginalVector(-1, 1, 0),
+    lambda: DiscreteCDF(np.array([0.5, 0.25]), np.array([0.5, 0.5])),
+    lambda: DiscreteCDF(np.array([0.5, 1.0]), np.array([0.5, 0.4])),
+    lambda: Partition((np.array([0, 1]), np.array([1, 2]))),
+    lambda: Partition(()),
+    lambda: StudyInput("x", ("a",), np.array([1]), np.array([2])),
+    lambda: StudyInput("fet", ("a",), np.array([1]), np.array([2])),
+], ids=["pair-negative", "pair-float", "margins-m-obs", "margins-negative",
+        "cdf-order", "cdf-mass", "partition-overlap", "partition-empty",
+        "study-family", "study-fet-totals"])
+def test_invalid_value_raises_package_error(construct):
+    # a library caller catching the package's base error sees these too
+    with pytest.raises(DiscreteFdrError):
+        construct()
 
 
 class TestDiscreteCDF:

@@ -18,9 +18,10 @@ from discrete_fdr import (
     WfdrConfig,
     apply_filter,
     parse_counts_csv,
+    weight_study,
     wfdr_reject,
 )
-from discrete_fdr import cli
+from discrete_fdr import cli, simulate
 from discrete_fdr.cli import EXIT_COMPUTE, EXIT_PARSE, EXIT_SCHEMA, main
 from discrete_fdr.io import score_input
 
@@ -331,18 +332,20 @@ class TestAnalyzeMatchesLibrary:
         )
         cfg = WfdrConfig(l_star=3, grouping=grouping, pi0=BINOMIAL_PI0_CONFIG)
         report = wfdr_reject(pvalues, supports, stats, 0.1, cfg)
-        group_of = report.partition.group_of()
+        weighted = weight_study(pvalues, supports, stats, cfg)
+        group_of = weighted.partition.group_of()
         rejected = np.zeros(study.m, dtype=int)
         rejected[report.rejected] = 1
-        assert report.n_rejected > 0 and len(report.partition.groups) > 1
+        assert report.n_rejected > 0 and len(weighted.partition.groups) > 1
         assert [r["id"] for r in rows] == list(study.ids)
         assert [float(r["weighted_p"]) for r in rows] == (
-            pvalues * report.weights[group_of]
+            pvalues * weighted.weights[group_of]
         ).tolist()
         assert [int(r["group"]) for r in rows] == group_of.tolist()
         assert [int(r["rejected_wfdr"]) for r in rows] == rejected.tolist()
         assert summary["wfdr"]["tau_alpha"] == report.threshold
-        assert summary["pi0_star"] == report.pi0_overall
+        assert summary["wfdr"]["k_tilde_star"] == report.n_rejected
+        assert summary["pi0_star"] == weighted.pi0_overall
 
 
 class TestSimulateCommand:
@@ -390,6 +393,25 @@ class TestSimulateCommand:
         assert set(cells["wfdr"]) == set(cells["bh"]) == keys
         assert cells["bh"]["pi0_star_mean"] is None
         assert cells["bh"]["pi0_g_mean"] is None
+
+    @pytest.mark.parametrize("grid", [
+        ["--alpha", "0.05", "--alpha", "0.05"],
+        ["--l-star", "3", "--l-star", "3"],
+        ["--alpha", "1.5"],
+        ["--l-star", "0"],
+    ])
+    def test_invalid_grid_exit_code(self, tmp_path, monkeypatch, capsys, grid):
+        # rejected by the scenario config, before any replication runs
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simulate, "_replication_records", no_replication)
+        assert run_cli(
+            ["simulate", "--family", "poisson", "--m", "20", "--reps", "3",
+             "--seed", "5", "--output", tmp_path / "s", *grid]
+        ) == EXIT_COMPUTE
+        assert grid[0].lstrip("-").replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_malformed_worker_count_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DISCRETE_FDR_WORKERS", "abc")

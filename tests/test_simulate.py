@@ -15,7 +15,7 @@ from discrete_fdr import (
     generate_binomial_scenario,
     generate_poisson_scenario,
     run_study,
-    wfdr_reject,
+    weight_study,
 )
 from discrete_fdr.simulate import FET_TRIALS, _num_true_nulls, score_study
 from discrete_fdr.wfdr import quantile_statistic
@@ -125,38 +125,87 @@ class TestScoreStudy:
         assert stats[0] == 0.0
 
 
+def replication_values(cfg, generate):
+    """Each replication's (fdp, tdp, n_rejected[, pi0*, pi0_g]) per
+    (l_star, alpha, procedure) cell, in replication order, recomputed from
+    the scored data of each replication seed with the one-shot procedures."""
+    values = {}
+    pi0_cfg = cfg.resolved_pi0_config()
+    for rep in range(cfg.replications):
+        study = generate(cfg, np.random.SeedSequence([cfg.master_seed, rep]))
+        pvalues, supports, stats = score_study(study, Sidedness.TWO_SIDED)
+        pi0_g = estimate_pi0(pvalues, supports, pi0_cfg).value
+        m1 = int(np.count_nonzero(~study.is_null))
+        for l_star in cfg.l_star_grid:
+            wcfg = WfdrConfig(l_star=l_star, pi0=pi0_cfg)
+            weighted = weight_study(pvalues, supports, stats, wcfg)
+            for alpha in cfg.alpha_grid:
+                for procedure, report, estimates in (
+                    ("wfdr", weighted.reject(alpha), (weighted.pi0_overall, pi0_g)),
+                    ("bh", bh_reject(pvalues, alpha), ()),
+                ):
+                    n = report.n_rejected
+                    n_false = int(np.count_nonzero(study.is_null[report.rejected]))
+                    values.setdefault((l_star, alpha, procedure), []).append(
+                        (n_false / max(n, 1), (n - n_false) / m1, n, *estimates)
+                    )
+    return values
+
+
+FAMILIES = [
+    (poisson_cfg, generate_poisson_scenario),
+    (binomial_cfg, generate_binomial_scenario),
+]
+
+
 class TestRunStudy:
     def test_single_replication_equals_its_values(self):
         # every cell of a one-replication study, recomputed from the scored
         # data with the one-shot procedures, for both families
-        for make_cfg, generate in (
-            (poisson_cfg, generate_poisson_scenario),
-            (binomial_cfg, generate_binomial_scenario),
-        ):
+        for make_cfg, generate in FAMILIES:
             cfg = make_cfg(
                 replications=1, alpha_grid=(0.05, 0.1), l_star_grid=(1, 3), m=300
             )
             result = run_study(cfg)
             assert len(result.cells) == 2 * 2 * 2
-            study = generate(cfg, np.random.SeedSequence([cfg.master_seed, 0]))
-            pvalues, supports, stats = score_study(study, cfg.sided)
-            pi0_cfg = cfg.resolved_pi0_config()
+            values = replication_values(cfg, generate)
             for cell in result.cells:
-                if cell.procedure == "wfdr":
-                    wcfg = WfdrConfig(l_star=cell.l_star, pi0=pi0_cfg)
-                    report = wfdr_reject(pvalues, supports, stats, cell.alpha, wcfg)
-                    assert cell.pi0_star_mean == report.pi0_overall
-                    pi0_g = estimate_pi0(pvalues, supports, pi0_cfg).value
-                    assert cell.pi0_g_mean == pi0_g
-                else:
-                    report = bh_reject(pvalues, cell.alpha)
-                n = report.n_rejected
-                n_false = int(np.count_nonzero(study.is_null[report.rejected]))
-                m1 = int(np.count_nonzero(~study.is_null))
-                assert cell.fdr == n_false / max(n, 1)
-                assert cell.power == (n - n_false) / m1
+                [record] = values[(cell.l_star, cell.alpha, cell.procedure)]
+                fdp, tdp, n, *estimates = record
+                assert cell.fdr == fdp
+                assert cell.power == tdp
                 assert cell.mean_rejections == n
                 assert cell.fdp_std == 0.0 and cell.tdp_std == 0.0
+                if cell.procedure == "wfdr":
+                    assert [cell.pi0_star_mean, cell.pi0_g_mean] == estimates
+
+    @pytest.mark.parametrize(
+        "make_cfg, generate", FAMILIES, ids=["poisson", "binomial"]
+    )
+    def test_cells_aggregate_replications_in_order(self, make_cfg, generate):
+        # nine replications: numpy's pairwise sum takes its unrolled path
+        # from eight values on, so a reduction over the replications that
+        # differs from the 1-d one on each cell shows in the last bits
+        cfg = make_cfg(
+            replications=9, alpha_grid=(0.05, 0.2), l_star_grid=(1, 3), m=150
+        )
+        result = run_study(cfg)
+        assert len(result.cells) == 2 * 2 * 2
+        values = replication_values(cfg, generate)
+        for cell in result.cells:
+            columns = values[(cell.l_star, cell.alpha, cell.procedure)]
+            fdp, tdp, n, *estimates = np.array(columns, dtype=float).T
+            assert cell.fdr == np.mean(fdp)
+            assert cell.power == np.mean(tdp)
+            assert cell.fdp_std == np.std(fdp, ddof=1)
+            assert cell.tdp_std == np.std(tdp, ddof=1)
+            assert cell.mean_rejections == np.mean(n)
+            if cell.procedure == "wfdr":
+                pi0_star, pi0_g = estimates
+                assert cell.pi0_star_mean == np.mean(pi0_star)
+                assert cell.pi0_g_mean == np.mean(pi0_g)
+            else:
+                assert cell.pi0_star_mean is None and cell.pi0_g_mean is None
 
     def test_pure_null_power_zero(self):
         result = run_study(poisson_cfg(pi0=1.0, alpha_grid=(0.1,), replications=1))
@@ -229,6 +278,12 @@ class TestRunStudy:
             binomial_cfg(alpha_grid=())
         with pytest.raises(InvalidConfigError):
             binomial_cfg(replications=0)
+        for alpha_grid in ((0.05, 0.05), (1.5,), (-0.1,), (float("nan"),)):
+            with pytest.raises(InvalidConfigError, match="alpha"):
+                binomial_cfg(alpha_grid=alpha_grid)
+        for l_star_grid in ((3, 3), (0,), (2, -1)):
+            with pytest.raises(InvalidConfigError, match="l_star"):
+                binomial_cfg(l_star_grid=l_star_grid)
 
     def test_power_plateaus_in_group_count(self):
         # more groups raise the weighted procedure's power until it levels

@@ -20,6 +20,7 @@ from discrete_fdr import (
     group_weights,
     rejection_threshold,
     theorem1_compare,
+    weight_study,
     weighted_pvalues,
     wfdr_reject,
 )
@@ -122,13 +123,13 @@ class TestRejectionThreshold:
 class TestBhReject:
     def test_worked_example(self):
         report = bh_reject([0.01, 0.02, 0.5, 1.0], 0.1)
-        assert report.k_star == 2
+        assert report.n_rejected == 2
         assert report.rejected.tolist() == [0, 1]
         assert report.threshold == 0.02
 
     def test_all_ones(self):
         report = bh_reject([1.0] * 5, 0.5)
-        assert report.n_rejected == 0 and report.k_star == 0
+        assert report.n_rejected == 0
 
     def test_all_below_alpha_over_m(self):
         report = bh_reject([0.01, 0.02, 0.024], 0.1)
@@ -136,8 +137,7 @@ class TestBhReject:
 
     def test_ties_rejected_together(self):
         report = bh_reject([0.02, 0.02, 0.02, 0.9], 0.05)
-        assert report.n_rejected in (0, 3)
-        assert report.n_rejected == report.k_star
+        assert report.rejected.tolist() in ([], [0, 1, 2])
 
     def test_fdr_control_on_uniform_nulls(self):
         # all hypotheses null: FDP is 1 whenever anything is rejected
@@ -234,14 +234,14 @@ class TestPValueValidation:
 class TestWfdrReject:
     def test_pure_p_one_study_rejects_nothing(self):
         supports = [np.array([1.0])] * 6
-        report = wfdr_reject(
+        weighted = weight_study(
             [1.0] * 6,
             supports,
             [3.0] * 6,
-            0.2,
             WfdrConfig(l_star=2, pi0=Pi0Config(0.2, 0.1)),
         )
-        assert report.pi0_overall == 1.0
+        assert weighted.pi0_overall == 1.0
+        report = weighted.reject(0.2)
         assert report.n_rejected == 0
         assert report.threshold == 0.0
 
@@ -259,11 +259,12 @@ class TestWfdrReject:
                 binomial_null_distribution(int(t), Sidedness.TWO_SIDED).support
             )
         cfg = WfdrConfig(l_star=1, pi0=Pi0Config(0.2, 0.01))
-        report = wfdr_reject(p, supports, totals.astype(float), 0.1, cfg)
-        assert len(report.partition.groups) == 1
-        w = report.weights[0]
-        if report.pi0_overall < 1.0:
-            tau = rejection_threshold(0.1, p * w, report.pi0_overall)
+        weighted = weight_study(p, supports, totals.astype(float), cfg)
+        report = weighted.reject(0.1)
+        assert len(weighted.partition.groups) == 1
+        w = weighted.weights[0]
+        if weighted.pi0_overall < 1.0:
+            tau = rejection_threshold(0.1, p * w, weighted.pi0_overall)
             assert set(report.rejected.tolist()) == set(
                 np.flatnonzero(p * w <= tau).tolist()
             )
@@ -282,10 +283,10 @@ class TestWfdrReject:
         cfg = WfdrConfig(
             l_star=2, g_star=2, grouping="metric", pi0=Pi0Config(0.2, 0.01)
         )
-        report = wfdr_reject(p, supports, totals.astype(float), 0.1, cfg)
-        assert len(report.partition.groups) == 2
+        partition = weight_study(p, supports, totals.astype(float), cfg).partition
+        assert len(partition.groups) == 2
         # the two total-count clusters are far apart: groups must not mix them
-        for g in report.partition.groups:
+        for g in partition.groups:
             values = totals[g]
             assert values.max() - values.min() < 50
 
