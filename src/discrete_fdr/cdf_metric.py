@@ -85,12 +85,21 @@ def marginal_distance(s, t) -> float:
     """Max-absolute difference between two conditioning statistics.
 
     Both arguments must be of the same kind: scalar total counts (binomial
-    test) or ``MarginalVector`` margins (Fisher's exact test).
+    test) or ``MarginalVector`` margins (Fisher's exact test); the result is
+    a Python ``float``.  Each margin is converted to float before the
+    subtraction, so margins above 2**53 give the same value as float64
+    arrays of the margins would.  Metric grouping calls this once per pair
+    of hypotheses, so the kinds are tested cheapest first: float totals
+    (what the scorer produces), then margins, then any other real scalar.
     """
+    if isinstance(s, float) and isinstance(t, float):
+        return float(abs(s - t))
     if isinstance(s, MarginalVector) and isinstance(t, MarginalVector):
-        a = np.asarray(s.as_tuple(), dtype=float)
-        b = np.asarray(t.as_tuple(), dtype=float)
-        return float(np.max(np.abs(a - b)))
+        return max(
+            abs(float(s.n1) - float(t.n1)),
+            abs(float(s.n2) - float(t.n2)),
+            abs(float(s.m_obs) - float(t.m_obs)),
+        )
     if isinstance(s, Real) and isinstance(t, Real):
         return float(abs(s - t))
     raise InvalidComparisonError(

@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import DiscreteFdrError, ParseError, SchemaError
+from .errors import DiscreteFdrError, InvalidConfigError, ParseError, SchemaError
 from .exact_tests import Sidedness
 from .io import MAX_COUNT, FilterRule, apply_filter, parse_counts_csv, score_input
 from .proportion import (
@@ -226,6 +226,9 @@ def _analyze(args) -> int:
 
 def _simulate(args) -> int:
     pi0_grid = args.pi0 if args.pi0 else [0.5]
+    # each pi0 is its own study, so the scenario config cannot see a repeat
+    if len(set(pi0_grid)) != len(pi0_grid):
+        raise InvalidConfigError(f"pi0 grid has a repeated value: {pi0_grid}")
     alpha_grid = tuple(args.alpha if args.alpha else [0.05])
     l_star_grid = tuple(args.l_star if args.l_star else [3])
     family = Family.POISSON_BINOMIAL if args.family == "poisson" else Family.BINOMIAL_FET

@@ -74,28 +74,41 @@ class Partition:
         return out
 
 
+def pairwise_distances(items, distance) -> np.ndarray:
+    """Symmetric matrix of ``distance(a, b)`` over all pairs of ``items``.
+
+    Calls ``distance`` once per unordered pair, m(m-1)/2 times, and fills
+    one row of the upper triangle (and its mirror column) per item, so no
+    list of all the pairs is ever held.  The diagonal is 0.
+    """
+    items = list(items)
+    m = len(items)
+    out = np.zeros((m, m))
+    for i in range(m - 1):
+        a = items[i]
+        row = [distance(a, b) for b in items[i + 1:]]
+        out[i, i + 1:] = row
+        out[i + 1:, i] = row
+    return out
+
+
 def pairwise_delta_matrix(
     cdfs, rtol: float = SUPPORT_MATCH_RTOL
 ) -> np.ndarray:
     """Symmetric matrix of CDF-metric totals for a sequence of CDFs."""
-    cdfs = list(cdfs)
-    m = len(cdfs)
-    out = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = delta(cdfs[i], cdfs[j], rtol=rtol).total
-            out[i, j] = out[j, i] = d
-    return out
+    return pairwise_distances(cdfs, lambda f, g: delta(f, g, rtol=rtol).total)
 
 
-def _largest_ball(dmat: np.ndarray, remaining: np.ndarray, sigma: float):
-    """Biggest ball of radius sigma centred on a remaining point.
+def _largest_ball(within: np.ndarray, remaining: np.ndarray) -> np.ndarray:
+    """Biggest ball centred on a remaining point, among the remaining points.
 
+    ``within`` is the boolean matrix ``dmat <= sigma`` of the current radius,
+    computed once per radius; only its (remaining, remaining) block is read.
     Ties in ball size are broken by the lowest center index so repeated runs
     extract identical balls.
     """
-    sub = dmat[np.ix_(remaining, remaining)] <= sigma
-    counts = sub.sum(axis=1)
+    sub = within[np.ix_(remaining, remaining)]
+    counts = np.count_nonzero(sub, axis=1)
     center = int(np.argmax(counts))  # first max = lowest index
     return remaining[sub[center]]
 
@@ -107,10 +120,11 @@ def _attempt(dmat: np.ndarray, sigma: float, l_star: int, g_star: int):
     radius must be adapted and the pass restarted from scratch.
     """
     m = dmat.shape[0]
+    within = dmat <= sigma
     remaining = np.arange(m)
     groups: list[np.ndarray] = []
     for stage in range(1, l_star + 1):
-        ball = _largest_ball(dmat, remaining, sigma)
+        ball = _largest_ball(within, remaining)
         groups.append(ball)
         remaining = np.setdiff1d(remaining, ball, assume_unique=True)
         left = remaining.size

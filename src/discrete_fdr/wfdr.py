@@ -31,6 +31,7 @@ from .grouping import (
     Partition,
     group_by_statistic_quantiles,
     group_from_distances,
+    pairwise_distances,
 )
 from .proportion import (
     BINOMIAL_PI0_CONFIG,
@@ -207,11 +208,7 @@ def quantile_statistic(conditioning_stats) -> np.ndarray:
 
 def _metric_partition(conditioning_stats, cfg: WfdrConfig) -> Partition:
     stats = list(conditioning_stats)
-    m = len(stats)
-    dmat = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            dmat[i, j] = dmat[j, i] = marginal_distance(stats[i], stats[j])
+    dmat = pairwise_distances(stats, marginal_distance)
     grouping_cfg = GroupingConfig(l_star=cfg.l_star, g_star=cfg.g_star)
     try:
         return group_from_distances(dmat, grouping_cfg)

@@ -1,11 +1,19 @@
 """Shared random-instance generators for procedure-level tests."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from discrete_fdr import fdr_estimate, rejection_threshold
 
 # p-values every entry point must reject: non-finite or outside (0, 1]
 INVALID_PVALUES = [np.nan, np.inf, -np.inf, 0.0, 1.5]
+
+# margins anywhere up to 2**62, and often next to 2**53, where float64
+# stops representing every integer
+MARGIN_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=2**62),
+    st.integers(min_value=2**53 - 8, max_value=2**53 + 8),
+)
 
 
 def random_weighted_instance(rng, max_m=200):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discrete_fdr import (
     DiscreteCDF,
@@ -15,6 +17,7 @@ from discrete_fdr import (
     sup_norm_diff,
     support_symmetric_difference_count,
 )
+from instances import MARGIN_VALUES
 
 TWO = Sidedness.TWO_SIDED
 
@@ -26,6 +29,13 @@ def random_cdf(rng, grid=32, max_atoms=8):
     points = np.sort(rng.choice(np.arange(1, grid + 1), size=k, replace=False)) / grid
     w = rng.random(k) + 0.1
     return DiscreteCDF(points, w / w.sum())
+
+
+def float_margin_reference(s, t) -> float:
+    """Max-abs difference of two margins as float64 arrays."""
+    a = np.asarray(s.as_tuple(), dtype=float)
+    b = np.asarray(t.as_tuple(), dtype=float)
+    return float(np.max(np.abs(a - b)))
 
 
 class TestSymmetricDifferenceCount:
@@ -181,6 +191,54 @@ class TestMarginalDistance:
     def test_kind_mismatch(self):
         with pytest.raises(InvalidComparisonError):
             marginal_distance(7, MarginalVector(1, 1, 1))
+
+    @pytest.mark.parametrize("total", [7.0, np.float64(7.0)])
+    def test_kind_mismatch_float_total_and_margins(self, total):
+        margins = MarginalVector(1, 1, 1)
+        with pytest.raises(InvalidComparisonError):
+            marginal_distance(total, margins)
+        with pytest.raises(InvalidComparisonError):
+            marginal_distance(margins, total)
+
+    @pytest.mark.parametrize("s, t", [
+        (7, 10),
+        (np.int64(7), np.int64(10)),
+        (7.0, 10.0),
+        (np.float64(7.0), np.float64(10.0)),
+        (7, 10.0),
+        (MarginalVector(7, 1, 0), MarginalVector(10, 1, 0)),
+        (MarginalVector(np.int64(7), 1, 0), MarginalVector(10, np.int64(1), 0)),
+    ])
+    def test_returns_python_float(self, s, t):
+        d = marginal_distance(s, t)
+        assert type(d) is float
+        assert d == 3.0
+
+    def test_margins_above_2_53_convert_before_subtracting(self):
+        # 2**53 + 1 is not a float64: both margins round to 2**53, so the
+        # distance is 0, as it is for float64 arrays of the margins
+        big = 2**53
+        s = MarginalVector(big + 1, 0, 0)
+        t = MarginalVector(big, 0, 0)
+        assert marginal_distance(s, t) == 0.0 == float_margin_reference(s, t)
+        u = MarginalVector(np.int64(big + 3), 5, 2)
+        v = MarginalVector(0, 5, 2)
+        assert marginal_distance(u, v) == float(big + 4) == float_margin_reference(u, v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(MARGIN_VALUES, min_size=6, max_size=6))
+    def test_margins_match_float64_reference(self, values):
+        n1, n2, x, k1, k2, y = values
+        s = MarginalVector(n1, n2, min(x, n1 + n2))
+        t = MarginalVector(k1, k2, min(y, k1 + k2))
+        assert marginal_distance(s, t) == float_margin_reference(s, t)
+        assert marginal_distance(t, s) == float_margin_reference(s, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1e18),
+           st.floats(min_value=0.0, max_value=1e18))
+    def test_float_totals_match_float64_reference(self, a, b):
+        assert marginal_distance(a, b) == float(np.abs(np.float64(a) - np.float64(b)))
 
     def test_axioms_on_random_triples(self):
         rng = np.random.default_rng(17)

@@ -4,14 +4,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from discrete_fdr import (
+    DiscreteCDF,
     GroupingConfig,
     GroupingDidNotConvergeError,
     InvalidConfigError,
     Partition,
     Sidedness,
     binomial_null_distribution,
+    delta,
     group_by_metric,
     group_by_statistic_quantiles,
     group_from_distances,
@@ -129,6 +133,131 @@ class TestMetricGrouping:
         assert part.iterations > 0
         assert len(part.groups) == 2
         assert part.groups[-1].size >= 2
+
+
+def reference_group_from_distances(dmat: np.ndarray, cfg: GroupingConfig):
+    """Greedy ball extraction that compares each stage's float block
+    ``dmat[np.ix_(remaining, remaining)]`` with the radius.
+
+    Returns ("done", groups, radius, restarts) or ("error", trace).
+    """
+    m = dmat.shape[0]
+    delta_star = float(dmat.max(initial=0.0))
+    if cfg.l_star == 1 or delta_star == 0.0:
+        return "done", [np.arange(m)], 0.0, 0
+    sigma = delta_star / (2.0 * cfg.l_star)
+    trace = []
+    for restarts in range(cfg.max_restarts + 1):
+        remaining = np.arange(m)
+        groups = []
+        for stage in range(1, cfg.l_star + 1):
+            sub = dmat[np.ix_(remaining, remaining)] <= sigma
+            ball = remaining[sub[int(np.argmax(sub.sum(axis=1)))]]
+            groups.append(ball)
+            remaining = np.setdiff1d(remaining, ball, assume_unique=True)
+            left = remaining.size
+            if stage < cfg.l_star:
+                if stage == cfg.l_star - 1 and left == cfg.g_star:
+                    groups.append(remaining)
+                    return "done", groups, sigma, restarts
+                if left <= cfg.g_star:
+                    outcome = "halve"
+                    break
+            elif left <= cfg.g_star:
+                if left:
+                    groups[-1] = np.concatenate([groups[-1], remaining])
+                return "done", groups, sigma, restarts
+            else:
+                outcome = "grow"
+        trace.append((sigma, outcome))
+        sigma = sigma / 2.0 if outcome == "halve" else sigma * 1.5
+    return "error", trace
+
+
+def assert_matches_reference(dmat: np.ndarray, cfg: GroupingConfig) -> str:
+    """Compare ``group_from_distances`` with the reference; return how the
+    reference ended: "error", "restarted" or "first pass"."""
+    expected = reference_group_from_distances(dmat, cfg)
+    if expected[0] == "error":
+        with pytest.raises(GroupingDidNotConvergeError) as exc_info:
+            group_from_distances(dmat, cfg)
+        assert exc_info.value.trace == expected[1]
+        return "error"
+    _, groups, radius, restarts = expected
+    part = group_from_distances(dmat, cfg)
+    assert [g.tolist() for g in part.groups] == [np.sort(g).tolist() for g in groups]
+    assert part.radius_final == radius
+    assert part.iterations == restarts
+    return "restarted" if restarts else "first pass"
+
+
+def random_dmat(rng, m: int, kind: int) -> np.ndarray:
+    if kind == 0:  # scalar statistics with ties
+        x = rng.integers(0, 20, m).astype(float)
+        return np.abs(x[:, None] - x[None, :])
+    if kind == 1:  # planar points
+        return euclidean_dmat(rng.random((m, 2)))
+    # symmetric integer dissimilarities, not necessarily a metric
+    upper = np.triu(rng.integers(0, 6, (m, m)).astype(float), 1)
+    return upper + upper.T
+
+
+class TestBallMatrixDifferential:
+    """The boolean ball matrix per radius gives the groups, radius and
+    restart count of the per-stage float comparison."""
+
+    def test_seeded_instances(self):
+        seen = set()
+        for seed in range(240):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(2, 40))
+            l_star, g_star = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            if l_star * g_star > m:
+                continue
+            dmat = random_dmat(rng, m, seed % 3)
+            for max_restarts in (0, 2, 64):
+                cfg = GroupingConfig(l_star, g_star, max_restarts)
+                seen.add(assert_matches_reference(dmat, cfg))
+        # the instances reach every exit of the extraction loop
+        assert seen == {"error", "restarted", "first pass"}
+
+    def test_restart_instances(self):
+        stats = np.array([0.0, 1.0, 2.0, 3.0, 100.0])
+        dmat = np.abs(stats[:, None] - stats[None, :])
+        assert assert_matches_reference(dmat, GroupingConfig(2, 2)) == "restarted"
+        assert assert_matches_reference(dmat, GroupingConfig(2, 2, 0)) == "error"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 14).flatmap(lambda m: st.lists(
+            st.integers(0, 5), min_size=m * m, max_size=m * m)),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(0, 6),
+    )
+    def test_hypothesis_instances(self, values, l_star, g_star, max_restarts):
+        m = int(round(len(values) ** 0.5))
+        assume(l_star * g_star <= m)
+        upper = np.triu(np.array(values, dtype=float).reshape(m, m), 1)
+        assert_matches_reference(upper + upper.T, GroupingConfig(l_star, g_star, max_restarts))
+
+
+class TestPairwiseDeltaMatrix:
+    def test_matches_pairwise_loop(self):
+        rng = np.random.default_rng(41)
+        cdfs = []
+        for _ in range(12):
+            k = int(rng.integers(1, 6))
+            points = np.sort(rng.choice(np.arange(1, 17), size=k, replace=False)) / 16
+            w = rng.random(k) + 0.1
+            cdfs.append(DiscreteCDF(points, w / w.sum()))
+        cdfs.append(cdfs[3])
+        expected = np.zeros((len(cdfs), len(cdfs)))
+        for i, f in enumerate(cdfs):
+            for j, g in enumerate(cdfs):
+                if i < j:
+                    expected[i, j] = expected[j, i] = delta(f, g).total
+        assert np.array_equal(pairwise_delta_matrix(cdfs), expected)
 
 
 class TestQuantileGrouping:

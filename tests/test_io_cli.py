@@ -397,11 +397,13 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("grid", [
         ["--alpha", "0.05", "--alpha", "0.05"],
         ["--l-star", "3", "--l-star", "3"],
+        ["--pi0", "0.5", "--pi0", "0.5"],
         ["--alpha", "1.5"],
         ["--l-star", "0"],
     ])
     def test_invalid_grid_exit_code(self, tmp_path, monkeypatch, capsys, grid):
-        # rejected by the scenario config, before any replication runs
+        # rejected before any replication runs: α and l* by the scenario
+        # config, a repeated π0 by the command, which runs one study per π0
         def no_replication(*args):
             raise AssertionError("a replication ran")
 

@@ -24,9 +24,11 @@ from discrete_fdr import (
     weighted_pvalues,
     wfdr_reject,
 )
-from discrete_fdr.exact_tests import PoissonPair
+from discrete_fdr import wfdr
+from discrete_fdr.exact_tests import MarginalVector, PoissonPair
 from instances import (
     INVALID_PVALUES,
+    MARGIN_VALUES,
     grid_sup_rejections,
     random_weighted_instance,
     step_up_rejections,
@@ -297,3 +299,75 @@ class TestWfdrReject:
     def test_grouping_name_validation(self):
         with pytest.raises(InvalidConfigError):
             WfdrConfig(grouping="kmeans")
+
+
+def metric_partition_dmat(monkeypatch, stats) -> np.ndarray:
+    """The distance matrix ``_metric_partition`` hands to the grouping."""
+    seen = []
+
+    def record(dmat, cfg):
+        seen.append(dmat.copy())
+        return real(dmat, cfg)
+
+    real = wfdr.group_from_distances
+    monkeypatch.setattr(wfdr, "group_from_distances", record)
+    wfdr._metric_partition(stats, WfdrConfig(l_star=1, grouping="metric"))
+    assert len(seen) == 1
+    return seen[0]
+
+
+def margins_reference_dmat(margins) -> np.ndarray:
+    arr = np.array([s.as_tuple() for s in margins], dtype=float)
+    return np.abs(arr[:, None, :] - arr[None, :, :]).max(axis=-1)
+
+
+def random_margins(rng, k, high):
+    out = []
+    for _ in range(k):
+        n1, n2 = (int(v) for v in rng.integers(0, high, 2, dtype=np.int64))
+        out.append(MarginalVector(n1, n2, int(rng.integers(0, n1 + n2, endpoint=True))))
+    return out
+
+
+class TestMetricPartitionDistances:
+    """Exact differential check of the pairwise distance matrix."""
+
+    def test_float_totals_seeded(self, monkeypatch):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            totals = rng.poisson(rng.pareto(7.0, 200) * 7.0 * 50).astype(float)
+            dmat = metric_partition_dmat(monkeypatch, list(totals))
+            assert np.array_equal(dmat, np.abs(totals[:, None] - totals[None, :]))
+
+    def test_margins_seeded(self, monkeypatch):
+        for seed, high in ((0, 50), (1, 10**6), (2, 2**62)):
+            margins = random_margins(np.random.default_rng(seed), 60, high)
+            dmat = metric_partition_dmat(monkeypatch, margins)
+            assert np.array_equal(dmat, margins_reference_dmat(margins))
+
+    def test_margins_above_2_53(self, monkeypatch):
+        big = 2**53
+        margins = [MarginalVector(big + d, 3, 1) for d in (0, 1, 2, 3, 5)]
+        margins.append(MarginalVector(np.int64(big + 7), np.int64(big - 1), 4))
+        dmat = metric_partition_dmat(monkeypatch, margins)
+        assert np.array_equal(dmat, margins_reference_dmat(margins))
+        assert dmat[0, 1] == 0.0  # 2**53 + 1 rounds to 2**53 before subtracting
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e18), min_size=1, max_size=25))
+    def test_float_totals_hypothesis(self, totals):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            dmat = metric_partition_dmat(monkeypatch, totals)
+        a = np.asarray(totals, dtype=float)
+        assert np.array_equal(dmat, np.abs(a[:, None] - a[None, :]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(MARGIN_VALUES, MARGIN_VALUES, MARGIN_VALUES),
+        min_size=1, max_size=15,
+    ))
+    def test_margins_hypothesis(self, rows):
+        margins = [MarginalVector(n1, n2, min(x, n1 + n2)) for n1, n2, x in rows]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            dmat = metric_partition_dmat(monkeypatch, margins)
+        assert np.array_equal(dmat, margins_reference_dmat(margins))
