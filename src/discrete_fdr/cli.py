@@ -35,6 +35,10 @@ EXIT_SCHEMA = 3
 EXIT_PARSE = 4
 EXIT_COMPUTE = 5
 
+# summary keys of each procedure's threshold and rejection count, named as
+# in the paper: tau_alpha and k~* for the weighted procedure, k* for BH
+SUMMARY_KEYS = {"wfdr": ("tau_alpha", "k_tilde_star"), "bh": ("threshold", "k_star")}
+
 
 def _jsonable(value):
     """Make a value JSON-serialisable; non-finite floats become strings."""
@@ -42,12 +46,7 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
+    if isinstance(value, float):
         return value if math.isfinite(value) else str(value)
     return value
 
@@ -110,11 +109,19 @@ def _add_simulate_parser(subparsers) -> None:
                    help="output prefix; writes PREFIX.csv and PREFIX.json")
 
 
-def _pi0_config(args, family: str) -> Pi0Config:
-    default = BINOMIAL_PI0_CONFIG if family == "binomial" else FET_PI0_CONFIG
+def _pi0_config(args) -> Pi0Config:
+    default = BINOMIAL_PI0_CONFIG if args.test == "binomial" else FET_PI0_CONFIG
     lambda_max = args.lambda_max if args.lambda_max is not None else default.lambda_max
     step = args.step if args.step is not None else default.step
     return Pi0Config(lambda_max=lambda_max, step=step)
+
+
+def _flags(args, **resolved) -> dict:
+    """Every parsed option but the command and the output prefix, with the
+    ``resolved`` values in place of the parsed ones."""
+    flags = {**vars(args), **resolved}
+    del flags["command"], flags["output"]
+    return flags
 
 
 def _analyze(args) -> int:
@@ -131,113 +138,78 @@ def _analyze(args) -> int:
     if study.m == 0:
         raise SchemaError("no rows left to analyze after filtering")
 
-    sided = Sidedness(args.sided)
     pvalues, supports, stats = score_input(
-        study.c1, study.c2, sided, study.n1, study.n2
+        study.c1, study.c2, Sidedness(args.sided), study.n1, study.n2
     )
-    pi0_cfg = _pi0_config(args, args.test)
-
+    pi0_cfg = _pi0_config(args)
     cfg = WfdrConfig(l_star=args.groups, grouping=args.grouping, pi0=pi0_cfg)
     weighted = weight_study(pvalues, supports, stats, cfg)
-    wfdr_report = weighted.reject(args.alpha)
     pi0_g = estimate_pi0(pvalues, supports, pi0_cfg)
-
-    procedures = ("wfdr", "bh") if args.procedure == "all" else (args.procedure,)
-    bh_report = bh_reject(pvalues, args.alpha) if "bh" in procedures else None
-
-    partition = weighted.partition
-    group_of = partition.group_of()
-    weights = weighted.weights
-    rejected_wfdr = np.zeros(study.m, dtype=bool)
-    rejected_wfdr[wfdr_report.rejected] = True
-    rejected_bh = np.zeros(study.m, dtype=bool)
-    if bh_report is not None:
-        rejected_bh[bh_report.rejected] = True
-
-    report_path = f"{args.output}.report.csv"
-    summary_path = f"{args.output}.summary.json"
-    header = ["id", "p_value", "group", "weight", "weighted_p"]
-    if "wfdr" in procedures:
-        header.append("rejected_wfdr")
-    if "bh" in procedures:
-        header.append("rejected_bh")
-    with open(report_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i, row_id in enumerate(study.ids):
-            row = [
-                row_id,
-                repr(float(pvalues[i])),
-                int(group_of[i]),
-                repr(float(weights[group_of[i]])),
-                repr(float(weighted.weighted[i])),
-            ]
-            if "wfdr" in procedures:
-                row.append(int(rejected_wfdr[i]))
-            if "bh" in procedures:
-                row.append(int(rejected_bh[i]))
-            writer.writerow(row)
 
     summary = {
         "command": "analyze",
-        "flags": {
-            "test": args.test,
-            "sided": args.sided,
-            "alpha": args.alpha,
-            "groups": args.groups,
-            "grouping": args.grouping,
-            "lambda_max": pi0_cfg.lambda_max,
-            "step": pi0_cfg.step,
-            "seed": args.seed,
-            "input": args.input,
-            "procedure": args.procedure,
-            "study_totals": args.study_totals,
-            "min_total": args.min_total,
-            "max_per_cell": args.max_per_cell,
-        },
+        "flags": _flags(args, lambda_max=pi0_cfg.lambda_max, step=pi0_cfg.step),
         "m_input": m_input,
         "m_analyzed": study.m,
         "filtered_out": m_input - study.m,
         "pi0_g": pi0_g.value,
         "pi0_star": weighted.pi0_overall,
         "groups": {
-            "sizes": list(partition.sizes),
+            "sizes": weighted.partition.sizes,
             "pi0": [e.value for e in weighted.group_pi0],
             "pi0_raw": [e.raw_value for e in weighted.group_pi0],
             "clamped": [e.clamped for e in weighted.group_pi0],
-            "weights": list(weights),
+            "weights": weighted.weights.tolist(),
         },
     }
-    if "wfdr" in procedures:
-        summary["wfdr"] = {
-            "tau_alpha": wfdr_report.threshold,
-            "k_tilde_star": wfdr_report.n_rejected,
-            "n_rejected": wfdr_report.n_rejected,
+    group_of = weighted.partition.group_of()
+    # csv writes a float as str(), which is its repr: the shortest string
+    # that reads back as the same double
+    columns = {
+        "id": study.ids,
+        "p_value": pvalues.tolist(),
+        "group": group_of.tolist(),
+        "weight": weighted.weights[group_of].tolist(),
+        "weighted_p": weighted.weighted.tolist(),
+    }
+    procedures = ("wfdr", "bh") if args.procedure == "all" else (args.procedure,)
+    for name in procedures:
+        if name == "wfdr":
+            report = weighted.reject(args.alpha)
+        else:
+            report = bh_reject(pvalues, args.alpha)
+        # rejected indices are distinct, so each count is 0 or 1
+        columns[f"rejected_{name}"] = np.bincount(
+            report.rejected, minlength=study.m
+        ).tolist()
+        threshold_key, count_key = SUMMARY_KEYS[name]
+        summary[name] = {
+            threshold_key: report.threshold,
+            count_key: report.n_rejected,
+            "n_rejected": report.n_rejected,
         }
-    if bh_report is not None:
-        summary["bh"] = {
-            "threshold": bh_report.threshold,
-            "k_star": bh_report.n_rejected,
-            "n_rejected": bh_report.n_rejected,
-        }
-    _write_json(summary, summary_path)
+
+    with open(f"{args.output}.report.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
+    _write_json(summary, f"{args.output}.summary.json")
     return EXIT_OK
 
 
 def _simulate(args) -> int:
-    pi0_grid = args.pi0 if args.pi0 else [0.5]
+    pi0_grid = args.pi0 or [0.5]
     # each pi0 is its own study, so the scenario config cannot see a repeat
     if len(set(pi0_grid)) != len(pi0_grid):
         raise InvalidConfigError(f"pi0 grid has a repeated value: {pi0_grid}")
-    alpha_grid = tuple(args.alpha if args.alpha else [0.05])
-    l_star_grid = tuple(args.l_star if args.l_star else [3])
-    family = Family.POISSON_BINOMIAL if args.family == "poisson" else Family.BINOMIAL_FET
+    alpha_grid = tuple(args.alpha or [0.05])
+    l_star_grid = tuple(args.l_star or [3])
 
     rows = []
     summaries = []
     for pi0 in pi0_grid:
         cfg = ScenarioConfig(
-            family=family,
+            family=Family(args.family),
             m=args.m,
             pi0=pi0,
             alpha_grid=alpha_grid,
@@ -256,40 +228,17 @@ def _simulate(args) -> int:
             for cell in result.cells
         )
 
-    table_path = f"{args.output}.csv"
-    json_path = f"{args.output}.json"
-    with open(table_path, "w", newline="") as handle:
+    with open(f"{args.output}.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["family", "pi0", "alpha", "l_star", "procedure", "metric", "value"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["family"],
-                    repr(float(row["pi0"])),
-                    repr(float(row["alpha"])),
-                    row["l_star"],
-                    row["procedure"],
-                    row["metric"],
-                    repr(float(row["value"])),
-                ]
-            )
+        writer.writerow(rows[0])  # long_table's column names
+        writer.writerows(row.values() for row in rows)
     _write_json(
         {
             "command": "simulate",
-            "flags": {
-                "family": args.family,
-                "m": args.m,
-                "pi0": list(pi0_grid),
-                "alpha": list(alpha_grid),
-                "l_star": list(l_star_grid),
-                "reps": args.reps,
-                "seed": args.seed,
-            },
+            "flags": _flags(args, pi0=pi0_grid, alpha=alpha_grid, l_star=l_star_grid),
             "cells": summaries,
         },
-        json_path,
+        f"{args.output}.json",
     )
     return EXIT_OK
 

@@ -19,6 +19,16 @@ from .errors import GroupingDidNotConvergeError, InvalidConfigError
 from .exact_tests import DiscreteCDF
 
 
+def check_group_count(name: str, value) -> None:
+    """Raise ``InvalidConfigError`` unless ``value`` is an integer >= 1.
+
+    The rule for the number of groups l* and the minimal group size g*;
+    numpy integers count as integers.
+    """
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GroupingConfig:
     """Target number of groups, minimal size of the last group, restart cap."""
@@ -28,10 +38,8 @@ class GroupingConfig:
     max_restarts: int = 64
 
     def __post_init__(self):
-        if self.l_star < 1:
-            raise InvalidConfigError(f"l_star must be >= 1, got {self.l_star}")
-        if self.g_star < 1:
-            raise InvalidConfigError(f"g_star must be >= 1, got {self.g_star}")
+        check_group_count("l_star", self.l_star)
+        check_group_count("g_star", self.g_star)
         if self.max_restarts < 0:
             raise InvalidConfigError("max_restarts must be nonnegative")
 
@@ -205,8 +213,7 @@ def group_by_statistic_quantiles(stats, l_star: int) -> Partition:
     stats = np.asarray(stats, dtype=float)
     if stats.ndim != 1 or stats.size == 0:
         raise InvalidConfigError("stats must be a nonempty 1-d sequence")
-    if l_star < 1:
-        raise InvalidConfigError(f"l_star must be >= 1, got {l_star}")
+    check_group_count("l_star", l_star)
     qs = np.percentile(stats, 100.0 * np.arange(l_star + 1) / l_star)
     groups = []
     for j in range(1, l_star + 1):

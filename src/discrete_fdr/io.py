@@ -74,6 +74,10 @@ class FilterRule:
             raise InvalidConfigError(
                 f"min_total must be nonnegative, got {self.min_total}"
             )
+        if not self.max_per_cell >= 0:
+            raise InvalidConfigError(
+                f"max_per_cell must be nonnegative, got {self.max_per_cell}"
+            )
 
 
 def _parse_count(row: dict, column: str, line: int) -> int:

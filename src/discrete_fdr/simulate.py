@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import InvalidConfigError
 from .exact_tests import Sidedness
+from .grouping import check_group_count
 from .io import score_input
 from .proportion import BINOMIAL_PI0_CONFIG, FET_PI0_CONFIG, Pi0Config, estimate_pi0
 from .wfdr import WfdrConfig, bh_reject, weight_study
@@ -68,8 +69,8 @@ class ScenarioConfig:
             raise InvalidConfigError("alpha and l_star grids must be nonempty")
         if not all(0.0 <= alpha <= 1.0 for alpha in self.alpha_grid):
             raise InvalidConfigError(f"alpha must be in [0, 1], got {self.alpha_grid}")
-        if min(self.l_star_grid) < 1:
-            raise InvalidConfigError(f"l_star must be >= 1, got {self.l_star_grid}")
+        for l_star in self.l_star_grid:
+            check_group_count("l_star", l_star)
         for name, grid in (("alpha", self.alpha_grid), ("l_star", self.l_star_grid)):
             if len(set(grid)) != len(grid):
                 raise InvalidConfigError(f"{name} grid has a repeated value: {grid}")

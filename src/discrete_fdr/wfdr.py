@@ -57,6 +57,7 @@ class WfdrConfig:
             raise InvalidConfigError(
                 f"grouping must be 'quantile' or 'metric', got {self.grouping!r}"
             )
+        GroupingConfig(l_star=self.l_star, g_star=self.g_star)  # checks both
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def group_weights(groupwise_estimates) -> np.ndarray:
         [e.value if isinstance(e, Pi0Estimate) else e for e in groupwise_estimates],
         dtype=float,
     )
-    if np.any(pi < 0.0) or np.any(pi > 1.0):
+    if not np.all((pi >= 0.0) & (pi <= 1.0)):  # NaN fails too
         raise InvalidEstimateError(f"group estimates must lie in [0, 1], got {pi}")
     out = np.empty_like(pi)
     at_one = pi == 1.0
@@ -112,9 +113,14 @@ def weighted_pvalues(pvalues, partition: Partition, weights) -> np.ndarray:
 
 
 def fdr_estimate(t: float, weighted, pi0_overall: float) -> float:
-    """Estimated FDR of the rule "reject whenever the weighted p-value <= t"."""
+    """Estimated FDR of the rule "reject whenever the weighted p-value <= t".
+
+    Only ``t`` and ``pi0_overall`` are checked, so that a scan over many
+    thresholds pays no pass over ``weighted`` per call.
+    """
     if t < 0:
         raise InvalidConfigError(f"t must be nonnegative, got {t}")
+    _check_pi0(pi0_overall)
     weighted = np.asarray(weighted, dtype=float)
     m = weighted.size
     n_rejected = int(np.count_nonzero(weighted <= t))
@@ -124,6 +130,29 @@ def fdr_estimate(t: float, weighted, pi0_overall: float) -> float:
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha <= 1.0:
         raise InvalidConfigError(f"alpha must be in [0, 1], got {alpha}")
+
+
+def _check_pi0(pi0_overall: float) -> None:
+    if not 0.0 <= pi0_overall <= 1.0:
+        raise InvalidEstimateError(
+            f"pi0_overall must be in [0, 1], got {pi0_overall}"
+        )
+
+
+def _as_weighted(weighted) -> np.ndarray:
+    """``weighted`` as a float array, rejecting NaN and negative values.
+
+    Infinity is valid: it is the weighted p-value of an all-null group.
+    """
+    weighted = np.asarray(weighted, dtype=float)
+    bad = ~(weighted >= 0.0)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InvalidConfigError(
+            f"weighted p-values must be nonnegative; got {weighted.flat[i]!r} "
+            f"at index {i}"
+        )
+    return weighted
 
 
 def _step_up_threshold(values: np.ndarray, scale: float, alpha: float) -> float:
@@ -144,11 +173,14 @@ def rejection_threshold(alpha: float, weighted, pi0_overall: float) -> float:
     Equals 0 when the overall null-proportion estimate is 1 (no rejections)
     or when no order statistic satisfies the step-up inequality.  The set
     {i : weighted p-value <= threshold} is exactly the step-up rejection set.
+    Raises ``InvalidEstimateError`` for ``pi0_overall`` outside [0, 1] or NaN
+    and ``InvalidConfigError`` for a weighted p-value that is NaN or negative.
     """
     _check_alpha(alpha)
-    if pi0_overall >= 1.0:
+    _check_pi0(pi0_overall)
+    weighted = _as_weighted(weighted)
+    if pi0_overall == 1.0:
         return 0.0
-    weighted = np.asarray(weighted, dtype=float)
     return _step_up_threshold(weighted, 1.0 - pi0_overall, alpha)
 
 
@@ -173,15 +205,19 @@ def theorem1_compare(pvalues, weighted, pi0_overall: float, alpha: float):
     Returns (k_star, k_tilde_star, wfdr_geq_bh) where k_star counts BH
     rejections, k_tilde_star counts weighted rejections, and the flag is
     k_tilde_star >= k_star.  Undefined when the overall estimate is 1.
-    ``alpha`` and ``pvalues`` are validated as in ``bh_reject``.
+    ``alpha`` and ``pvalues`` are validated as in ``bh_reject``, the other
+    two inputs as in ``rejection_threshold``; ``weighted`` must be as long
+    as ``pvalues``.
     """
     k_star = bh_reject(pvalues, alpha).n_rejected
-    if pi0_overall >= 1.0:
+    if np.size(weighted) != np.size(pvalues):
+        raise InvalidConfigError("pvalues and weighted must have equal lengths")
+    tau = rejection_threshold(alpha, weighted, pi0_overall)
+    if pi0_overall == 1.0:
         raise NotApplicableError(
             "comparison requires an overall null-proportion estimate below 1"
         )
     weighted = np.asarray(weighted, dtype=float)
-    tau = rejection_threshold(alpha, weighted, pi0_overall)
     k_tilde_star = int(np.count_nonzero(weighted <= tau))
     return k_star, k_tilde_star, k_tilde_star >= k_star
 

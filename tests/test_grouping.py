@@ -89,6 +89,16 @@ class TestMetricGrouping:
         with pytest.raises(InvalidConfigError):
             group_by_metric(cdfs, GroupingConfig(l_star=2, g_star=2))
 
+    @pytest.mark.parametrize("l_star,g_star", [(2.5, 1), (2, 1.5), (2.0, 1), (2, "1")])
+    def test_group_count_must_be_integer(self, l_star, g_star):
+        with pytest.raises(InvalidConfigError, match="must be an integer >= 1"):
+            GroupingConfig(l_star=l_star, g_star=g_star)
+
+    def test_numpy_integer_group_count(self):
+        cfg = GroupingConfig(l_star=np.int64(2), g_star=np.int32(1))
+        part = group_from_distances(np.array([[0.0, 5.0], [5.0, 0.0]]), cfg)
+        assert part.sizes == (1, 1)
+
     def test_random_instances_cover_and_ball_property(self):
         rng = np.random.default_rng(23)
         for _ in range(150):
@@ -274,6 +284,13 @@ class TestQuantileGrouping:
         part = group_by_statistic_quantiles([4.0] * 7, 3)
         assert len(part.groups) == 1
         assert_is_partition(part, 7)
+
+    @pytest.mark.parametrize("l_star", [0, 2.5, np.nan])
+    def test_group_count_validation(self, l_star):
+        # checked before np.percentile, whose ValueError for a fractional
+        # count is not a DiscreteFdrError
+        with pytest.raises(InvalidConfigError, match="l_star must be an integer"):
+            group_by_statistic_quantiles([1.0, 2.0, 3.0], l_star)
 
     def test_random_instances_cover(self):
         rng = np.random.default_rng(31)

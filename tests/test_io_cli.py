@@ -125,6 +125,11 @@ class TestApplyFilter:
         with pytest.raises(InvalidConfigError, match="min_total"):
             FilterRule(min_total=-1)
 
+    @pytest.mark.parametrize("cap", [-1, -0.5, float("nan")])
+    def test_negative_max_per_cell_rejected(self, cap):
+        with pytest.raises(InvalidConfigError, match="max_per_cell"):
+            FilterRule(max_per_cell=cap)
+
     def test_boundary_total_dropped(self):
         study = StudyInput("binomial", ("a",), np.array([3]), np.array([2]))
         assert apply_filter(study, FilterRule(5, 25)).m == 0
@@ -180,6 +185,54 @@ class TestAnalyzeCommand:
         assert "rejected_wfdr" in header and "rejected_bh" in header
         summary = json.loads((tmp_path / "out.summary.json").read_text())
         assert "wfdr" in summary and "bh" in summary
+
+    @pytest.mark.parametrize("procedure,blocks", [
+        ("wfdr", {"wfdr": ["k_tilde_star", "n_rejected", "tau_alpha"]}),
+        ("bh", {"bh": ["k_star", "n_rejected", "threshold"]}),
+        ("all", {"wfdr": ["k_tilde_star", "n_rejected", "tau_alpha"],
+                 "bh": ["k_star", "n_rejected", "threshold"]}),
+    ])
+    def test_procedure_columns_and_blocks(self, tmp_path, procedure, blocks):
+        assert run_cli(
+            ["analyze", "--test", "binomial", "--input", self.make_input(tmp_path),
+             "--output", tmp_path / "out", "--groups", "2", "--alpha", "0.2",
+             "--procedure", procedure]
+        ) == 0
+        with open(tmp_path / "out.report.csv", newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader)
+            rows = list(reader)
+        assert header == ["id", "p_value", "group", "weight", "weighted_p"] + [
+            f"rejected_{name}" for name in blocks
+        ]
+        summary = json.loads((tmp_path / "out.summary.json").read_text())
+        assert {name: sorted(summary[name]) for name in ("wfdr", "bh")
+                if name in summary} == blocks
+        for column, name in enumerate(blocks, start=5):
+            flags = [row[column] for row in rows]
+            assert set(flags) <= {"0", "1"}
+            assert flags.count("1") == summary[name]["n_rejected"] > 0
+        if "wfdr" in summary:
+            assert summary["wfdr"]["k_tilde_star"] == summary["wfdr"]["n_rejected"]
+        if "bh" in summary:
+            assert summary["bh"]["k_star"] == summary["bh"]["n_rejected"]
+
+    def test_flags_echo(self, tmp_path):
+        path = self.make_input(tmp_path)
+        assert run_cli(
+            ["analyze", "--test", "binomial", "--input", path, "--output",
+             tmp_path / "out", "--groups", "2", "--seed", "9", "--min-total", "1",
+             "--step", "0.001"]
+        ) == 0
+        summary = json.loads((tmp_path / "out.summary.json").read_text())
+        # every option as parsed, the guiding grid as resolved (the binomial
+        # default lambda_max with the given step), None for unset options
+        assert summary["flags"] == {
+            "test": "binomial", "sided": "two", "alpha": 0.05, "groups": 2,
+            "grouping": "quantile", "lambda_max": 0.2, "step": 0.001, "seed": 9,
+            "input": path, "procedure": "all", "study_totals": None,
+            "min_total": 1, "max_per_cell": None,
+        }
 
     def test_alpha_zero_rejects_nothing(self, tmp_path):
         path = self.make_input(tmp_path)
@@ -245,6 +298,15 @@ class TestAnalyzeCommand:
             ["analyze", "--test", "binomial", "--input", self.make_input(tmp_path),
              "--output", tmp_path / "out", "--groups", "2", "--min-total", "-1"]
         ) == EXIT_COMPUTE
+
+    def test_negative_max_per_cell_exit_code(self, tmp_path, capsys):
+        # a setting error (exit 5), not a table that filters down to nothing
+        assert run_cli(
+            ["analyze", "--test", "binomial", "--input", self.make_input(tmp_path),
+             "--output", tmp_path / "out", "--groups", "2", "--max-per-cell", "-1"]
+        ) == EXIT_COMPUTE
+        assert "max_per_cell must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out.report.csv").exists()
 
     def test_count_above_int64_exit_code(self, tmp_path):
         path = write(tmp_path / "big.csv", "id,c1,c2\nx,1,99999999999999999999\n")
@@ -377,6 +439,18 @@ class TestSimulateCommand:
         payload = json.loads((tmp_path / "s.json").read_text())
         assert len(payload["cells"]) == 2 * 2 * 2 * 2  # pi0 x alpha x l* x procedure
         assert payload["flags"]["pi0"] == [0.5, 0.8]
+
+    def test_flags_echo(self, tmp_path):
+        assert run_cli(
+            ["simulate", "--family", "binomial", "--m", "30", "--reps", "1",
+             "--alpha", "0.1", "--seed", "5", "--output", tmp_path / "s"]
+        ) == 0
+        payload = json.loads((tmp_path / "s.json").read_text())
+        # the grids as resolved: unset ones take their one-value defaults
+        assert payload["flags"] == {
+            "family": "binomial", "m": 30, "pi0": [0.5], "alpha": [0.1],
+            "l_star": [3], "reps": 1, "seed": 5,
+        }
 
     def test_json_cell_keys(self, tmp_path):
         assert run_cli(

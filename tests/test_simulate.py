@@ -281,7 +281,7 @@ class TestRunStudy:
         for alpha_grid in ((0.05, 0.05), (1.5,), (-0.1,), (float("nan"),)):
             with pytest.raises(InvalidConfigError, match="alpha"):
                 binomial_cfg(alpha_grid=alpha_grid)
-        for l_star_grid in ((3, 3), (0,), (2, -1)):
+        for l_star_grid in ((3, 3), (0,), (2, -1), (2.5,), (3, 2.5)):
             with pytest.raises(InvalidConfigError, match="l_star"):
                 binomial_cfg(l_star_grid=l_star_grid)
 

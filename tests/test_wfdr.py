@@ -50,6 +50,8 @@ class TestGroupWeights:
             group_weights([1.2])
         with pytest.raises(InvalidEstimateError):
             group_weights([-0.1])
+        with pytest.raises(InvalidEstimateError):
+            group_weights([0.5, np.nan])
 
 
 class TestWeightedPvalues:
@@ -175,6 +177,11 @@ class TestTheorem1Compare:
         with pytest.raises(NotApplicableError):
             theorem1_compare([0.5], [0.5], 1.0, 0.1)
 
+    def test_unequal_lengths(self):
+        # the two counts would come from different studies
+        with pytest.raises(InvalidConfigError, match="equal lengths"):
+            theorem1_compare([0.01, 0.02, 0.5], [0.01], 0.5, 0.1)
+
     def test_flag_matches_rejection_counts(self):
         rng = np.random.default_rng(43)
         for _ in range(500):
@@ -231,6 +238,39 @@ class TestPValueValidation:
         with pytest.raises(InvalidConfigError, match=r"\(0, 1\]"):
             wfdr_reject([0.001, bad, 0.002], supports, [3.0] * 3, 0.05,
                         WfdrConfig(l_star=1, pi0=Pi0Config(0.2, 0.1)))
+
+
+class TestWeightedScaleValidation:
+    """The step-up functions check the inputs they take on the weighted scale."""
+
+    @pytest.mark.parametrize("pi0", [np.nan, -1.0, -0.01, 1.01, 2.0])
+    def test_pi0_outside_unit_interval(self, pi0):
+        for call in (
+            lambda: rejection_threshold(0.1, [0.001, 0.002], pi0),
+            lambda: theorem1_compare([0.001, 0.002], [0.001, 0.002], pi0, 0.1),
+            lambda: fdr_estimate(0.1, [0.001, 0.002], pi0),
+        ):
+            with pytest.raises(InvalidEstimateError, match="pi0_overall"):
+                call()
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, -np.inf])
+    def test_weighted_nan_or_negative(self, bad):
+        with pytest.raises(InvalidConfigError, match="at index 1"):
+            rejection_threshold(0.1, [0.001, bad], 0.5)
+        with pytest.raises(InvalidConfigError, match="at index 1"):
+            theorem1_compare([0.001, 0.002], [0.001, bad], 0.5, 0.1)
+
+    def test_infinite_and_zero_weighted_valid(self):
+        # weight inf (all-null group) and weight 0 (all-non-null group)
+        assert rejection_threshold(0.1, [0.0, 0.001, np.inf], 0.5) == 0.001
+        assert theorem1_compare([0.5, 0.001, 0.9], [0.0, 0.001, np.inf], 0.5, 0.1) == (
+            1, 2, True
+        )
+
+    def test_pi0_bounds_valid(self):
+        assert rejection_threshold(0.1, [0.001, 0.002], 1.0) == 0.0
+        assert rejection_threshold(0.1, [0.001, 0.002], 0.0) == 0.002
+        assert fdr_estimate(0.1, [0.001, 0.002], 1.0) == 0.0
 
 
 class TestWfdrReject:
@@ -299,6 +339,22 @@ class TestWfdrReject:
     def test_grouping_name_validation(self):
         with pytest.raises(InvalidConfigError):
             WfdrConfig(grouping="kmeans")
+
+    @pytest.mark.parametrize("fields", [
+        dict(l_star=0), dict(g_star=0), dict(l_star=2.5), dict(g_star=1.5),
+        dict(l_star=-3, grouping="metric"),
+    ])
+    def test_group_count_validation(self, fields):
+        with pytest.raises(InvalidConfigError, match="must be an integer >= 1"):
+            WfdrConfig(**fields)
+
+    def test_numpy_integer_group_count(self):
+        supports = [np.array([0.01, 1.0])] * 4
+        weighted = weight_study(
+            [0.01, 1.0, 0.01, 1.0], supports, [1.0, 1.0, 5.0, 5.0],
+            WfdrConfig(l_star=np.int64(2), pi0=Pi0Config(0.2, 0.1)),
+        )
+        assert weighted.partition.sizes == (2, 2)
 
 
 def metric_partition_dmat(monkeypatch, stats) -> np.ndarray:
