@@ -129,12 +129,7 @@ def _analyze(args) -> int:
         args.input, args.test, study_totals=_parse_study_totals(args.study_totals)
     )
     m_input = study.m
-    if args.min_total is not None or args.max_per_cell is not None:
-        rule = FilterRule(
-            min_total=args.min_total or 0,
-            max_per_cell=args.max_per_cell if args.max_per_cell is not None else math.inf,
-        )
-        study = apply_filter(study, rule)
+    study = apply_filter(study, FilterRule(args.min_total, args.max_per_cell))
     if study.m == 0:
         raise SchemaError("no rows left to analyze after filtering")
 

@@ -22,8 +22,9 @@ from .exact_tests import DiscreteCDF
 def check_group_count(name: str, value) -> None:
     """Raise ``InvalidConfigError`` unless ``value`` is an integer >= 1.
 
-    The rule for the number of groups l* and the minimal group size g*;
-    numpy integers count as integers.
+    The rule for the number of groups l* and the minimal group size g*, and
+    for a simulation's m and replication count; numpy integers count as
+    integers.
     """
     if not isinstance(value, (int, np.integer)) or value < 1:
         raise InvalidConfigError(f"{name} must be an integer >= 1, got {value!r}")

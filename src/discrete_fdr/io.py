@@ -10,7 +10,6 @@ explicit complement rows.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +54,12 @@ class StudyInput:
             raise InvalidConfigError(f"unknown family {self.family!r}")
         if self.family == "fet" and (self.n1 is None or self.n2 is None):
             raise InvalidConfigError("fet study needs row totals n1 and n2")
+        for name in ("c1", "c2", "n1", "n2"):
+            column = getattr(self, name)
+            if column is not None and len(column) != len(self.ids):
+                raise InvalidConfigError(
+                    f"{name} has {len(column)} counts for {len(self.ids)} ids"
+                )
 
     @property
     def m(self) -> int:
@@ -64,20 +69,16 @@ class StudyInput:
 @dataclass(frozen=True)
 class FilterRule:
     """Keep rows whose total exceeds ``min_total`` and whose per-cell counts
-    do not exceed ``max_per_cell``."""
+    do not exceed ``max_per_cell``; a bound left unset (None) keeps every row."""
 
-    min_total: int = 0
-    max_per_cell: float = math.inf
+    min_total: int | None = None
+    max_per_cell: float | None = None
 
     def __post_init__(self):
-        if self.min_total < 0:
-            raise InvalidConfigError(
-                f"min_total must be nonnegative, got {self.min_total}"
-            )
-        if not self.max_per_cell >= 0:
-            raise InvalidConfigError(
-                f"max_per_cell must be nonnegative, got {self.max_per_cell}"
-            )
+        for name in ("min_total", "max_per_cell"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise InvalidConfigError(f"{name} must be nonnegative, got {value}")
 
 
 def _parse_count(row: dict, column: str, line: int) -> int:
@@ -96,7 +97,7 @@ def _parse_count(row: dict, column: str, line: int) -> int:
 def parse_counts_csv(
     path, family: str, study_totals: tuple[int, int] | None = None
 ) -> StudyInput:
-    """Read a delimited count table.
+    """Read a delimited count table; each error names the row's file line.
 
     ``study_totals = (cases_total, events_total)`` switches the FET schema to
     ``id,c1,n1`` rows whose complement row is derived from the study-wide
@@ -106,9 +107,8 @@ def parse_counts_csv(
         raise SchemaError(f"unknown test family {family!r}")
     if study_totals is not None and family != "fet":
         raise SchemaError("study totals only apply to the fet family")
-    expected = BINOMIAL_COLUMNS if family == "binomial" else (
-        FET_TOTALS_COLUMNS if study_totals is not None else FET_COLUMNS
-    )
+    stored = BINOMIAL_COLUMNS if family == "binomial" else FET_COLUMNS
+    expected = FET_TOTALS_COLUMNS if study_totals is not None else stored
     try:
         handle = open(path, newline="")
     except OSError as exc:
@@ -122,19 +122,26 @@ def parse_counts_csv(
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}, found {header}")
 
-        ids: list[str] = []
-        columns: dict[str, list[int]] = {c: [] for c in expected if c != "id"}
-        seen: set[str] = set()
-        for line, row in enumerate(reader, start=2):
+        ids: dict[str, None] = {}  # insertion-ordered, for the duplicate check
+        columns: dict[str, list[int]] = {c: [] for c in stored[1:]}
+        for row in reader:
+            line = reader.line_num  # the row's last file line, blank lines included
             row = {(k or "").strip(): v for k, v in row.items()}
             row_id = (row.get("id") or "").strip()
             if not row_id:
                 raise ParseError(line, "empty id")
-            if row_id in seen:
+            if row_id in ids:
                 raise SchemaError(f"{path}: duplicate id {row_id!r} at line {line}")
-            seen.add(row_id)
-            ids.append(row_id)
-            counts = {column: _parse_count(row, column, line) for column in columns}
+            counts = {c: _parse_count(row, c, line) for c in expected[1:]}
+            if study_totals is not None:
+                cases_total, events_total = study_totals
+                if counts["c1"] > cases_total or counts["n1"] > events_total:
+                    raise SchemaError(
+                        f"{path}: line {line}: counts exceed the study totals "
+                        f"{study_totals}"
+                    )
+                counts["c2"] = cases_total - counts["c1"]
+                counts["n2"] = events_total - counts["n1"]
             for a, b in SUMMED_COLUMNS:
                 if b in counts and counts[a] + counts[b] > MAX_COUNT:
                     raise ParseError(
@@ -142,49 +149,30 @@ def parse_counts_csv(
                         f"columns {a!r} + {b!r}: total {counts[a] + counts[b]} "
                         f"exceeds {MAX_COUNT}",
                     )
-            for column, value in counts.items():
-                columns[column].append(value)
+            for count, total in (("c1", "n1"), ("c2", "n2")):
+                if total in counts and counts[count] > counts[total]:
+                    raise ParseError(
+                        line, f"column {count!r}: count exceeds its row total"
+                    )
+            ids[row_id] = None
+            for column, values in columns.items():
+                values.append(counts[column])
 
     if not ids:
         raise SchemaError(f"{path}: no data rows")
-
-    c1 = np.array(columns["c1"], dtype=np.int64)
-    if family == "binomial":
-        return StudyInput(
-            family=family, ids=tuple(ids), c1=c1,
-            c2=np.array(columns["c2"], dtype=np.int64),
-        )
-    n1 = np.array(columns["n1"], dtype=np.int64)
-    if study_totals is not None:
-        cases_total, events_total = study_totals
-        if np.any(c1 > cases_total) or np.any(n1 > events_total):
-            raise SchemaError(
-                f"{path}: per-row counts exceed the study totals {study_totals}"
-            )
-        c2 = cases_total - c1
-        n2 = events_total - n1
-    else:
-        c2 = np.array(columns["c2"], dtype=np.int64)
-        n2 = np.array(columns["n2"], dtype=np.int64)
-    for label, count, total in (("c1", c1, n1), ("c2", c2, n2)):
-        bad = np.flatnonzero(count > total)
-        if bad.size:
-            raise ParseError(
-                int(bad[0]) + 2, f"column {label!r}: count exceeds its row total"
-            )
     return StudyInput(
-        family=family, ids=tuple(ids), c1=c1, c2=np.asarray(c2),
-        n1=n1, n2=np.asarray(n2),
+        family, tuple(ids),
+        **{c: np.array(values, dtype=np.int64) for c, values in columns.items()},
     )
 
 
 def apply_filter(study: StudyInput, rule: FilterRule) -> StudyInput:
     """Drop rows failing the total/per-cell count rule."""
-    keep = (
-        (study.c1 + study.c2 > rule.min_total)
-        & (study.c1 <= rule.max_per_cell)
-        & (study.c2 <= rule.max_per_cell)
-    )
+    keep = np.ones(study.m, dtype=bool)
+    if rule.min_total is not None:
+        keep &= study.c1 + study.c2 > rule.min_total
+    if rule.max_per_cell is not None:
+        keep &= (study.c1 <= rule.max_per_cell) & (study.c2 <= rule.max_per_cell)
     idx = np.flatnonzero(keep)
     return StudyInput(
         family=study.family,
@@ -205,7 +193,14 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None):
     ``n1``, ``n2`` each row is a 2x2 table tested with Fisher's exact test
     given its margins ``MarginalVector(n1, n2, c1 + c2)``.
     """
-    c1, c2 = np.asarray(c1).tolist(), np.asarray(c2).tolist()
+    if (n1 is None) != (n2 is None):
+        raise InvalidConfigError("row totals need both n1 and n2")
+    counts = [np.asarray(a).tolist() for a in (c1, c2, n1, n2) if a is not None]
+    if len({len(a) for a in counts}) > 1:
+        raise InvalidConfigError(
+            f"count arrays differ in length: {[len(a) for a in counts]}"
+        )
+    c1, c2 = counts[:2]
     pvalues = np.empty(len(c1))
     supports: list[np.ndarray] = []
     if n1 is None:
@@ -221,7 +216,7 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None):
                 pvalues[i] = binomial_pvalue(PoissonPair(a, b), sided)
                 supports.append(binomial_null_distribution(total, sided).support)
     else:
-        n1, n2 = np.asarray(n1).tolist(), np.asarray(n2).tolist()
+        n1, n2 = counts[2:]
         stats = [MarginalVector(a, b, c + d) for a, b, c, d in zip(n1, n2, c1, c2)]
         for i, (a, margins) in enumerate(zip(c1, stats)):
             pvalues[i] = fet_pvalue(a, margins, sided)

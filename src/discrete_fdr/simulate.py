@@ -61,8 +61,8 @@ class ScenarioConfig:
     master_seed: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InvalidConfigError(f"m must be >= 1, got {self.m}")
+        check_group_count("m", self.m)
+        check_group_count("replications", self.replications)
         if not 0.0 <= self.pi0 <= 1.0:
             raise InvalidConfigError(f"pi0 must be in [0, 1], got {self.pi0}")
         if not self.alpha_grid or not self.l_star_grid:
@@ -74,8 +74,6 @@ class ScenarioConfig:
         for name, grid in (("alpha", self.alpha_grid), ("l_star", self.l_star_grid)):
             if len(set(grid)) != len(grid):
                 raise InvalidConfigError(f"{name} grid has a repeated value: {grid}")
-        if self.replications < 1:
-            raise InvalidConfigError("replications must be >= 1")
 
     def resolved_pi0_config(self) -> Pi0Config:
         if self.family is Family.POISSON_BINOMIAL:

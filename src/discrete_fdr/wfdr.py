@@ -118,7 +118,7 @@ def fdr_estimate(t: float, weighted, pi0_overall: float) -> float:
     Only ``t`` and ``pi0_overall`` are checked, so that a scan over many
     thresholds pays no pass over ``weighted`` per call.
     """
-    if t < 0:
+    if not t >= 0:
         raise InvalidConfigError(f"t must be nonnegative, got {t}")
     _check_pi0(pi0_overall)
     weighted = np.asarray(weighted, dtype=float)

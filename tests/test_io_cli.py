@@ -66,6 +66,33 @@ class TestParseCountsCsv:
             parse_counts_csv(path, "binomial")
         assert exc_info.value.line == 3
 
+    @pytest.mark.parametrize(
+        "family,text,error,match",
+        [
+            ("binomial", "id,c1,c2\ng1,3,9\n\ng2,x,1\n", ParseError, "'c1'"),
+            ("fet", "id,c1,n1,c2,n2\ng1,1,5,2,9\n\nd1,5,4,1,10\n", ParseError,
+             "'c1': count exceeds"),
+            ("fet", "id,c1,n1,c2,n2\ng1,1,5,2,9\n\nd1,1,4,11,10\n", ParseError,
+             "'c2': count exceeds"),
+            ("binomial", "id,c1,c2\ng1,3,9\n\ng1,1,1\n", SchemaError,
+             "duplicate id 'g1'"),
+        ],
+        ids=["not-integer", "c1-above-n1", "c2-above-n2", "duplicate-id"],
+    )
+    def test_error_names_file_line_after_blank_line(
+        self, tmp_path, family, text, error, match
+    ):
+        # the bad row is on file line 4; a row count would say line 3
+        path = write(tmp_path / "c.csv", text)
+        with pytest.raises(error, match=match) as exc_info:
+            parse_counts_csv(path, family)
+        assert "line 4" in str(exc_info.value)
+
+    def test_study_totals_violation_names_line(self, tmp_path):
+        path = write(tmp_path / "c.csv", "id,c1,n1\nd1,2,127\n\nd2,3000,64\n")
+        with pytest.raises(SchemaError, match="line 4: counts exceed the study totals"):
+            parse_counts_csv(path, "fet", study_totals=(2051, 686911))
+
     def test_negative_count(self, tmp_path):
         path = write(tmp_path / "c.csv", "id,c1,c2\ng1,-3,9\n")
         with pytest.raises(ParseError):
@@ -139,10 +166,11 @@ class TestApplyFilter:
         assert apply_filter(study, FilterRule(5, 25)).m == 0
 
     def test_identity_rule(self):
+        # c is a zero-total row: an unset bound keeps it
         study = StudyInput(
-            "binomial", ("a", "b"), np.array([3, 26]), np.array([2, 1])
+            "binomial", ("a", "b", "c"), np.array([3, 26, 0]), np.array([2, 1, 0])
         )
-        assert apply_filter(study, FilterRule()).m == 2
+        assert apply_filter(study, FilterRule()).m == 3
 
     def test_keeps_interior_rows(self):
         study = StudyInput(
@@ -157,6 +185,25 @@ class TestApplyFilter:
         kept = apply_filter(study, FilterRule(5, 25))
         assert kept.ids == ("b",)
         assert kept.n1.tolist() == [50]
+
+
+class TestCountArrayLengths:
+    @pytest.mark.parametrize("column", ["c1", "c2", "n1", "n2"])
+    def test_study_input_column_length(self, column):
+        columns = {name: np.array([1, 2]) for name in ("c1", "c2", "n1", "n2")}
+        columns[column] = np.array([1])
+        with pytest.raises(InvalidConfigError, match=f"{column} has 1 counts"):
+            StudyInput("fet", ("a", "b"), **columns)
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [([1, 2, 3], [4, 5]), ([1, 2], [4, 5], [9, 9], [9]), ([1, 2], [4, 5], [9, 9])],
+        ids=["binomial", "fet", "fet-without-n2"],
+    )
+    def test_score_input_lengths(self, arrays):
+        c1, c2, *totals = arrays
+        with pytest.raises(InvalidConfigError):
+            score_input(c1, c2, Sidedness.TWO_SIDED, *totals)
 
 
 def run_cli(args):
@@ -268,6 +315,15 @@ class TestAnalyzeCommand:
         assert summary["filtered_out"] == summary["m_input"] - summary["m_analyzed"]
         assert "g5" not in {line.split(",")[0] for line in lines[1:]}  # total 0 row
 
+    def test_max_per_cell_alone_keeps_zero_total_rows(self, tmp_path):
+        # g5 is (0, 0): scored p = 1, not dropped by a cap on the cells
+        assert run_cli(
+            ["analyze", "--test", "binomial", "--input", self.make_input(tmp_path),
+             "--output", tmp_path / "out", "--groups", "2", "--max-per-cell", "100"]
+        ) == 0
+        summary = json.loads((tmp_path / "out.summary.json").read_text())
+        assert summary["m_analyzed"] == summary["m_input"] == 12
+
     def test_schema_error_exit_code(self, tmp_path):
         path = write(tmp_path / "bad.csv", "id,c1\nx,1\n")
         out = tmp_path / "out"
@@ -276,13 +332,15 @@ class TestAnalyzeCommand:
              "--groups", "2"]
         ) == EXIT_SCHEMA
 
-    def test_parse_error_exit_code(self, tmp_path):
-        path = write(tmp_path / "bad.csv", "id,c1,c2\nx,1,zz\n")
+    def test_parse_error_exit_code(self, tmp_path, capsys):
+        # the bad row is on file line 3, after a blank line
+        path = write(tmp_path / "bad.csv", "id,c1,c2\n\nx,1,zz\n")
         out = tmp_path / "out"
         assert run_cli(
             ["analyze", "--test", "binomial", "--input", path, "--output", out,
              "--groups", "2"]
         ) == EXIT_PARSE
+        assert "line 3:" in capsys.readouterr().err
 
     def test_compute_error_exit_code(self, tmp_path):
         path = self.make_input(tmp_path)

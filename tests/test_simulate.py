@@ -284,6 +284,9 @@ class TestRunStudy:
         for l_star_grid in ((3, 3), (0,), (2, -1), (2.5,), (3, 2.5)):
             with pytest.raises(InvalidConfigError, match="l_star"):
                 binomial_cfg(l_star_grid=l_star_grid)
+        for name, value in (("m", 10.5), ("replications", 2.5)):
+            with pytest.raises(InvalidConfigError, match=f"{name} must be an integer"):
+                binomial_cfg(**{name: value})
 
     def test_power_plateaus_in_group_count(self):
         # more groups raise the weighted procedure's power until it levels

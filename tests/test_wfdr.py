@@ -259,6 +259,8 @@ class TestWeightedScaleValidation:
             rejection_threshold(0.1, [0.001, bad], 0.5)
         with pytest.raises(InvalidConfigError, match="at index 1"):
             theorem1_compare([0.001, 0.002], [0.001, bad], 0.5, 0.1)
+        with pytest.raises(InvalidConfigError, match="t must be nonnegative"):
+            fdr_estimate(bad, [0.001, 0.002], 0.5)
 
     def test_infinite_and_zero_weighted_valid(self):
         # weight inf (all-null group) and weight 0 (all-non-null group)
