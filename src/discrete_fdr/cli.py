@@ -68,6 +68,8 @@ def _parse_study_totals(raw: str | None) -> tuple[int, int] | None:
         ) from None
     if max(cases, events) > MAX_COUNT:
         raise SchemaError(f"--study-totals must not exceed {MAX_COUNT}, got {raw!r}")
+    if min(cases, events) < 0:
+        raise InvalidConfigError(f"--study-totals must be nonnegative, got {raw!r}")
     return cases, events
 
 

@@ -3,9 +3,9 @@
 Two strategies are provided.  The metric grouping extracts greedy metric
 balls of adaptive radius from the pairwise distance matrix until the target
 number of groups with the requested minimal size is reached.  The quantile
-grouping bins scalar conditioning statistics (total counts) at equally
-spaced percentiles, which is the cheap equivalent for binomial-test and
-Fisher's-exact-test studies.
+grouping bins the conditioning statistics (total counts, or one varying
+margin) at equally spaced percentiles, which is the cheap equivalent for
+binomial-test and Fisher's-exact-test studies.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .cdf_metric import SUPPORT_MATCH_RTOL, delta
 from .errors import GroupingDidNotConvergeError, InvalidConfigError
-from .exact_tests import DiscreteCDF
+from .exact_tests import DiscreteCDF, MarginalVector
 
 
 def check_group_count(name: str, value) -> None:
@@ -205,24 +205,29 @@ def group_by_metric(cdfs, cfg: GroupingConfig) -> Partition:
 
 
 def group_by_statistic_quantiles(stats, l_star: int) -> Partition:
-    """Bin scalar conditioning statistics at equally spaced percentiles.
+    """Bin finite conditioning statistics at equally spaced percentiles.
 
+    ``stats`` are scalars (total counts) or ``MarginalVector`` margins, as
+    ``score_input`` returns them.  Margins are binned on the first of
+    ``m_obs``, ``n1`` and ``n2`` that varies across hypotheses; when none
+    varies all hypotheses share one null distribution and form one group.
     Group j collects statistics in [q_{j-1}, q_j) with the last interval
     closed on the right; empty bins (coinciding quantiles) are dropped, which
     merges them into their nearest nonempty neighbour.
     """
+    first = stats[0] if isinstance(stats, (list, tuple)) and stats else None
+    if isinstance(first, MarginalVector):
+        n1, n2, m_obs = np.array([s.as_tuple() for s in stats], dtype=float).T
+        stats = next((c for c in (m_obs, n1, n2) if np.ptp(c) > 0), n1)
     stats = np.asarray(stats, dtype=float)
     if stats.ndim != 1 or stats.size == 0:
         raise InvalidConfigError("stats must be a nonempty 1-d sequence")
+    if not np.isfinite(stats).all():
+        raise InvalidConfigError("stats must be finite")
     check_group_count("l_star", l_star)
-    qs = np.percentile(stats, 100.0 * np.arange(l_star + 1) / l_star)
-    groups = []
-    for j in range(1, l_star + 1):
-        if j < l_star:
-            mask = (stats >= qs[j - 1]) & (stats < qs[j])
-        else:
-            mask = (stats >= qs[j - 1]) & (stats <= qs[j])
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            groups.append(idx)
-    return Partition(tuple(groups), radius_final=0.0, iterations=0)
+    inner = np.percentile(stats, 100.0 * np.arange(1, l_star) / l_star)
+    # the bin of a statistic is the number of inner percentiles at or below it
+    labels = np.searchsorted(inner, stats, side="right")
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    return Partition(tuple(np.split(order, np.cumsum(sizes[sizes > 0])[:-1])))

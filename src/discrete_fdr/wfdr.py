@@ -25,7 +25,6 @@ from .errors import (
     InvalidEstimateError,
     NotApplicableError,
 )
-from .exact_tests import MarginalVector
 from .grouping import (
     GroupingConfig,
     Partition,
@@ -222,26 +221,6 @@ def theorem1_compare(pvalues, weighted, pi0_overall: float, alpha: float):
     return k_star, k_tilde_star, k_tilde_star >= k_star
 
 
-def quantile_statistic(conditioning_stats) -> np.ndarray:
-    """Scalar statistic used for quantile grouping.
-
-    Scalars pass through.  For margins the table total is used when it
-    varies across hypotheses, otherwise the first row total; when neither
-    varies all hypotheses share one null distribution and a constant is
-    returned (one group).
-    """
-    stats = list(conditioning_stats)
-    if stats and isinstance(stats[0], MarginalVector):
-        m_obs = np.array([s.m_obs for s in stats], dtype=float)
-        n1 = np.array([s.n1 for s in stats], dtype=float)
-        if np.ptp(m_obs) > 0:
-            return m_obs
-        if np.ptp(n1) > 0:
-            return n1
-        return np.zeros(len(stats))
-    return np.asarray(stats, dtype=float)
-
-
 def _metric_partition(conditioning_stats, cfg: WfdrConfig) -> Partition:
     stats = list(conditioning_stats)
     dmat = pairwise_distances(stats, marginal_distance)
@@ -254,7 +233,7 @@ def _metric_partition(conditioning_stats, cfg: WfdrConfig) -> Partition:
             RuntimeWarning,
             stacklevel=3,
         )
-        return group_by_statistic_quantiles(quantile_statistic(stats), cfg.l_star)
+        return group_by_statistic_quantiles(stats, cfg.l_star)
 
 
 @dataclass(frozen=True)
@@ -295,7 +274,8 @@ def weight_study(
     default, metric-ball grouping on their pairwise distances when
     ``cfg.grouping == "metric"``), estimates the null proportion per group
     and weights the p-values.  Raises ``InvalidConfigError`` for a p-value
-    outside (0, 1] or NaN, or for inputs of unequal lengths.
+    outside (0, 1] or NaN, for inputs of unequal lengths, or for more groups
+    than hypotheses.
     """
     pvalues = as_pvalues(pvalues)
     supports = list(supports)
@@ -304,13 +284,13 @@ def weight_study(
         raise InvalidConfigError(
             "pvalues, supports and conditioning_stats must have equal lengths"
         )
+    if cfg.l_star > pvalues.size:
+        raise InvalidConfigError(f"l_star = {cfg.l_star} exceeds m = {pvalues.size}")
 
     if cfg.grouping == "metric":
         partition = _metric_partition(stats, cfg)
     else:
-        partition = group_by_statistic_quantiles(
-            quantile_statistic(stats), cfg.l_star
-        )
+        partition = group_by_statistic_quantiles(stats, cfg.l_star)
 
     estimates = tuple(groupwise_pi0(pvalues, supports, partition, cfg.pi0))
     weights = group_weights(estimates)

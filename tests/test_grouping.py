@@ -12,6 +12,7 @@ from discrete_fdr import (
     GroupingConfig,
     GroupingDidNotConvergeError,
     InvalidConfigError,
+    MarginalVector,
     Partition,
     Sidedness,
     binomial_null_distribution,
@@ -270,6 +271,19 @@ class TestPairwiseDeltaMatrix:
         assert np.array_equal(pairwise_delta_matrix(cdfs), expected)
 
 
+def mask_loop_quantile_groups(stats, l_star: int) -> list[np.ndarray]:
+    """Reference binning: one boolean-mask pass per bin, the last closed."""
+    stats = np.asarray(stats, dtype=float)
+    qs = np.percentile(stats, 100.0 * np.arange(l_star + 1) / l_star)
+    groups = []
+    for j in range(1, l_star + 1):
+        upper = stats <= qs[j] if j == l_star else stats < qs[j]
+        idx = np.flatnonzero((stats >= qs[j - 1]) & upper)
+        if idx.size:
+            groups.append(idx)
+    return groups
+
+
 class TestQuantileGrouping:
     def test_median_split(self):
         part = group_by_statistic_quantiles(np.arange(1, 11), 2)
@@ -305,6 +319,44 @@ class TestQuantileGrouping:
             minima = [stats[g].min() for g in part.groups]
             assert all(a < b for a, b in zip(maxima, minima[1:]))
 
+    @pytest.mark.parametrize("kind", ["integer_ties", "heavy_tailed"])
+    def test_matches_mask_loop(self, kind):
+        rng = np.random.default_rng(97 if kind == "integer_ties" else 98)
+        for _ in range(1500):
+            m = int(rng.integers(1, 81))
+            l_star = int(rng.integers(1, 12))
+            if kind == "integer_ties":
+                stats = rng.integers(0, rng.integers(1, 15), size=m).astype(float)
+            else:
+                stats = rng.standard_cauchy(m) * 10.0 ** rng.integers(-3, 6)
+            got = group_by_statistic_quantiles(stats, l_star).groups
+            expected = mask_loop_quantile_groups(stats, l_star)
+            assert [g.tolist() for g in got] == [g.tolist() for g in expected]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_statistic_rejected(self, bad):
+        with pytest.raises(InvalidConfigError, match="finite"):
+            group_by_statistic_quantiles([1.0, bad, 3.0, 4.0], 2)
+
+    @pytest.mark.parametrize("margins, column", [
+        # a varying table total decides, whatever the row totals do
+        ([(30, 10, 5), (20, 20, 9), (10, 30, 1)], 2),
+        # a constant table total: the first row total decides
+        ([(30, 10, 5), (20, 20, 5), (10, 30, 5)], 0),
+        # constant table and first row totals: the second row total decides;
+        # the null supports start at 1.8e-3, 1.2e-4 and 5.7e-6
+        ([(10, 20, 5), (10, 40, 5), (10, 80, 5)], 1),
+        # nothing varies: one null distribution, one group
+        ([(10, 20, 5)] * 3, 0),
+    ])
+    def test_margins_bin_on_first_varying_of_m_obs_n1_n2(self, margins, column):
+        stats = [MarginalVector(*row) for row in margins]
+        values = [row[column] for row in margins]
+        for l_star in (1, 2, 3):
+            got = group_by_statistic_quantiles(stats, l_star).groups
+            expected = group_by_statistic_quantiles(values, l_star).groups
+            assert [g.tolist() for g in got] == [g.tolist() for g in expected]
+
     def test_matches_metric_grouping_on_separated_clusters(self):
         # statistics in tight, well-separated clusters: percentile binning
         # and greedy metric balls on the scalar distance agree as set
@@ -322,7 +374,7 @@ class TestQuantileGrouping:
         # disjoint supports, so the CDF metric separates statistic groups
         # cleanly when the statistics coincide within each group (zero
         # within-group spread, boundaries arbitrarily wider).
-        from discrete_fdr import MarginalVector, fet_null_distribution
+        from discrete_fdr import fet_null_distribution
 
         totals = [5, 5, 5, 40, 40, 40, 90, 90, 90]
         cdfs = [

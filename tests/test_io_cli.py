@@ -391,6 +391,27 @@ class TestAnalyzeCommand:
              "--groups", "1", "--study-totals", "99999999999999999999,686911"]
         ) == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("grouping", ["quantile", "metric"])
+    def test_more_groups_than_rows_exit_code(self, tmp_path, capsys, grouping):
+        # the extra bins would be empty, leaving one-row groups of weight 0 or inf
+        path = write(tmp_path / "four.csv", "id,c1,c2\na,3,12\nb,7,6\nc,0,9\nd,5,5\n")
+        assert run_cli(
+            ["analyze", "--test", "binomial", "--input", path, "--output",
+             tmp_path / "out", "--groups", "9", "--grouping", grouping]
+        ) == EXIT_COMPUTE
+        assert "l_star = 9 exceeds m = 4" in capsys.readouterr().err
+        assert not (tmp_path / "out.report.csv").exists()
+
+    def test_negative_study_totals_exit_code(self, tmp_path, capsys):
+        # an invalid setting, not a count table row that exceeds it
+        path = write(tmp_path / "drugs.csv", "id,c1,n1\nd1,2,127\nd2,0,64\n")
+        assert run_cli(
+            ["analyze", "--test", "fet", "--input", path, "--output", tmp_path / "out",
+             "--groups", "1", "--study-totals=-5,10"]
+        ) == EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert "--study-totals must be nonnegative" in err and "line" not in err
+
     def test_memory_error_exit_code(self, tmp_path, monkeypatch):
         def out_of_memory(*args, **kwargs):
             raise MemoryError("simulated allocation failure")

@@ -14,11 +14,11 @@ from discrete_fdr import (
     estimate_pi0,
     generate_binomial_scenario,
     generate_poisson_scenario,
+    group_by_statistic_quantiles,
     run_study,
     weight_study,
 )
 from discrete_fdr.simulate import FET_TRIALS, _num_true_nulls, score_study
-from discrete_fdr.wfdr import quantile_statistic
 
 
 def poisson_cfg(**overrides):
@@ -81,8 +81,12 @@ class TestGenerators:
         _, _, stats = score_study(study, Sidedness.TWO_SIDED)
         totals = study.c1 + study.c2
         assert stats == [MarginalVector(FET_TRIALS, FET_TRIALS, t) for t in totals]
-        # quantile grouping sees the same statistic as the float totals
-        assert np.array_equal(quantile_statistic(stats), totals.astype(float))
+        # the row totals are constant, so quantile grouping bins the margins
+        # on their varying table total: the float totals' partition
+        for l_star in (1, 3, 5):
+            by_margins = group_by_statistic_quantiles(stats, l_star).groups
+            by_totals = group_by_statistic_quantiles(totals.astype(float), l_star).groups
+            assert [g.tolist() for g in by_margins] == [g.tolist() for g in by_totals]
 
     def test_all_alternatives_use_fixed_rates(self):
         cfg = binomial_cfg(pi0=0.0, m=4000)

@@ -335,8 +335,18 @@ class TestWfdrReject:
             assert values.max() - values.min() < 50
 
     def test_alpha_validation(self):
-        with pytest.raises(InvalidConfigError):
-            wfdr_reject([0.5], [np.array([1.0])], [1.0], 1.5, WfdrConfig())
+        # one group, so the one-hypothesis study fails on alpha alone
+        with pytest.raises(InvalidConfigError, match="alpha"):
+            wfdr_reject([0.5], [np.array([1.0])], [1.0], 1.5, WfdrConfig(l_star=1))
+
+    @pytest.mark.parametrize("grouping", ["quantile", "metric"])
+    def test_group_count_up_to_m(self, grouping):
+        supports = [np.array([0.01, 1.0])] * 4
+        args = ([0.01, 1.0, 0.01, 1.0], supports, [1.0, 2.0, 5.0, 9.0])
+        cfg = WfdrConfig(l_star=4, grouping=grouping, pi0=Pi0Config(0.2, 0.1))
+        assert weight_study(*args, cfg).partition.sizes == (1, 1, 1, 1)
+        with pytest.raises(InvalidConfigError, match="l_star = 5 exceeds m = 4"):
+            weight_study(*args, WfdrConfig(l_star=5, grouping=grouping))
 
     def test_grouping_name_validation(self):
         with pytest.raises(InvalidConfigError):
