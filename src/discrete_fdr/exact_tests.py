@@ -6,14 +6,15 @@ Two tests are provided: the binomial test for a pair of Poisson counts
 p-value and the full null distribution of the p-value as a step CDF, i.e.
 the attainable p-values together with their probabilities under the null.
 
-Probability mass functions are evaluated in log space with ``gammaln`` and
-exponentiated once after normalisation, so margins in the 1e5-1e6 range
-(as in drug-safety tables) stay accurate.  Only the outcomes whose
-probability double precision can represent are enumerated: bisection on the
-concave log weight finds the window within ``WINDOW_LOG_MARGIN`` of the
-mode's, and everything outside it would underflow to a PMF of 0.0.  For
-drug-safety margins that is a small fraction of the full range, and the
-results are bit-identical to enumerating all of it.  Results are memoised
+Log weights are evaluated with ``gammaln``, exponentiated relative to the
+mode's, and divided by the sum of the positive weights, so the masses sum to
+one to rounding; binomial totals up to 1e7 and Fisher margins of 1e6 cases
+among 1e7 events have been checked.  Only the outcomes whose probability
+double precision can represent are enumerated: bisection on the concave log
+weight finds the window within ``WINDOW_LOG_MARGIN`` of the mode's, and
+everything outside it would underflow to a weight of 0.0.  For drug-safety
+margins that is a small fraction of the full range, and the results are
+bit-identical to enumerating all of it the same way.  Results are memoised
 on the conditioning statistic because large studies repeat totals and
 margins heavily; each cache entry keeps the canonical p-values of the
 representable outcomes only, with the index of the first, so its size
@@ -40,9 +41,10 @@ PROB_TIE_RTOL = 1e-12
 AGGREGATION_RTOL = 1e-10
 
 # Outcomes whose log weight lies further than this below the mode's have a
-# PMF of exactly 0.0: exp underflows below -745.13, and the normalising
-# log-sum-exp is at least the mode's log weight.  The slack beyond 745
-# absorbs the rounding of the scalar log weights that place the window.
+# PMF of exactly 0.0: their weight relative to the mode's underflows, since
+# exp does below -745.13, and the normalising sum of the weights is at least
+# the mode's weight of 1.  The slack beyond 745 absorbs the rounding of the
+# scalar log weights that place the window.
 WINDOW_LOG_MARGIN = 800.0
 
 
@@ -258,44 +260,22 @@ def _window_edge(log_weight, mode: int, bound: int, floor: float) -> int:
     return inside
 
 
-def _log_normaliser(log_weights: np.ndarray, start: int, n_outcomes: int):
-    """``logsumexp`` over ``n_outcomes`` outcomes given only the window of
-    log weights that begins at outcome index ``start``.
-
-    Every outcome outside the window adds an exact 0.0 to the sum.  The sum
-    still runs over all ``n_outcomes`` terms: numpy adds pairwise, so how
-    the terms are grouped, and with it the last bit of the sum, depends on
-    their positions.  Evaluated the way ``scipy.special.logsumexp`` does in
-    scipy 1.17 (the maximal terms separated out, ``log1p`` of the rest), the
-    result is bit-identical to that function over the full range.
-    """
-    peak = log_weights.max()
-    at_peak = log_weights == peak
-    terms = np.zeros(n_outcomes)
-    terms[start:start + log_weights.size] = np.exp(
-        np.where(at_peak, -np.inf, log_weights - peak)
-    )
-    n_peak = np.float64(np.count_nonzero(at_peak))
-    rest = terms.sum()
-    if rest != 0.0:
-        rest = rest / n_peak
-    return np.log1p(rest) + np.log(n_peak) + peak
-
-
 def _null_table(log_weight, lo: int, hi: int, mode: int, sided: Sidedness):
     """Null p-value distribution of a test with outcomes ``lo..hi``.
 
     ``log_weight(k)`` is the unnormalised log probability of outcome
     ``k``, concave with its maximum at ``mode``.  Only the window of outcomes
-    within ``WINDOW_LOG_MARGIN`` of the mode's log weight is evaluated, and
-    only its outcomes with a nonzero PMF are kept.  Returns the distribution,
+    within ``WINDOW_LOG_MARGIN`` of the mode's log weight is evaluated.  Its
+    weights relative to the mode's are normalised by their own sum, and only
+    the outcomes with a nonzero PMF are kept.  Returns the distribution,
     the first kept outcome, and the canonical p-value of every kept outcome.
     """
     floor = log_weight(float(mode)) - WINDOW_LOG_MARGIN
     first = _window_edge(log_weight, mode, lo, floor)
     last = _window_edge(log_weight, mode, hi, floor)
     log_weights = log_weight(np.arange(first, last + 1, dtype=float))
-    pmf = np.exp(log_weights - _log_normaliser(log_weights, first - lo, hi - lo + 1))
+    weights = np.exp(log_weights - log_weights.max())
+    pmf = weights / weights[weights > 0.0].sum()
     kept = np.flatnonzero(pmf)
     pmf = pmf[kept[0]:kept[-1] + 1]
     pvals = _outcome_pvalues(pmf, sided)

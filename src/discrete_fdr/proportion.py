@@ -67,11 +67,15 @@ class Pi0Estimate:
 
 
 def as_pvalues(pvalues) -> np.ndarray:
-    """``pvalues`` as a float array, rejecting any value outside (0, 1].
+    """``pvalues`` as a 1-d float array, rejecting any value outside (0, 1].
 
     NaN and infinities fail the check too.
     """
     pvalues = np.asarray(pvalues, dtype=float)
+    if pvalues.ndim != 1:
+        raise InvalidConfigError(
+            f"p-values must form a 1-d array, got {pvalues.ndim} dimensions"
+        )
     bad = ~((pvalues > 0.0) & (pvalues <= 1.0))
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -79,6 +83,18 @@ def as_pvalues(pvalues) -> np.ndarray:
             f"p-values must lie in (0, 1]; got {pvalues.flat[i]!r} at index {i}"
         )
     return pvalues
+
+
+class _SupportError(InvalidConfigError):
+    """A null support that is not a nonempty, strictly increasing 1-d array
+    in (0, 1]; ``hypothesis`` is the first hypothesis that has it."""
+
+    def __init__(self, hypothesis: int):
+        super().__init__(
+            f"support of hypothesis {hypothesis} must be a nonempty, strictly "
+            "increasing 1-d array in (0, 1]"
+        )
+        self.hypothesis = hypothesis
 
 
 def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
@@ -89,7 +105,8 @@ def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
     class contributes (number of its p-values above lambda) / (1 - lambda),
     counted by binary search in its sorted p-values.  Classes are summed in
     order of first occurrence, so the result never depends on where the
-    supports happen to live in memory.
+    supports happen to live in memory.  Each class's support is checked
+    once; ``_SupportError`` names the class's first hypothesis.
     """
     pvalues = as_pvalues(pvalues)
     # the list keeps every support alive, so no two of them share an id
@@ -110,6 +127,9 @@ def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
     total = np.zeros(taus.size)
     for c, i in enumerate(np.sort(first)):
         s = np.asarray(supports[i], dtype=float)
+        if not (s.ndim == 1 and s.size and s[0] > 0.0 and s[-1] <= 1.0
+                and np.all(s[1:] > s[:-1])):  # NaN fails too
+            raise _SupportError(int(i))
         p_class = p_sorted[bounds[c]:bounds[c + 1]]
         idx = np.searchsorted(s, taus, side="right") - 1
         contrib = np.full(taus.size, float(p_class.size))
@@ -131,7 +151,8 @@ def estimate_pi0(pvalues, supports, cfg: Pi0Config) -> Pi0Estimate:
 
     The raw minimum can exceed 1 on sparse data; the returned ``value`` is
     clamped to [0, 1] with the raw value kept in the estimate.  Raises
-    ``InvalidConfigError`` for a p-value outside (0, 1] or NaN.
+    ``InvalidConfigError`` for a p-value outside (0, 1] or NaN, and for a
+    support that is not a nonempty, strictly increasing 1-d array in (0, 1].
     """
     taus = cfg.guiding_values()
     betas = _trial_grid(pvalues, supports, taus)
@@ -148,15 +169,21 @@ def estimate_pi0(pvalues, supports, cfg: Pi0Config) -> Pi0Estimate:
 def groupwise_pi0(
     pvalues, supports, partition: Partition, cfg: Pi0Config
 ) -> list[Pi0Estimate]:
-    """Apply ``estimate_pi0`` to each group of the partition."""
+    """Apply ``estimate_pi0`` to each group of the partition.
+
+    An invalid support is reported by its hypothesis's index in the study.
+    """
     pvalues = as_pvalues(pvalues)
     supports = list(supports)
     if partition.m != pvalues.size:
         raise InvalidConfigError("partition does not cover the study")
-    return [
-        estimate_pi0(pvalues[g], [supports[i] for i in g], cfg)
-        for g in partition.groups
-    ]
+    estimates = []
+    for g in partition.groups:
+        try:
+            estimates.append(estimate_pi0(pvalues[g], [supports[i] for i in g], cfg))
+        except _SupportError as err:
+            raise _SupportError(int(g[err.hypothesis])) from None
+    return estimates
 
 
 def overall_pi0(partition: Partition, groupwise: list[Pi0Estimate]) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .cdf_metric import marginal_distance
 from .errors import (
+    EmptyStudyError,
     GroupingDidNotConvergeError,
     InvalidConfigError,
     InvalidEstimateError,
@@ -57,6 +58,11 @@ class WfdrConfig:
                 f"grouping must be 'quantile' or 'metric', got {self.grouping!r}"
             )
         GroupingConfig(l_star=self.l_star, g_star=self.g_star)  # checks both
+        if self.g_star != 1 and self.grouping != "metric":
+            raise InvalidConfigError(
+                f"g_star applies to metric grouping only, got g_star={self.g_star} "
+                f"with grouping={self.grouping!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -114,14 +120,17 @@ def weighted_pvalues(pvalues, partition: Partition, weights) -> np.ndarray:
 def fdr_estimate(t: float, weighted, pi0_overall: float) -> float:
     """Estimated FDR of the rule "reject whenever the weighted p-value <= t".
 
-    Only ``t`` and ``pi0_overall`` are checked, so that a scan over many
-    thresholds pays no pass over ``weighted`` per call.
+    Only ``t``, ``pi0_overall`` and that ``weighted`` is not empty are
+    checked, so that a scan over many thresholds pays no pass over
+    ``weighted`` per call.
     """
     if not t >= 0:
         raise InvalidConfigError(f"t must be nonnegative, got {t}")
     _check_pi0(pi0_overall)
     weighted = np.asarray(weighted, dtype=float)
     m = weighted.size
+    if m == 0:
+        raise EmptyStudyError("no hypotheses")
     n_rejected = int(np.count_nonzero(weighted <= t))
     return min(1.0, (1.0 - pi0_overall) * t / (max(n_rejected, 1) / m))
 
@@ -139,11 +148,15 @@ def _check_pi0(pi0_overall: float) -> None:
 
 
 def _as_weighted(weighted) -> np.ndarray:
-    """``weighted`` as a float array, rejecting NaN and negative values.
+    """``weighted`` as a 1-d float array, rejecting NaN and negative values.
 
     Infinity is valid: it is the weighted p-value of an all-null group.
     """
     weighted = np.asarray(weighted, dtype=float)
+    if weighted.ndim != 1:
+        raise InvalidConfigError(
+            f"weighted p-values must form a 1-d array, got {weighted.ndim} dimensions"
+        )
     bad = ~(weighted >= 0.0)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])

@@ -312,38 +312,41 @@ def _reference_log_binom_coeff(n, k):
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
-def _reference_logsumexp(a):
-    """log(sum(exp(a))) evaluated as ``scipy.special.logsumexp`` does in
-    scipy 1.17: the maximal terms are separated out of the sum, which enters
-    through ``log1p``.  Kept here so that the bit-identity checks below do
-    not depend on the installed scipy's formula."""
-    peak = a.max()
-    at_peak = a == peak
-    n_peak = np.float64(np.count_nonzero(at_peak))
-    rest = np.exp(np.where(at_peak, -np.inf, a - peak)).sum()
-    if rest != 0.0:
-        rest = rest / n_peak
-    return np.log1p(rest) + np.log(n_peak) + peak
+def _reference_pmf(log_weights):
+    """Weights relative to the largest, divided by the sum of the positive
+    ones.  Works in place on ``log_weights``, so that a range of 1e7
+    outcomes needs a single array."""
+    log_weights -= log_weights.max()
+    weights = np.exp(log_weights, out=log_weights)
+    weights /= weights[weights > 0.0].sum()
+    return weights
 
 
 def _reference_table(log_weights, sided):
-    pmf = np.exp(log_weights - _reference_logsumexp(log_weights))
+    pmf = _reference_pmf(log_weights)
     return reference_aggregate(_outcome_pvalues(pmf, sided), pmf)
+
+
+def _binomial_log_weight(total):
+    return lambda k: _reference_log_binom_coeff(float(total), k)
+
+
+def _fet_log_weight(n1, n2, m_obs):
+    return lambda k: _reference_log_binom_coeff(float(n1), k) + _reference_log_binom_coeff(
+        float(n2), float(m_obs) - k
+    )
 
 
 def reference_binomial(total, sided):
     """(lo, support, mass, canonical p-value of every outcome lo..hi)."""
     k = np.arange(total + 1, dtype=float)
-    return (0, *_reference_table(_reference_log_binom_coeff(float(total), k), sided))
+    return (0, *_reference_table(_binomial_log_weight(total)(k), sided))
 
 
 def reference_fet(n1, n2, m_obs, sided):
     lo, hi = max(0, m_obs - n2), min(n1, m_obs)
     k = np.arange(lo, hi + 1, dtype=float)
-    log_weights = _reference_log_binom_coeff(float(n1), k) + _reference_log_binom_coeff(
-        float(n2), float(m_obs) - k
-    )
-    return (lo, *_reference_table(log_weights, sided))
+    return (lo, *_reference_table(_fet_log_weight(n1, n2, m_obs)(k), sided))
 
 
 def assert_bit_identical(table, reference):
@@ -423,8 +426,9 @@ class TestWindowedEnumerationMatchesReference:
 
     @pytest.mark.parametrize("sided", [ONE, TWO], ids=["one", "two"])
     def test_binomial_large_totals(self, sided):
-        # 2904 and 4478 are totals where a log-sum-exp over the window alone
-        # differs in the last bit from one over the full range
+        # at 1200, 2904 and 4478 a sum of the weights over the full range,
+        # zeros included, differs in the last bit from the sum of the positive
+        # weights alone; at 1200 a sum over the window does too
         rng = np.random.default_rng(5)
         totals = [1_200, 2_904, 4_478, 250_000] + rng.integers(401, 60_000, 12).tolist()
         for total in totals:
@@ -460,6 +464,72 @@ class TestWindowedEnumerationMatchesReference:
     def test_fet_generated(self, n1, n2, share, sided):
         n2 = n1 if n2 is None else n2  # None draws the tied case n1 = n2
         check_fet(n1, n2, int(share * min(n1 + n2, 60_000)), sided)
+
+
+def _chunked_log_weights(log_weight, lo, hi, chunk=1_000_000):
+    """``log_weight`` of the outcomes lo..hi, evaluated a chunk at a time so
+    that a range of 1e7 outcomes needs no temporaries of its size."""
+    out = np.empty(hi - lo + 1)
+    for a in range(lo, hi + 1, chunk):
+        b = min(a + chunk, hi + 1)
+        out[a - lo:b - lo] = log_weight(np.arange(a, b, dtype=float))
+    return out
+
+
+def check_large(table, pvalue, log_weight, lo, hi, sided):
+    """Masses that sum to 1, and the table and some p-values against the
+    full-range reference restricted to its positive-mass outcomes."""
+    assert table[0].mass.sum() == pytest.approx(1.0, abs=1e-12)
+    pmf = _reference_pmf(_chunked_log_weights(log_weight, lo, hi))
+    kept = np.flatnonzero(pmf)
+    first, last = lo + int(kept[0]), lo + int(kept[-1])
+    pmf = pmf[kept[0]:kept[-1] + 1]
+    reference = reference_aggregate(_outcome_pvalues(pmf, sided), pmf)
+    assert_bit_identical(table, (first, *reference))
+    mode = first + int(np.argmax(pmf))
+    for c1 in (first, first + pmf.size // 4, mode, last - 7, last):
+        assert pvalue(c1) == reference[2][c1 - first]
+    for c1 in (first - 1, last + 1):
+        if lo <= c1 <= hi:
+            with pytest.raises(DegenerateDataError, match="underflows"):
+                pvalue(c1)
+
+
+class TestLargeMargins:
+    """Margins of 1e6-1e7, beyond the drug-safety range.  Normalising in log
+    space was accurate only to an ulp of the mode's log weight, which at
+    these margins put the masses outside the 1e-10 sum check."""
+
+    @pytest.mark.parametrize("sided", [ONE, TWO], ids=["one", "two"])
+    def test_binomial_totals_build(self, sided):
+        rng = np.random.default_rng(13)
+        totals = [3_000_000, 10_000_000] + rng.integers(3_000_000, 10_000_001, 8).tolist()
+        for total in totals:
+            mass = binomial_null_distribution(total, sided).mass
+            assert mass.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("sided", [ONE, TWO], ids=["one", "two"])
+    def test_binomial_matches_reference(self, sided):
+        total = 10_000_000
+
+        def pvalue(c1):
+            return binomial_pvalue(PoissonPair(c1, total - c1), sided)
+
+        check_large(_binomial_test(total, sided), pvalue,
+                    _binomial_log_weight(total), 0, total, sided)
+
+    @pytest.mark.parametrize("sided", [ONE, TWO], ids=["one", "two"])
+    def test_fet_matches_reference(self, sided):
+        # 1e6 cases among 1e7 events, a row of 1e6
+        n1, n2, m_obs = 1_000_000, 9_000_000, 1_000_000
+        margins = MarginalVector(n1, n2, m_obs)
+        assert fet_null_distribution(margins, sided) is _fet_test(n1, n2, m_obs, sided)[0]
+
+        def pvalue(c1):
+            return fet_pvalue(c1, margins, sided)
+
+        check_large(_fet_test(n1, n2, m_obs, sided), pvalue,
+                    _fet_log_weight(n1, n2, m_obs), 0, m_obs, sided)
 
 
 class TestAggregationRule:

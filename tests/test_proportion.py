@@ -230,6 +230,45 @@ class TestPValueValidation:
                           Pi0Config(0.6, 0.3))
 
 
+class TestPValueDimensions:
+    def test_estimate_pi0(self):
+        with pytest.raises(InvalidConfigError, match="1-d array, got 2"):
+            estimate_pi0([[0.5, 1.0]], [TWO_POINT, TWO_POINT], Pi0Config(0.6, 0.3))
+
+    def test_groupwise_pi0(self):
+        part = Partition((np.array([0, 1]),))
+        with pytest.raises(InvalidConfigError, match="1-d array, got 2"):
+            groupwise_pi0([[0.5, 1.0]], [TWO_POINT] * 2, part, Pi0Config(0.6, 0.3))
+
+
+INVALID_SUPPORTS = {
+    "negative": np.array([-3.0, 1.0]),
+    "zero": np.array([0.0, 1.0]),
+    "above-one": np.array([0.5, 1.5]),
+    "unsorted": np.array([0.5, 0.25, 1.0]),
+    "repeated": np.array([0.5, 0.5, 1.0]),
+    "nan": np.array([0.5, np.nan, 1.0]),
+    "empty": np.array([]),
+    "two-d": np.array([[0.5, 1.0]]),
+    "scalar": np.array(1.0),
+}
+
+
+@pytest.mark.parametrize("bad", INVALID_SUPPORTS.values(), ids=INVALID_SUPPORTS.keys())
+class TestSupportValidation:
+    def test_estimate_pi0(self, bad):
+        # each class is named by its first hypothesis
+        with pytest.raises(InvalidConfigError, match="support of hypothesis 1 "):
+            estimate_pi0([0.5, 0.5, 0.5], [TWO_POINT, bad, bad], Pi0Config(0.5, 0.1))
+
+    def test_groupwise_pi0(self, bad):
+        # hypothesis 3 is the first of its class in the second group
+        part = Partition((np.array([0, 1]), np.array([2, 3])))
+        with pytest.raises(InvalidConfigError, match="support of hypothesis 3 "):
+            groupwise_pi0([0.5] * 4, [TWO_POINT, TWO_POINT, TWO_POINT, bad], part,
+                          Pi0Config(0.5, 0.1))
+
+
 class TestPi0Config:
     def test_validation(self):
         with pytest.raises(InvalidConfigError):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discrete_fdr import (
+    EmptyStudyError,
     InvalidConfigError,
     InvalidEstimateError,
     NotApplicableError,
@@ -84,6 +85,10 @@ class TestFdrEstimate:
 
     def test_capped_at_one(self):
         assert fdr_estimate(100.0, [0.5], 0.0) == 1.0
+
+    def test_empty_study(self):
+        with pytest.raises(EmptyStudyError, match="no hypotheses"):
+            fdr_estimate(0.1, [], 0.5)
 
 
 class TestRejectionThreshold:
@@ -240,6 +245,34 @@ class TestPValueValidation:
                         WfdrConfig(l_star=1, pi0=Pi0Config(0.2, 0.1)))
 
 
+class TestPValueDimensions:
+    """Arrays of any shape but 1-d are rejected before numpy sees them."""
+
+    def test_bh_reject(self):
+        with pytest.raises(InvalidConfigError, match="1-d array, got 2"):
+            bh_reject([[0.01, 0.5], [0.2, 0.3]], 0.05)
+
+    def test_rejection_threshold(self):
+        with pytest.raises(InvalidConfigError, match="1-d array, got 2"):
+            rejection_threshold(0.05, [[0.01, 0.5]], 0.5)
+
+    def test_theorem1_compare(self):
+        with pytest.raises(InvalidConfigError, match="1-d array, got 2"):
+            theorem1_compare([[0.01, 0.5]], [0.01, 0.5], 0.5, 0.05)
+        with pytest.raises(InvalidConfigError, match="1-d array, got 2"):
+            theorem1_compare([0.01, 0.5], [[0.01, 0.5]], 0.5, 0.05)
+
+    def test_wfdr_reject(self):
+        supports = [np.array([0.001, 0.002, 1.0])] * 2
+        with pytest.raises(InvalidConfigError, match="1-d array, got 2"):
+            wfdr_reject([[0.001, 0.002]], supports, [3.0] * 2, 0.05,
+                        WfdrConfig(l_star=1, pi0=Pi0Config(0.2, 0.1)))
+
+    def test_scalar(self):
+        with pytest.raises(InvalidConfigError, match="1-d array, got 0"):
+            bh_reject(0.01, 0.05)
+
+
 class TestWeightedScaleValidation:
     """The step-up functions check the inputs they take on the weighted scale."""
 
@@ -359,6 +392,20 @@ class TestWfdrReject:
     def test_group_count_validation(self, fields):
         with pytest.raises(InvalidConfigError, match="must be an integer >= 1"):
             WfdrConfig(**fields)
+
+    def test_g_star_needs_metric_grouping(self):
+        with pytest.raises(InvalidConfigError, match="g_star applies to metric"):
+            WfdrConfig(l_star=2, g_star=3)
+        assert WfdrConfig(l_star=2, g_star=3, grouping="metric").g_star == 3
+        assert WfdrConfig(l_star=2, g_star=np.int64(1)).g_star == 1
+
+    def test_invalid_support_names_study_hypothesis(self):
+        # the bad support sits in the second quantile group, at study index 2
+        supports = [np.array([0.01, 1.0])] * 4
+        supports[2] = np.array([0.5, 0.01, 1.0])
+        with pytest.raises(InvalidConfigError, match="support of hypothesis 2 "):
+            weight_study([0.01, 1.0, 0.5, 1.0], supports, [1.0, 1.0, 5.0, 5.0],
+                         WfdrConfig(l_star=2, pi0=Pi0Config(0.2, 0.1)))
 
     def test_numpy_integer_group_count(self):
         supports = [np.array([0.01, 1.0])] * 4
