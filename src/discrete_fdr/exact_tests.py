@@ -14,11 +14,14 @@ double precision can represent are enumerated: bisection on the concave log
 weight finds the window within ``WINDOW_LOG_MARGIN`` of the mode's, and
 everything outside it would underflow to a weight of 0.0.  For drug-safety
 margins that is a small fraction of the full range, and the results are
-bit-identical to enumerating all of it the same way.  Results are memoised
-on the conditioning statistic because large studies repeat totals and
-margins heavily; each cache entry keeps the canonical p-values of the
-representable outcomes only, with the index of the first, so its size
-follows the spread of the distribution rather than its range.
+bit-identical to enumerating all of it the same way.  An observed outcome
+outside the window, a signal too strong to be represented, takes the
+p-value of the nearest kept outcome: a support point, never below the exact
+p-value by more than the underflowed mass, 2.5e-324 per outcome at most.
+Results are memoised on the conditioning statistic because large studies
+repeat totals and margins heavily; each cache entry keeps the canonical
+p-values of the representable outcomes only, with the index of the first,
+so its size follows the spread of the distribution rather than its range.
 """
 
 from __future__ import annotations
@@ -226,7 +229,7 @@ def _aggregate_pvalues(pvals: np.ndarray, pmf: np.ndarray):
 
     Outcomes whose probability underflows double precision (float PMF of
     exactly 0) carry no representable mass; they are left out of the support
-    and their canonical p-value is NaN, to be rejected if ever queried.
+    and their canonical p-value is NaN.
     Their presence does not perturb the other outcomes' p-values, which are
     sums that such terms enter as +0.0.
     """
@@ -284,10 +287,15 @@ def _null_table(log_weight, lo: int, hi: int, mode: int, sided: Sidedness):
 
 
 def _canonical_pvalue(table, outcome: int) -> float:
-    """The p-value of ``outcome`` in a ``_null_table``; NaN if it underflows."""
+    """The p-value of ``outcome`` in a ``_null_table``; an outcome outside
+    the kept span takes the nearest kept outcome's."""
     _, first, canonical = table
-    i = outcome - first
-    return float(canonical[i]) if 0 <= i < canonical.size else np.nan
+    p = float(canonical[min(max(outcome - first, 0), canonical.size - 1)])
+    if np.isnan(p):  # a zero PMF inside the span, which concavity rules out
+        raise DegenerateDataError(
+            f"null probability of the outcome {outcome} underflows double precision"
+        )
+    return p
 
 
 def _fet_range(n1: int, n2: int, m_obs: int) -> tuple[int, int]:
@@ -350,15 +358,10 @@ def binomial_pvalue(pair: PoissonPair, sided: Sidedness) -> float:
     The one-sided p-value is P(T <= c1) for T ~ Binomial(0.5, total); the
     two-sided p-value sums the null probabilities of all outcomes that are
     equally likely to or less likely than the observed one.  The returned
-    value is always an element of ``binomial_null_distribution``'s support.
+    value is always an element of ``binomial_null_distribution``'s support;
+    a ``c1`` whose null probability underflows takes the nearest kept one's.
     """
-    p = _canonical_pvalue(_binomial_test(pair.total, sided), pair.c1)
-    if np.isnan(p):
-        raise DegenerateDataError(
-            f"null probability of observing {pair.c1} out of {pair.total} "
-            "underflows double precision"
-        )
-    return p
+    return _canonical_pvalue(_binomial_test(pair.total, sided), pair.c1)
 
 
 def fet_null_distribution(margins: MarginalVector, sided: Sidedness) -> DiscreteCDF:
@@ -376,7 +379,8 @@ def fet_pvalue(c1: int, margins: MarginalVector, sided: Sidedness) -> float:
     """Fisher's-exact-test p-value of the observed count ``c1``.
 
     Uses the same probability-ordering rule as ``binomial_pvalue`` applied
-    to the central hypergeometric PMF; the result lies in the support of
+    to the central hypergeometric PMF, and the same clamp of an outcome
+    whose null probability underflows; the result lies in the support of
     ``fet_null_distribution``.
     """
     n1, n2, m_obs = margins.as_tuple()
@@ -387,10 +391,4 @@ def fet_pvalue(c1: int, margins: MarginalVector, sided: Sidedness) -> float:
             f"count {c1} outside hypergeometric range [{lo}, {hi}]"
             f" for margins ({n1}, {n2}, {m_obs})"
         )
-    p = _canonical_pvalue(_fet_test(n1, n2, m_obs, sided), c1)
-    if np.isnan(p):
-        raise DegenerateDataError(
-            f"null probability of the count {c1} under margins "
-            f"({n1}, {n2}, {m_obs}) underflows double precision"
-        )
-    return p
+    return _canonical_pvalue(_fet_test(n1, n2, m_obs, sided), c1)

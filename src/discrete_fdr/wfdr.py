@@ -107,8 +107,9 @@ def group_weights(groupwise_estimates) -> np.ndarray:
 
 
 def weighted_pvalues(pvalues, partition: Partition, weights) -> np.ndarray:
-    """p-values multiplied by their group's weight (infinite stays infinite)."""
-    pvalues = np.asarray(pvalues, dtype=float)
+    """p-values multiplied by their group's weight (infinite stays infinite);
+    raises ``InvalidConfigError`` for a p-value outside (0, 1] or NaN."""
+    pvalues = as_pvalues(pvalues)
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(partition.groups):
         raise InvalidConfigError("one weight per group required")
@@ -120,14 +121,14 @@ def weighted_pvalues(pvalues, partition: Partition, weights) -> np.ndarray:
 def fdr_estimate(t: float, weighted, pi0_overall: float) -> float:
     """Estimated FDR of the rule "reject whenever the weighted p-value <= t".
 
-    Only ``t``, ``pi0_overall`` and that ``weighted`` is not empty are
-    checked, so that a scan over many thresholds pays no pass over
+    Only ``t``, ``pi0_overall`` and that ``weighted`` is a nonempty 1-d
+    array are checked, so that a scan over many thresholds pays no pass over
     ``weighted`` per call.
     """
     if not t >= 0:
         raise InvalidConfigError(f"t must be nonnegative, got {t}")
     _check_pi0(pi0_overall)
-    weighted = np.asarray(weighted, dtype=float)
+    weighted = _as_1d(weighted)
     m = weighted.size
     if m == 0:
         raise EmptyStudyError("no hypotheses")
@@ -147,16 +148,22 @@ def _check_pi0(pi0_overall: float) -> None:
         )
 
 
-def _as_weighted(weighted) -> np.ndarray:
-    """``weighted`` as a 1-d float array, rejecting NaN and negative values.
-
-    Infinity is valid: it is the weighted p-value of an all-null group.
-    """
+def _as_1d(weighted) -> np.ndarray:
+    """``weighted`` as a float array, rejecting any shape but 1-d."""
     weighted = np.asarray(weighted, dtype=float)
     if weighted.ndim != 1:
         raise InvalidConfigError(
             f"weighted p-values must form a 1-d array, got {weighted.ndim} dimensions"
         )
+    return weighted
+
+
+def _as_weighted(weighted) -> np.ndarray:
+    """``weighted`` as a 1-d float array, rejecting NaN and negative values.
+
+    Infinity is valid: it is the weighted p-value of an all-null group.
+    """
+    weighted = _as_1d(weighted)
     bad = ~(weighted >= 0.0)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])

@@ -6,6 +6,7 @@ against exact values.  They share no code with the package.
 """
 
 from fractions import Fraction
+from itertools import accumulate, groupby
 from math import comb
 
 
@@ -26,15 +27,23 @@ def hypergeom_pmf_exact(n1: int, n2: int, m_obs: int):
 
 
 def pvalues_exact(pmf: list[Fraction], sided: str) -> list[Fraction]:
-    """Exact p-value of every outcome; sided is "one" or "two"."""
+    """Exact p-value of every outcome; sided is "one" or "two".
+
+    One-sided, the lower tail.  Two-sided, the total probability of the
+    outcomes at most as likely: walking one sort of the PMF in increasing
+    order, each run of equal probabilities gets the sum up to its end.
+    """
     if sided == "one":
-        out = []
-        acc = Fraction(0)
-        for q in pmf:
-            acc += q
-            out.append(acc)
-        return out
-    return [sum(q for q in pmf if q <= pk) for pk in pmf]
+        return list(accumulate(pmf))
+    out = [Fraction(0)] * len(pmf)
+    acc = Fraction(0)
+    by_pmf = sorted(range(len(pmf)), key=pmf.__getitem__)
+    for q, ties in groupby(by_pmf, key=pmf.__getitem__):
+        ties = list(ties)
+        acc += q * len(ties)
+        for k in ties:
+            out[k] = acc
+    return out
 
 
 def null_distribution_exact(pmf: list[Fraction], sided: str):

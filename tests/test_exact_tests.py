@@ -1,6 +1,7 @@
 """Tests for the exact conditional tests and their null p-value distributions."""
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -361,14 +362,12 @@ def assert_bit_identical(table, reference):
 
 
 def assert_pvalue_matches(pvalue, reference, outcome):
-    """The public p-value of ``outcome`` against the reference's canonical."""
+    """The public p-value of ``outcome`` against the reference's canonical;
+    an outcome that underflows there takes the nearest kept outcome's."""
     lo, _, _, canonical = reference
-    expected = canonical[outcome - lo]
-    if np.isnan(expected):
-        with pytest.raises(DegenerateDataError, match="underflows double precision"):
-            pvalue(outcome)
-    else:
-        assert pvalue(outcome) == expected
+    kept = np.flatnonzero(~np.isnan(canonical))
+    nearest = kept[np.argmin(np.abs(kept - (outcome - lo)))]
+    assert pvalue(outcome) == canonical[nearest]
 
 
 def check_binomial(total, sided):
@@ -489,10 +488,10 @@ def check_large(table, pvalue, log_weight, lo, hi, sided):
     mode = first + int(np.argmax(pmf))
     for c1 in (first, first + pmf.size // 4, mode, last - 7, last):
         assert pvalue(c1) == reference[2][c1 - first]
-    for c1 in (first - 1, last + 1):
+    # just outside the outcomes kept, the nearest kept outcome's p-value
+    for c1, nearest in ((first - 1, 0), (last + 1, -1)):
         if lo <= c1 <= hi:
-            with pytest.raises(DegenerateDataError, match="underflows"):
-                pvalue(c1)
+            assert pvalue(c1) == reference[2][nearest]
 
 
 class TestLargeMargins:
@@ -583,28 +582,71 @@ class TestAggregationRule:
         assert np.isnan(canonical[1])
 
 
-class TestEnumerationErrors:
-    def test_binomial_underflow_message(self):
-        with pytest.raises(
-            DegenerateDataError,
-            match=r"^null probability of observing 0 out of 3000 underflows "
-            r"double precision$",
-        ):
-            binomial_pvalue(PoissonPair(0, 3000), TWO)
+class TestOutsideSpanClamp:
+    """An outcome whose null probability underflows takes the p-value of the
+    nearest kept outcome, a support point; on these ranges it is at least
+    the exact p-value."""
 
-    def test_fet_underflow_message(self):
+    @staticmethod
+    def check_outside(table, lo, pmf, sided, pvalue):
+        dist, first, canonical = table
+        last = first + canonical.size - 1
+        outside = [*range(lo, first), *range(last + 1, lo + len(pmf))]
+        assert outside  # the range is wider than the outcomes kept
+        exact = pvalues_exact(pmf, sided)
+        support = set(dist.support.tolist())
+        for k in outside:
+            p = pvalue(k)
+            assert p in support
+            assert p == canonical[0 if k < first else -1]
+            assert Fraction(p) >= exact[k - lo]
+
+    @pytest.mark.parametrize("sided", ["one", "two"])
+    def test_binomial_against_oracle(self, sided):
+        sided_enum = ONE if sided == "one" else TWO
+        for total in (1_100, 1_210, 1_530, 2_200, 3_000):
+            self.check_outside(
+                _binomial_test(total, sided_enum), 0, binomial_pmf_exact(total), sided,
+                lambda c1: binomial_pvalue(PoissonPair(c1, total - c1), sided_enum),
+            )
+
+    @pytest.mark.parametrize("sided", ["one", "two"])
+    def test_fet_against_oracle(self, sided):
+        sided_enum = ONE if sided == "one" else TWO
+        for n1, n2, m_obs in ((800, 800, 800), (760, 840, 800), (800, 900, 820)):
+            margins = MarginalVector(n1, n2, m_obs)
+            lo, pmf = hypergeom_pmf_exact(n1, n2, m_obs)
+            self.check_outside(
+                _fet_test(n1, n2, m_obs, sided_enum), lo, pmf, sided,
+                lambda c1: fet_pvalue(c1, margins, sided_enum),
+            )
+
+    @pytest.mark.parametrize("sided", [ONE, TWO], ids=["one", "two"])
+    def test_strong_signals_score(self, sided):
+        # strong signals whose null probability underflows
+        for c1, c2 in ((0, 1_100), (10, 1_200), (30, 1_500)):
+            p = binomial_pvalue(PoissonPair(c1, c2), sided)
+            assert p > 0.0
+            assert p in binomial_null_distribution(c1 + c2, sided).support
+        margins = MarginalVector(50_000, 1_950_000, 20_000)
+        p = fet_pvalue(2_000, margins, sided)
+        assert p > 0.0
+        assert p in fet_null_distribution(margins, sided).support
+
+    def test_binomial_far_tail(self):
+        canonical = _binomial_test(3000, TWO)[2]
+        assert binomial_pvalue(PoissonPair(0, 3000), TWO) == canonical[0] > 0.0
+
+    def test_fet_far_tails(self):
         margins = MarginalVector(100_000, 1_900_000, 20_000)
         first = _fet_test(*margins.as_tuple(), ONE)[1]
-        # far below, just below and far above the outcomes kept
-        for c1 in (0, first - 1, 20_000):
-            with pytest.raises(
-                DegenerateDataError,
-                match=rf"^null probability of the count {c1} under margins "
-                r"\(100000, 1900000, 20000\) underflows double precision$",
-            ):
-                fet_pvalue(c1, margins, ONE)
-        assert fet_pvalue(first, margins, ONE) > 0.0
+        # far below and just below the outcomes kept, then far above them
+        for c1 in (0, first - 1):
+            assert fet_pvalue(c1, margins, ONE) == fet_pvalue(first, margins, ONE) > 0.0
+        assert fet_pvalue(20_000, margins, ONE) == 1.0
 
+
+class TestEnumerationErrors:
     @pytest.mark.parametrize(
         "c1,margins,bounds",
         [(20_001, (50_000, 1_950_000, 20_000), "[0, 20000]"),

@@ -447,6 +447,52 @@ class TestAnalyzeCommand:
         assert summary["m_analyzed"] == 5
 
 
+class TestStrongSignals:
+    """Rows whose observed outcome has a null probability that underflows
+    double precision score, and both procedures reject them."""
+
+    def analyze(self, tmp_path, table, *flags):
+        path = write(tmp_path / "strong.csv", table)
+        assert run_cli(
+            ["analyze", "--input", path, "--output", tmp_path / "out", "--groups", "1",
+             "--procedure", "all", *flags]
+        ) == 0
+        with open(tmp_path / "out.report.csv", newline="") as handle:
+            return {row["id"]: row for row in csv.DictReader(handle)}
+
+    @staticmethod
+    def assert_rejected(rows, ids):
+        for i in ids:
+            assert float(rows[i]["p_value"]) > 0.0
+            assert rows[i]["rejected_wfdr"] == rows[i]["rejected_bh"] == "1"
+
+    def test_binomial_table(self, tmp_path):
+        rows = self.analyze(
+            tmp_path, "id,c1,c2\na,0,1100\nb,10,1200\nc,30,1500\nd,40,45\ne,12,30\n",
+            "--test", "binomial",
+        )
+        self.assert_rejected(rows, "abc")
+
+    def test_fet_table(self, tmp_path):
+        rows = self.analyze(
+            tmp_path, "id,c1,n1\nd1,2000,50000\nd2,120,10000\nd3,90,9000\n",
+            "--test", "fet", "--study-totals", "20000,2000000",
+        )
+        self.assert_rejected(rows, ["d1"])
+
+    def test_weighted_pvalue_rounding_to_zero_rejected(self, tmp_path):
+        # p-values of 5e-324 under a weight below 1/2
+        rows = self.analyze(
+            tmp_path,
+            "id,c1,n1\nd1,2000,50000\nd2,120,10000\nd3,90,9000\nd4,1800,40000\n"
+            "d5,2400,60000\n",
+            "--test", "fet", "--study-totals", "20000,2000000",
+        )
+        for i in ("d1", "d4", "d5"):
+            assert float(rows[i]["weighted_p"]) == 0.0
+        self.assert_rejected(rows, ["d1", "d4", "d5"])
+
+
 class TestAnalyzeMatchesLibrary:
     """The report and summary equal the library's procedure on the same data."""
 

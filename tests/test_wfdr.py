@@ -71,6 +71,17 @@ class TestWeightedPvalues:
         out = weighted_pvalues([0.001, 0.5], part, [np.inf, 1.0])
         assert np.isinf(out[0]) and out[1] == 0.5
 
+    @pytest.mark.parametrize("pvalues,match", [
+        ([[0.1, 0.2]], "1-d array, got 2"),
+        ([0.1, np.nan], "at index 1"),
+        ([0.1, 1.5], "at index 1"),
+        ([0.0, 0.5], "at index 0"),
+    ], ids=["2-d", "nan", "above-one", "zero"])
+    def test_invalid_pvalues(self, pvalues, match):
+        part = Partition((np.array([0, 1]),))
+        with pytest.raises(InvalidConfigError, match=match):
+            weighted_pvalues(pvalues, part, [1.0])
+
 
 class TestFdrEstimate:
     def test_worked_value(self):
@@ -89,6 +100,12 @@ class TestFdrEstimate:
     def test_empty_study(self):
         with pytest.raises(EmptyStudyError, match="no hypotheses"):
             fdr_estimate(0.1, [], 0.5)
+
+    def test_not_1d(self):
+        with pytest.raises(InvalidConfigError, match="1-d array, got 2"):
+            fdr_estimate(0.1, [[0.05, 0.5]], 0.5)
+        with pytest.raises(InvalidConfigError, match="1-d array, got 0"):
+            fdr_estimate(0.1, 0.05, 0.5)
 
 
 class TestRejectionThreshold:
