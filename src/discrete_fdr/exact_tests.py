@@ -18,10 +18,10 @@ bit-identical to enumerating all of it the same way.  An observed outcome
 outside the window, a signal too strong to be represented, takes the
 p-value of the nearest kept outcome: a support point, never below the exact
 p-value by more than the underflowed mass, 2.5e-324 per outcome at most.
-Results are memoised on the conditioning statistic because large studies
-repeat totals and margins heavily; each cache entry keeps the canonical
-p-values of the representable outcomes only, with the index of the first,
-so its size follows the spread of the distribution rather than its range.
+The tables of the ``MEMO_SIZE`` most recent conditioning statistics are
+memoised, as simulations repeat totals from study to study; no result depends
+on the memo.  An entry keeps the canonical p-values of the representable
+outcomes only, so its size follows the spread of the distribution.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ AGGREGATION_RTOL = 1e-10
 # the mode's weight of 1.  The slack beyond 745 absorbs the rounding of the
 # scalar log weights that place the window.
 WINDOW_LOG_MARGIN = 800.0
+
+MEMO_SIZE = 256  # null tables memoised per test, least recently used dropped
 
 
 class Sidedness(enum.Enum):
@@ -303,7 +305,7 @@ def _fet_range(n1: int, n2: int, m_obs: int) -> tuple[int, int]:
     return max(0, m_obs - n2), min(n1, m_obs)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _binomial_test(total: int, sided: Sidedness):
     if total < 1:
         raise DegenerateDataError(
@@ -318,7 +320,7 @@ def _binomial_test(total: int, sided: Sidedness):
     return _null_table(log_weight, 0, total, total // 2, sided)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _fet_test(n1: int, n2: int, m_obs: int, sided: Sidedness):
     def log_weight(k):
         return _log_binom_coeff(float(n1), k) + _log_binom_coeff(

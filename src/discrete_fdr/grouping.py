@@ -216,10 +216,15 @@ def group_by_statistic_quantiles(stats, l_star: int) -> Partition:
     merges them into their nearest nonempty neighbour.
     """
     first = stats[0] if isinstance(stats, (list, tuple)) and stats else None
-    if isinstance(first, MarginalVector):
-        n1, n2, m_obs = np.array([s.as_tuple() for s in stats], dtype=float).T
-        stats = next((c for c in (m_obs, n1, n2) if np.ptp(c) > 0), n1)
-    stats = np.asarray(stats, dtype=float)
+    try:
+        if isinstance(first, MarginalVector):
+            n1, n2, m_obs = np.array([s.as_tuple() for s in stats], dtype=float).T
+            stats = next((c for c in (m_obs, n1, n2) if np.ptp(c) > 0), n1)
+        stats = np.asarray(stats, dtype=float)
+    except (AttributeError, TypeError, ValueError):
+        raise InvalidConfigError(
+            "stats must be all real scalars or all MarginalVector margins"
+        ) from None
     if stats.ndim != 1 or stats.size == 0:
         raise InvalidConfigError("stats must be a nonempty 1-d sequence")
     if not np.isfinite(stats).all():

@@ -191,7 +191,8 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None):
     total, which is its conditioning statistic (a float); a pair with total
     0 has no data and scores p = 1 with support {1}.  With row totals
     ``n1``, ``n2`` each row is a 2x2 table tested with Fisher's exact test
-    given its margins ``MarginalVector(n1, n2, c1 + c2)``.
+    given its margins ``MarginalVector(n1, n2, c1 + c2)``.  Hypotheses that
+    share a statistic form a null class and share one support array.
     """
     if (n1 is None) != (n2 is None):
         raise InvalidConfigError("row totals need both n1 and n2")
@@ -201,24 +202,21 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None):
             f"count arrays differ in length: {[len(a) for a in counts]}"
         )
     c1, c2 = counts[:2]
-    pvalues = np.empty(len(c1))
-    supports: list[np.ndarray] = []
-    if n1 is None:
-        stats: list = []
-        unit_support = np.array([1.0])
-        for i, (a, b) in enumerate(zip(c1, c2)):
-            total = a + b
-            stats.append(float(total))
-            if total == 0:
-                pvalues[i] = 1.0
-                supports.append(unit_support)
-            else:
-                pvalues[i] = binomial_pvalue(PoissonPair(a, b), sided)
-                supports.append(binomial_null_distribution(total, sided).support)
-    else:
-        n1, n2 = counts[2:]
-        stats = [MarginalVector(a, b, c + d) for a, b, c, d in zip(n1, n2, c1, c2)]
-        for i, (a, margins) in enumerate(zip(c1, stats)):
-            pvalues[i] = fet_pvalue(a, margins, sided)
-            supports.append(fet_null_distribution(margins, sided).support)
-    return pvalues, supports, stats
+    fet = n1 is not None
+    stats = ([MarginalVector(a, b, c + d) for a, b, c, d in zip(*counts[2:], c1, c2)]
+             if fet else [a + b for a, b in zip(c1, c2)])
+    classes: dict = {}  # null class of each statistic: its hypotheses
+    for i, stat in enumerate(stats):
+        classes.setdefault(stat, []).append(i)
+    pvalues = np.ones(len(c1))
+    supports = [np.array([1.0])] * len(c1)
+    null = fet_null_distribution if fet else binomial_null_distribution
+    for stat, members in classes.items():
+        if stat == 0:  # a total of 0 has no data: p = 1 with support {1}
+            continue
+        support = null(stat, sided).support
+        for i in members:
+            pvalues[i] = (fet_pvalue(c1[i], stat, sided) if fet
+                          else binomial_pvalue(PoissonPair(c1[i], c2[i]), sided))
+            supports[i] = support
+    return pvalues, supports, stats if fet else list(map(float, stats))

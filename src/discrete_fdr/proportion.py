@@ -100,13 +100,15 @@ class _SupportError(InvalidConfigError):
 def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
     """Trial estimates at every guiding value; one pass per null class.
 
-    Hypotheses that share a support object form one null class.  Within a
-    class every hypothesis has the same lambda at each guiding value, so the
-    class contributes (number of its p-values above lambda) / (1 - lambda),
-    counted by binary search in its sorted p-values.  Classes are summed in
-    order of first occurrence, so the result never depends on where the
-    supports happen to live in memory.  Each class's support is checked
-    once; ``_SupportError`` names the class's first hypothesis.
+    A null class is the hypotheses that share one support array, which
+    ``io.score_input`` gives every hypothesis with the same conditioning
+    statistic.  Within a class each hypothesis has the same lambda at each
+    guiding value, so the class contributes (number of its p-values above
+    lambda) / (1 - lambda), counted by binary search in its sorted p-values.
+    Classes are summed in order of first occurrence, so the result never
+    depends on where the supports happen to live in memory.  Each class's
+    support is checked once; ``_SupportError`` names the class's first
+    hypothesis.
     """
     pvalues = as_pvalues(pvalues)
     # the list keeps every support alive, so no two of them share an id
@@ -193,6 +195,11 @@ def overall_pi0(partition: Partition, groupwise: list[Pi0Estimate]) -> float:
             "one estimate per group required: "
             f"{len(groupwise)} estimates for {len(partition.groups)} groups"
         )
+    try:
+        values = np.array([e.value for e in groupwise])
+    except AttributeError:
+        raise InvalidConfigError(
+            "each group estimate needs a value, as a Pi0Estimate has"
+        ) from None
     sizes = np.array(partition.sizes, dtype=float)
-    values = np.array([e.value for e in groupwise])
     return float(np.dot(sizes, values) / sizes.sum())

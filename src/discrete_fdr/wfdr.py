@@ -13,8 +13,10 @@ the overall estimate is 1 the procedure rejects nothing.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -243,6 +245,8 @@ def theorem1_compare(pvalues, weighted, pi0_overall: float, alpha: float):
 
 def _metric_partition(conditioning_stats, cfg: WfdrConfig) -> Partition:
     stats = list(conditioning_stats)
+    if any(isinstance(s, Real) and not math.isfinite(s) for s in stats):
+        raise InvalidConfigError("stats must be finite")
     dmat = pairwise_distances(stats, marginal_distance)
     grouping_cfg = GroupingConfig(l_star=cfg.l_star, g_star=cfg.g_star)
     try:
@@ -294,8 +298,9 @@ def weight_study(
     default, metric-ball grouping on their pairwise distances when
     ``cfg.grouping == "metric"``), estimates the null proportion per group
     and weights the p-values.  Raises ``InvalidConfigError`` for a p-value
-    outside (0, 1] or NaN, for inputs of unequal lengths, or for more groups
-    than hypotheses.
+    outside (0, 1] or NaN, for inputs of unequal lengths, for more groups
+    than hypotheses, or for statistics that are not finite numbers or all
+    margins.
     """
     pvalues = as_pvalues(pvalues)
     supports = list(supports)

@@ -400,3 +400,14 @@ class TestPartitionType:
         assert part.group_of().tolist() == [0, 1, 0, 1]
         assert part.sizes == (2, 2)
         assert part.m == 4
+
+
+class TestMixedStatisticKinds:
+    @pytest.mark.parametrize(
+        "stats",
+        [[1.0, MarginalVector(1, 2, 3)], [MarginalVector(1, 2, 3), 1.0]],
+        ids=["scalar-first", "margins-first"],
+    )
+    def test_mixed_kinds_rejected(self, stats):
+        with pytest.raises(InvalidConfigError, match="all real scalars or all"):
+            group_by_statistic_quantiles(stats, 2)

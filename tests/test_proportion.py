@@ -405,3 +405,10 @@ class TestConservativenessSmoke:
             p, supports, _ = score_study(study, Sidedness.TWO_SIDED)
             values.append(estimate_pi0(p, supports, BINOMIAL_PI0_CONFIG).value)
         assert np.mean(values) >= 0.9
+
+
+class TestOverallEstimateType:
+    def test_bare_number_rejected(self):
+        part = Partition((np.arange(2),))
+        with pytest.raises(InvalidConfigError, match="needs a value"):
+            overall_pi0(part, [0.5])

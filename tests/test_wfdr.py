@@ -1,5 +1,7 @@
 """Tests for the weighted FDR procedure, BH baseline and step-up comparator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -503,3 +505,26 @@ class TestMetricPartitionDistances:
         with pytest.MonkeyPatch.context() as monkeypatch:
             dmat = metric_partition_dmat(monkeypatch, margins)
         assert np.array_equal(dmat, margins_reference_dmat(margins))
+
+
+class TestConditioningStatisticValidation:
+    SUPPORTS = [np.array([0.5, 1.0])] * 3
+
+    def test_non_numeric_statistics_rejected(self):
+        with pytest.raises(InvalidConfigError, match="all real scalars or all"):
+            weight_study([0.5, 1.0], self.SUPPORTS[:2], ["a", "b"],
+                         WfdrConfig(l_star=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_statistic_rejected_before_metric_grouping(
+        self, bad, monkeypatch
+    ):
+        def no_grouping(*args):
+            raise AssertionError("metric grouping started")
+
+        monkeypatch.setattr(wfdr, "group_from_distances", no_grouping)
+        cfg = WfdrConfig(l_star=2, grouping="metric")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError, match="stats must be finite"):
+                weight_study([0.5, 0.5, 1.0], self.SUPPORTS, [1.0, bad, 3.0], cfg)
