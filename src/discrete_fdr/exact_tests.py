@@ -18,10 +18,15 @@ bit-identical to enumerating all of it the same way.  An observed outcome
 outside the window, a signal too strong to be represented, takes the
 p-value of the nearest kept outcome: a support point, never below the exact
 p-value by more than the underflowed mass, 2.5e-324 per outcome at most.
-The tables of the ``MEMO_SIZE`` most recent conditioning statistics are
-memoised, as simulations repeat totals from study to study; no result depends
-on the memo.  An entry keeps the canonical p-values of the representable
-outcomes only, so its size follows the spread of the distribution.
+A window of more than ``MAX_WINDOW_OUTCOMES`` outcomes (a binomial total
+beyond about 10^10) is refused with a ``DegenerateDataError`` before anything
+is allocated for it.
+
+Both tests memoise their tables in one memo, as simulations repeat totals
+from study to study; no result depends on it.  The memo is bounded by the
+bytes its tables' arrays hold, ``MEMO_BYTES``: once they hold more, the
+oldest tables are dropped, but the newest always stays, so a table larger
+than the budget is still built only once for the hypotheses that share it.
 """
 
 from __future__ import annotations
@@ -50,7 +55,13 @@ AGGREGATION_RTOL = 1e-10
 # scalar log weights that place the window.
 WINDOW_LOG_MARGIN = 800.0
 
-MEMO_SIZE = 256  # null tables memoised per test, least recently used dropped
+# A window of more outcomes than this is refused before it is evaluated.  At
+# 90-115 bytes per outcome while a table builds, the limit caps that peak
+# near 0.5 GB; binomial totals up to 10^9 (1.26 million outcomes) and Fisher
+# margins of 10^6 cases among 10^7 events (22,762) stay well inside it.
+MAX_WINDOW_OUTCOMES = 1 << 22
+
+MEMO_BYTES = 1 << 20  # bytes of null tables memoised, the newest always kept
 
 
 class Sidedness(enum.Enum):
@@ -128,14 +139,15 @@ class DiscreteCDF:
             raise InvalidConfigError("support must be a nonempty 1-d array")
         if mass.shape != support.shape:
             raise InvalidConfigError("support and mass must have matching shapes")
-        if np.any(support <= 0.0) or np.any(support > 1.0):
+        # each check is written so that a NaN fails it
+        if not ((support > 0.0) & (support <= 1.0)).all():
             raise InvalidConfigError("support points must lie in (0, 1]")
-        if np.any(np.diff(support) <= 0.0):
+        if not (np.diff(support) > 0.0).all():
             raise InvalidConfigError("support must be strictly increasing")
-        if np.any(mass <= 0.0):
+        if not (mass > 0.0).all():
             raise InvalidConfigError("masses must be positive")
         total = mass.sum()
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise InvalidConfigError(
                 f"masses must sum to 1 within 1e-10, got {total!r}"
             )
@@ -265,19 +277,27 @@ def _window_edge(log_weight, mode: int, bound: int, floor: float) -> int:
     return inside
 
 
-def _null_table(log_weight, lo: int, hi: int, mode: int, sided: Sidedness):
+def _null_table(log_weight, lo: int, hi: int, mode: int, sided: Sidedness,
+                statistic: str):
     """Null p-value distribution of a test with outcomes ``lo..hi``.
 
     ``log_weight(k)`` is the unnormalised log probability of outcome
     ``k``, concave with its maximum at ``mode``.  Only the window of outcomes
-    within ``WINDOW_LOG_MARGIN`` of the mode's log weight is evaluated.  Its
-    weights relative to the mode's are normalised by their own sum, and only
-    the outcomes with a nonzero PMF are kept.  Returns the distribution,
+    within ``WINDOW_LOG_MARGIN`` of the mode's log weight is evaluated, and
+    one wider than ``MAX_WINDOW_OUTCOMES`` is refused, naming ``statistic``.
+    Its weights relative to the mode's are normalised by their own sum, and
+    only the outcomes with a nonzero PMF are kept.  Returns the distribution,
     the first kept outcome, and the canonical p-value of every kept outcome.
     """
     floor = log_weight(float(mode)) - WINDOW_LOG_MARGIN
     first = _window_edge(log_weight, mode, lo, floor)
     last = _window_edge(log_weight, mode, hi, floor)
+    if last - first + 1 > MAX_WINDOW_OUTCOMES:
+        raise DegenerateDataError(
+            f"the null distribution of {statistic} needs {last - first + 1}"
+            f" outcomes, more than the {MAX_WINDOW_OUTCOMES} an exact test"
+            " enumerates"
+        )
     log_weights = log_weight(np.arange(first, last + 1, dtype=float))
     weights = np.exp(log_weights - log_weights.max())
     pmf = weights / weights[weights > 0.0].sum()
@@ -305,7 +325,47 @@ def _fet_range(n1: int, n2: int, m_obs: int) -> tuple[int, int]:
     return max(0, m_obs - n2), min(n1, m_obs)
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
+def _table_bytes(table) -> int:
+    """Bytes held by the arrays of a ``_null_table``."""
+    cdf, _, canonical = table
+    return (cdf.support.nbytes + cdf.mass.nbytes + cdf._cumulative.nbytes
+            + canonical.nbytes)
+
+
+class _TableMemo:
+    """The null tables of both tests, oldest first, keyed by test and
+    arguments.  Once they hold more than ``MEMO_BYTES`` the oldest are
+    dropped, but never the newest.  A hit does not reorder the memo."""
+
+    def __init__(self):
+        self.tables: dict = {}
+        self.nbytes = 0
+
+    def __call__(self, test):
+        @functools.wraps(test)
+        def memoised(*args):
+            key = (test.__name__, *args)
+            table = self.tables.get(key)
+            if table is None:
+                table = self.tables[key] = test(*args)
+                self.nbytes += _table_bytes(table)
+                while self.nbytes > MEMO_BYTES and len(self.tables) > 1:
+                    oldest = next(iter(self.tables))
+                    self.nbytes -= _table_bytes(self.tables.pop(oldest))
+            return table
+
+        memoised.cache_clear = self.clear
+        return memoised
+
+    def clear(self) -> None:
+        self.tables.clear()
+        self.nbytes = 0
+
+
+_MEMO = _TableMemo()
+
+
+@_MEMO
 def _binomial_test(total: int, sided: Sidedness):
     if total < 1:
         raise DegenerateDataError(
@@ -317,10 +377,11 @@ def _binomial_test(total: int, sided: Sidedness):
         # the normalisation.
         return _log_binom_coeff(float(total), k)
 
-    return _null_table(log_weight, 0, total, total // 2, sided)
+    return _null_table(log_weight, 0, total, total // 2, sided,
+                       f"the binomial total {total}")
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
+@_MEMO
 def _fet_test(n1: int, n2: int, m_obs: int, sided: Sidedness):
     def log_weight(k):
         return _log_binom_coeff(float(n1), k) + _log_binom_coeff(
@@ -329,7 +390,8 @@ def _fet_test(n1: int, n2: int, m_obs: int, sided: Sidedness):
 
     lo, hi = _fet_range(n1, n2, m_obs)
     mode = (n1 + 1) * (m_obs + 1) // (n1 + n2 + 2)  # of the hypergeometric
-    return _null_table(log_weight, lo, hi, mode, sided)
+    return _null_table(log_weight, lo, hi, mode, sided,
+                       f"the margins (n1, n2, m_obs) = ({n1}, {n2}, {m_obs})")
 
 
 def binomial_null_distribution(total: int, sided: Sidedness) -> DiscreteCDF:

@@ -14,6 +14,7 @@ from discrete_fdr import (
     DegenerateDataError,
     DiscreteCDF,
     DiscreteFdrError,
+    InvalidConfigError,
     InvalidTableError,
     MarginalVector,
     Partition,
@@ -27,6 +28,7 @@ from discrete_fdr import (
 )
 from discrete_fdr.exact_tests import (
     AGGREGATION_RTOL,
+    MAX_WINDOW_OUTCOMES,
     _aggregate_pvalues,
     _binomial_test,
     _fet_test,
@@ -73,6 +75,16 @@ class TestDiscreteCDF:
             DiscreteCDF(np.array([0.5, 1.0]), np.array([0.5, 0.4]))  # sum != 1
         with pytest.raises(ValueError):
             DiscreteCDF(np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("support,mass,message", [
+        ([np.nan], [1.0], "support points must lie in (0, 1]"),
+        ([0.5], [np.nan], "masses must be positive"),
+        ([0.2, np.nan, 0.9], [0.3, 0.3, 0.4], "support points must lie in (0, 1]"),
+        ([0.2, 0.5], [np.nan, 1.0], "masses must be positive"),
+    ], ids=["nan-support", "nan-mass", "nan-inner-support", "nan-first-mass"])
+    def test_nan_rejected(self, support, mass, message):
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            DiscreteCDF(support, mass)
 
     def test_cdf_evaluation_right_continuous(self):
         d = DiscreteCDF(np.array([0.25, 1.0]), np.array([0.25, 0.75]))
@@ -661,3 +673,35 @@ class TestEnumerationErrors:
                             f" for margins {margins}"),
         ):
             fet_pvalue(c1, MarginalVector(*margins), TWO)
+
+
+class TestWindowLimit:
+    """A window of more than ``MAX_WINDOW_OUTCOMES`` outcomes is refused with
+    a typed error that names the statistic and the outcomes it needs."""
+
+    @staticmethod
+    def outcomes(excinfo):
+        return int(re.search(r"needs (\d+) outcomes", str(excinfo.value)).group(1))
+
+    @pytest.mark.parametrize("total", [10**12, 2**62], ids=["1e12", "2^62"])
+    def test_binomial_total_refused(self, total):
+        with pytest.raises(DegenerateDataError,
+                           match=f"the binomial total {total} needs") as excinfo:
+            binomial_null_distribution(total, TWO)
+        assert self.outcomes(excinfo) > MAX_WINDOW_OUTCOMES
+        with pytest.raises(DegenerateDataError, match="outcomes"):
+            binomial_pvalue(PoissonPair(total // 2, total - total // 2), ONE)
+
+    def test_fet_margins_refused(self):
+        margins = MarginalVector(10**13, 10**13, 10**13)
+        with pytest.raises(
+            DegenerateDataError,
+            match=re.escape(f"the margins (n1, n2, m_obs) = {margins.as_tuple()} needs"),
+        ) as excinfo:
+            fet_null_distribution(margins, TWO)
+        assert self.outcomes(excinfo) > MAX_WINDOW_OUTCOMES
+
+    def test_checked_scales_build(self):
+        # 126,489 and 22,762 outcomes in the window
+        assert _binomial_test(10**7, TWO)[2].size <= MAX_WINDOW_OUTCOMES
+        assert _fet_test(10**6, 9 * 10**6, 10**6, TWO)[2].size <= MAX_WINDOW_OUTCOMES

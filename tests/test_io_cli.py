@@ -493,6 +493,19 @@ class TestStrongSignals:
         self.assert_rejected(rows, ["d1", "d4", "d5"])
 
 
+class TestWindowLimit:
+    @pytest.mark.parametrize("total", [10**12, 2**62], ids=["1e12", "2^62"])
+    def test_huge_total_exits_compute(self, tmp_path, capsys, total):
+        path = write(tmp_path / "huge.csv", f"id,c1,c2\na,3,{total - 3}\nb,7,6\n")
+        assert run_cli(
+            ["analyze", "--test", "binomial", "--input", path, "--groups", "1",
+             "--output", tmp_path / "out"]
+        ) == EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert re.search(f"error: the null distribution of the binomial total {total}"
+                         r" needs \d+ outcomes", err)
+
+
 class TestAnalyzeMatchesLibrary:
     """The report and summary equal the library's procedure on the same data."""
 

@@ -2,12 +2,15 @@
 distribution, computed once, and all its hypotheses share one support array,
 whatever the exact-test memo holds."""
 
+import os
+
 import numpy as np
 import pytest
 
-from discrete_fdr import Sidedness, WfdrConfig, weight_study
+from discrete_fdr import Sidedness, WfdrConfig, binomial_null_distribution, weight_study
 from discrete_fdr import exact_tests, io
 from discrete_fdr.io import score_input
+from discrete_fdr.simulate import Family, ScenarioConfig, run_study
 
 TWO = Sidedness.TWO_SIDED
 MEMOS = (exact_tests._binomial_test, exact_tests._fet_test)
@@ -66,7 +69,7 @@ def test_interleaved_totals_above_the_bound_build_once(monkeypatch):
         lambda pmf, sided: built.append(pmf.size) or original(pmf, sided),
     )
     n = 1_000
-    assert n > exact_tests.MEMO_SIZE
+    assert 8 * sum(range(2, n + 2)) > exact_tests.MEMO_BYTES  # canonical p-values alone
     totals = np.tile(np.arange(1, n + 1), 2)  # t_1..t_n, then t_1..t_n again
     c1 = totals // 3
     _, supports, stats = score_input(c1, totals - c1, TWO)
@@ -75,7 +78,8 @@ def test_interleaved_totals_above_the_bound_build_once(monkeypatch):
     for stat, support in zip(stats, supports):
         assert by_total.setdefault(stat, support) is support
     assert len({id(s) for s in supports}) == n
-    assert exact_tests._binomial_test.cache_info().currsize <= exact_tests.MEMO_SIZE
+    newest = [*exact_tests._MEMO.tables.values()][-1]
+    assert exact_tests._MEMO.nbytes <= exact_tests.MEMO_BYTES + exact_tests._table_bytes(newest)
 
 
 def test_memo_stays_bounded_over_distinct_safety_studies():
@@ -84,7 +88,8 @@ def test_memo_stays_bounded_over_distinct_safety_studies():
         n1 = 1_000 + 6 * np.arange(rows) + study  # 3,000 distinct margins
         c1 = n1 * cases // events
         score_input(c1, cases - c1, TWO, n1=n1, n2=events - n1)
-    assert exact_tests._fet_test.cache_info().currsize <= exact_tests.MEMO_SIZE
+    newest = [*exact_tests._MEMO.tables.values()][-1]
+    assert exact_tests._MEMO.nbytes <= exact_tests.MEMO_BYTES + exact_tests._table_bytes(newest)
 
 
 def _evicting(monkeypatch):
@@ -121,3 +126,55 @@ def test_results_do_not_depend_on_the_memo(family, memo, monkeypatch):
     by_stat = {}
     for stat, support in zip(stats, supports):
         assert by_stat.setdefault(stat, support) is support
+
+
+def _memo_bytes_match_its_tables():
+    memo = exact_tests._MEMO
+    return memo.nbytes == sum(map(exact_tests._table_bytes, memo.tables.values()))
+
+
+def _rss_bytes():
+    with open("/proc/self/statm") as handle:
+        return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
+def test_memory_stays_flat_over_distinct_large_totals():
+    # each table near a total of 10^6 holds about 0.8 MB
+    totals = 1_000_000 + 1_001 * np.arange(40)
+    binomial_null_distribution(int(totals[0]), TWO)
+    after_one = _rss_bytes()
+    for total in totals[1:]:
+        binomial_null_distribution(int(total), TWO)
+    assert _rss_bytes() - after_one < 5 * 2**20
+    assert _memo_bytes_match_its_tables()
+
+
+def test_table_above_the_budget_builds_once_per_study(monkeypatch):
+    built = []
+    original = exact_tests._outcome_pvalues
+    monkeypatch.setattr(
+        exact_tests, "_outcome_pvalues",
+        lambda pmf, sided: built.append(pmf.size) or original(pmf, sided),
+    )
+    large = 3_000_000
+    totals = np.array([large, 40, large, 90, large, large])
+    c1 = totals // 2 - np.arange(totals.size)
+    _, supports, _ = score_input(c1, totals - c1, TWO)
+    assert len(built) == 3  # one per distinct total, the large one included
+    assert supports[0] is supports[2] is supports[4] is supports[5]
+    assert _memo_bytes_match_its_tables()
+    assert exact_tests._table_bytes(exact_tests._binomial_test(large, TWO)) > exact_tests.MEMO_BYTES
+
+
+def test_simulation_builds_each_total_once(monkeypatch):
+    built = []
+    original = exact_tests._null_table
+    monkeypatch.setattr(
+        exact_tests, "_null_table",
+        lambda *args: built.append(args[1:5]) or original(*args),
+    )
+    cfg = ScenarioConfig(Family.POISSON_BINOMIAL, m=20_000, pi0=0.8, alpha_grid=(0.05,),
+                         l_star_grid=(2,), replications=3, master_seed=1)
+    run_study(cfg, workers=1)
+    assert len(built) == len(set(built)) > 80  # (lo, hi, mode, sided) names a total
