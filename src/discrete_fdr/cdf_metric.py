@@ -15,7 +15,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import InvalidComparisonError
+from .errors import InvalidComparisonError, check_scalar
 from .exact_tests import DiscreteCDF, MarginalVector
 
 # Two support points count as the same attainable p-value when they agree to
@@ -45,6 +45,7 @@ def support_symmetric_difference_count(
     both sorted supports once, so each point pairs with at most one point of
     the other support.
     """
+    check_scalar("rtol", rtol, "be nonnegative")
     a = f.support
     b = g.support
     i = j = matches = 0

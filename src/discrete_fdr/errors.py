@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
+
+from numbers import Real
+
+import numpy as np
 
 
 class DiscreteFdrError(Exception):
@@ -58,3 +62,54 @@ class ParseError(DiscreteFdrError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+# the elementwise test, which NaN fails, of each rule a number must satisfy
+RULES = {
+    "be in [0, 1]": lambda x: (x >= 0.0) & (x <= 1.0),
+    "be in (0, 1)": lambda x: (x > 0.0) & (x < 1.0),
+    "be in (1, 1e5]": lambda x: (x > 1.0) & (x <= 1e5),
+    "lie in (0, 1]": lambda x: (x > 0.0) & (x <= 1.0),
+    "be nonnegative": lambda x: x >= 0.0,
+    "be positive": lambda x: x > 0.0,
+    "be finite": np.isfinite,
+    "be finite and nonnegative": lambda x: (x >= 0.0) & (x < np.inf),
+    "be nonnegative integers": lambda x: (x >= 0.0) & (x <= 2.0**63) & (np.floor(x) == x),
+    # each point above its predecessor, the first above 0, and none above 1
+    "lie in (0, 1], strictly increasing":
+        lambda x: (x > np.concatenate(([0.0], x[:-1]))) & (x <= 1.0),
+}
+
+
+def check_array(name: str, value, must: str | None = None, ndim: int = 1,
+                error: type = InvalidConfigError) -> np.ndarray:
+    """``value`` as a float array of ``ndim`` dimensions whose every element
+    satisfies the rule ``must``; ``error`` names the first that does not."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} must form a {ndim}-d array of numbers: {exc}") from None
+    if array.ndim != ndim:
+        raise error(f"{name} must form a {ndim}-d array, got {array.ndim} dimensions")
+    if must is not None:
+        ok = RULES[must](array)
+        if not ok.all():
+            i = int(np.argmin(ok))  # the first failing element, flat
+            at = i if ndim == 1 else tuple(map(int, np.unravel_index(i, array.shape)))
+            raise error(f"{name} must {must}; got {array.flat[i]!r} at index {at}")
+    return array
+
+
+def check_scalar(name: str, value, must: str, error: type = InvalidConfigError):
+    """Raise ``error`` unless ``value`` is a real number satisfying ``must``."""
+    if not (isinstance(value, Real) and RULES[must](value)):
+        raise error(f"{name} must {must}, got {value!r}")
+
+
+def check_count(name: str, value, minimum: int | None = 0):
+    """``value``, if it is an ``int`` or numpy integer >= ``minimum`` (if set)."""
+    if not isinstance(value, (int, np.integer)) or (
+            minimum is not None and value < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise InvalidConfigError(f"{name} must be an integer{at_least}, got {value!r}")
+    return value

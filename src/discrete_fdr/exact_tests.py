@@ -38,7 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DegenerateDataError, InvalidConfigError, InvalidTableError
+from .errors import (
+    DegenerateDataError,
+    InvalidConfigError,
+    InvalidTableError,
+    check_array,
+    check_count,
+)
 
 # Outcomes whose null probability is within this relative tolerance of the
 # observed outcome's probability count as "equally likely" in the two-sided
@@ -71,6 +77,15 @@ class Sidedness(enum.Enum):
     TWO_SIDED = "two"
 
 
+def _sidedness(sided) -> Sidedness:
+    """``sided``, or the ``Sidedness`` whose value, "one" or "two", it is."""
+    try:
+        return sided if isinstance(sided, Sidedness) else Sidedness(sided)
+    except ValueError:
+        raise InvalidConfigError(
+            f"sided must be a Sidedness, 'one' or 'two', got {sided!r}") from None
+
+
 @dataclass(frozen=True)
 class PoissonPair:
     """Observed counts from two independent Poisson distributions."""
@@ -79,12 +94,8 @@ class PoissonPair:
     c2: int
 
     def __post_init__(self):
-        for name in ("c1", "c2"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0:
-                raise InvalidConfigError(
-                    f"{name} must be a nonnegative integer, got {v!r}"
-                )
+        check_count("c1", self.c1)
+        check_count("c2", self.c2)
 
     @property
     def total(self) -> int:
@@ -105,12 +116,9 @@ class MarginalVector:
     m_obs: int
 
     def __post_init__(self):
-        for name in ("n1", "n2", "m_obs"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0:
-                raise InvalidConfigError(
-                    f"{name} must be a nonnegative integer, got {v!r}"
-                )
+        check_count("n1", self.n1)
+        check_count("n2", self.n2)
+        check_count("m_obs", self.m_obs)
         if self.m_obs > self.n1 + self.n2:
             raise InvalidConfigError(
                 f"m_obs={self.m_obs} exceeds n1+n2={self.n1 + self.n2}"
@@ -133,19 +141,11 @@ class DiscreteCDF:
     mass: np.ndarray
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=float)
-        mass = np.asarray(self.mass, dtype=float)
-        if support.ndim != 1 or support.size == 0:
-            raise InvalidConfigError("support must be a nonempty 1-d array")
+        support = check_array("support points", self.support,
+                              "lie in (0, 1], strictly increasing")
+        mass = check_array("masses", self.mass, "be positive")
         if mass.shape != support.shape:
             raise InvalidConfigError("support and mass must have matching shapes")
-        # each check is written so that a NaN fails it
-        if not ((support > 0.0) & (support <= 1.0)).all():
-            raise InvalidConfigError("support points must lie in (0, 1]")
-        if not (np.diff(support) > 0.0).all():
-            raise InvalidConfigError("support must be strictly increasing")
-        if not (mass > 0.0).all():
-            raise InvalidConfigError("masses must be positive")
         total = mass.sum()
         if not abs(total - 1.0) <= 1e-10:
             raise InvalidConfigError(
@@ -405,7 +405,7 @@ def binomial_null_distribution(total: int, sided: Sidedness) -> DiscreteCDF:
     ----------
     total : int
         Total of the two observed counts; must be >= 1.
-    sided : Sidedness
+    sided : Sidedness or {"one", "two"}
         One- or two-sided p-value convention.
 
     Returns
@@ -413,7 +413,7 @@ def binomial_null_distribution(total: int, sided: Sidedness) -> DiscreteCDF:
     DiscreteCDF
         The p-value distribution under the null hypothesis.
     """
-    return _binomial_test(int(total), sided)[0]
+    return _binomial_test(int(check_count("total", total, None)), _sidedness(sided))[0]
 
 
 def binomial_pvalue(pair: PoissonPair, sided: Sidedness) -> float:
@@ -425,7 +425,7 @@ def binomial_pvalue(pair: PoissonPair, sided: Sidedness) -> float:
     value is always an element of ``binomial_null_distribution``'s support;
     a ``c1`` whose null probability underflows takes the nearest kept one's.
     """
-    return _canonical_pvalue(_binomial_test(pair.total, sided), pair.c1)
+    return _canonical_pvalue(_binomial_test(pair.total, _sidedness(sided)), pair.c1)
 
 
 def fet_null_distribution(margins: MarginalVector, sided: Sidedness) -> DiscreteCDF:
@@ -436,7 +436,7 @@ def fet_null_distribution(margins: MarginalVector, sided: Sidedness) -> Discrete
     space, each outcome is mapped to its p-value, and duplicates aggregate.
     """
     n1, n2, m_obs = margins.as_tuple()
-    return _fet_test(n1, n2, m_obs, sided)[0]
+    return _fet_test(n1, n2, m_obs, _sidedness(sided))[0]
 
 
 def fet_pvalue(c1: int, margins: MarginalVector, sided: Sidedness) -> float:
@@ -447,12 +447,12 @@ def fet_pvalue(c1: int, margins: MarginalVector, sided: Sidedness) -> float:
     whose null probability underflows; the result lies in the support of
     ``fet_null_distribution``.
     """
+    c1 = int(check_count("c1", c1, None))
     n1, n2, m_obs = margins.as_tuple()
     lo, hi = _fet_range(n1, n2, m_obs)
-    c1 = int(c1)
     if not lo <= c1 <= hi:
         raise InvalidTableError(
             f"count {c1} outside hypergeometric range [{lo}, {hi}]"
             f" for margins ({n1}, {n2}, {m_obs})"
         )
-    return _canonical_pvalue(_fet_test(n1, n2, m_obs, sided), c1)
+    return _canonical_pvalue(_fet_test(n1, n2, m_obs, _sidedness(sided)), c1)

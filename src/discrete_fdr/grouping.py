@@ -15,19 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdf_metric import SUPPORT_MATCH_RTOL, delta
-from .errors import GroupingDidNotConvergeError, InvalidConfigError
+from .errors import (
+    GroupingDidNotConvergeError,
+    InvalidConfigError,
+    check_array,
+    check_count,
+)
 from .exact_tests import DiscreteCDF, MarginalVector
-
-
-def check_group_count(name: str, value) -> None:
-    """Raise ``InvalidConfigError`` unless ``value`` is an integer >= 1.
-
-    The rule for the number of groups l* and the minimal group size g*, and
-    for a simulation's m and replication count; numpy integers count as
-    integers.
-    """
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise InvalidConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,10 +33,9 @@ class GroupingConfig:
     max_restarts: int = 64
 
     def __post_init__(self):
-        check_group_count("l_star", self.l_star)
-        check_group_count("g_star", self.g_star)
-        if self.max_restarts < 0:
-            raise InvalidConfigError("max_restarts must be nonnegative")
+        check_count("l_star", self.l_star, 1)
+        check_count("g_star", self.g_star, 1)
+        check_count("max_restarts", self.max_restarts)
 
 
 @dataclass(frozen=True)
@@ -55,7 +48,8 @@ class Partition:
 
     def __post_init__(self):
         groups = tuple(
-            np.sort(np.asarray(g, dtype=np.intp)) for g in self.groups
+            np.sort(check_array("group", g, "be nonnegative integers").astype(np.intp))
+            for g in self.groups
         )
         if not groups or any(g.size == 0 for g in groups):
             raise InvalidConfigError("every group must be nonempty")
@@ -166,7 +160,7 @@ def group_from_distances(dmat: np.ndarray, cfg: GroupingConfig) -> Partition:
     the extraction.  If all pairwise distances vanish a single group is
     formed immediately.
     """
-    dmat = np.asarray(dmat, dtype=float)
+    dmat = check_array("distance matrix", dmat, "be finite and nonnegative", ndim=2)
     m = dmat.shape[0]
     if dmat.shape != (m, m):
         raise InvalidConfigError("distance matrix must be square")
@@ -225,11 +219,9 @@ def group_by_statistic_quantiles(stats, l_star: int) -> Partition:
         raise InvalidConfigError(
             "stats must be all real scalars or all MarginalVector margins"
         ) from None
-    if stats.ndim != 1 or stats.size == 0:
+    if check_array("stats", stats, "be finite").size == 0:
         raise InvalidConfigError("stats must be a nonempty 1-d sequence")
-    if not np.isfinite(stats).all():
-        raise InvalidConfigError("stats must be finite")
-    check_group_count("l_star", l_star)
+    check_count("l_star", l_star, 1)
     inner = np.percentile(stats, 100.0 * np.arange(1, l_star) / l_star)
     # the bin of a statistic is the number of inner percentiles at or below it
     labels = np.searchsorted(inner, stats, side="right")

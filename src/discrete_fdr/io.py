@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, ParseError, SchemaError
+from .errors import (
+    InvalidConfigError,
+    ParseError,
+    SchemaError,
+    check_array,
+    check_count,
+    check_scalar,
+)
 from .exact_tests import (
     MarginalVector,
     PoissonPair,
@@ -56,7 +63,9 @@ class StudyInput:
             raise InvalidConfigError("fet study needs row totals n1 and n2")
         for name in ("c1", "c2", "n1", "n2"):
             column = getattr(self, name)
-            if column is not None and len(column) != len(self.ids):
+            if column is None and name in ("n1", "n2"):
+                continue
+            if check_array(name, column, "be nonnegative integers").size != len(self.ids):
                 raise InvalidConfigError(
                     f"{name} has {len(column)} counts for {len(self.ids)} ids"
                 )
@@ -76,9 +85,8 @@ class FilterRule:
 
     def __post_init__(self):
         for name in ("min_total", "max_per_cell"):
-            value = getattr(self, name)
-            if value is not None and not value >= 0:
-                raise InvalidConfigError(f"{name} must be nonnegative, got {value}")
+            if getattr(self, name) is not None:
+                check_scalar(name, getattr(self, name), "be nonnegative")
 
 
 def _parse_count(row: dict, column: str, line: int) -> int:
@@ -107,6 +115,8 @@ def parse_counts_csv(
         raise SchemaError(f"unknown test family {family!r}")
     if study_totals is not None and family != "fet":
         raise SchemaError("study totals only apply to the fet family")
+    for total in study_totals or ():
+        check_count("study_totals", total)
     stored = BINOMIAL_COLUMNS if family == "binomial" else FET_COLUMNS
     expected = FET_TOTALS_COLUMNS if study_totals is not None else stored
     try:

@@ -14,26 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyStudyError, InvalidConfigError
+from .errors import EmptyStudyError, InvalidConfigError, check_array, check_scalar
 from .grouping import Partition
 
 
 @dataclass(frozen=True)
 class Pi0Config:
-    """Guiding-value grid: 0, step, 2*step, ..., lambda_max (inclusive)."""
+    """Guiding values 0, step, 2*step, ..., lambda_max (inclusive); at most 10^5 steps."""
 
     lambda_max: float
     step: float
 
     def __post_init__(self):
-        if not 0.0 < self.lambda_max < 1.0:
-            raise InvalidConfigError(
-                f"lambda_max must be in (0, 1), got {self.lambda_max}"
-            )
-        if not 0.0 < self.step < self.lambda_max:
-            raise InvalidConfigError(
-                f"step must be in (0, lambda_max), got {self.step}"
-            )
+        check_scalar("lambda_max", self.lambda_max, "be in (0, 1)")
+        check_scalar("step", self.step, "be positive")
+        check_scalar("lambda_max / step", self.lambda_max / self.step, "be in (1, 1e5]")
 
     def guiding_values(self) -> np.ndarray:
         # Multiples of step from 0; the final step is shortened when
@@ -66,25 +61,6 @@ class Pi0Estimate:
     trial_values: tuple[tuple[float, float], ...]
 
 
-def as_pvalues(pvalues) -> np.ndarray:
-    """``pvalues`` as a 1-d float array, rejecting any value outside (0, 1].
-
-    NaN and infinities fail the check too.
-    """
-    pvalues = np.asarray(pvalues, dtype=float)
-    if pvalues.ndim != 1:
-        raise InvalidConfigError(
-            f"p-values must form a 1-d array, got {pvalues.ndim} dimensions"
-        )
-    bad = ~((pvalues > 0.0) & (pvalues <= 1.0))
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise InvalidConfigError(
-            f"p-values must lie in (0, 1]; got {pvalues.flat[i]!r} at index {i}"
-        )
-    return pvalues
-
-
 class _SupportError(InvalidConfigError):
     """A null support that is not a nonempty, strictly increasing 1-d array
     in (0, 1]; ``hypothesis`` is the first hypothesis that has it."""
@@ -100,17 +76,17 @@ class _SupportError(InvalidConfigError):
 def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
     """Trial estimates at every guiding value; one pass per null class.
 
-    A null class is the hypotheses that share one support array, which
-    ``io.score_input`` gives every hypothesis with the same conditioning
-    statistic.  Within a class each hypothesis has the same lambda at each
-    guiding value, so the class contributes (number of its p-values above
-    lambda) / (1 - lambda), counted by binary search in its sorted p-values.
-    Classes are summed in order of first occurrence, so the result never
-    depends on where the supports happen to live in memory.  Each class's
-    support is checked once; ``_SupportError`` names the class's first
-    hypothesis.
+    A null class is the hypotheses whose supports are equal: the arrays
+    that ``io.score_input`` shares among a statistic's hypotheses, merged
+    with any distinct arrays of equal contents.  Within a class each
+    hypothesis has the same lambda at each guiding value, so the class
+    contributes (number of its p-values above lambda) / (1 - lambda),
+    counted by binary search in its sorted p-values.  Classes are numbered
+    and summed in order of first occurrence, never by memory address.  Each
+    distinct array is checked once; ``_SupportError`` names the first
+    hypothesis that has it.
     """
-    pvalues = as_pvalues(pvalues)
+    pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
     # the list keeps every support alive, so no two of them share an id
     supports = list(supports)
     m = pvalues.size
@@ -120,18 +96,25 @@ def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
         raise InvalidConfigError("pvalues and supports must have equal length")
     ids = np.fromiter(map(id, supports), dtype=np.uintp, count=m)
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    cls = rank[inverse]
+    by_contents: dict = {}  # number and support of each class, by hash of contents
+    array_class = np.empty_like(first)
+    for j in np.argsort(first):
+        i = int(first[j])
+        s = check_array("support", supports[i], "lie in (0, 1], strictly increasing",
+                        error=lambda message: _SupportError(i))
+        if s.size == 0:
+            raise _SupportError(i)
+        key = hash(s.tobytes())  # of a 1-d support, so its bytes fix its shape
+        if key in by_contents and not np.array_equal(by_contents[key][1], s):
+            key = (key, j)  # equal hashes of unequal contents: a class of its own
+        array_class[j], _ = by_contents.setdefault(key, (len(by_contents), s))
+    classes = [s for _, s in by_contents.values()]
+    cls = array_class[inverse]
     order = np.lexsort((pvalues, cls))
     p_sorted = pvalues[order]
-    bounds = np.searchsorted(cls[order], np.arange(first.size + 1))
+    bounds = np.searchsorted(cls[order], np.arange(len(classes) + 1))
     total = np.zeros(taus.size)
-    for c, i in enumerate(np.sort(first)):
-        s = np.asarray(supports[i], dtype=float)
-        if not (s.ndim == 1 and s.size and s[0] > 0.0 and s[-1] <= 1.0
-                and np.all(s[1:] > s[:-1])):  # NaN fails too
-            raise _SupportError(int(i))
+    for c, s in enumerate(classes):
         p_class = p_sorted[bounds[c]:bounds[c + 1]]
         idx = np.searchsorted(s, taus, side="right") - 1
         contrib = np.full(taus.size, float(p_class.size))
@@ -175,7 +158,7 @@ def groupwise_pi0(
 
     An invalid support is reported by its hypothesis's index in the study.
     """
-    pvalues = as_pvalues(pvalues)
+    pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
     supports = list(supports)
     if partition.m != pvalues.size:
         raise InvalidConfigError("partition does not cover the study")

@@ -21,9 +21,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, check_array, check_count, check_scalar
 from .exact_tests import Sidedness
-from .grouping import check_group_count
 from .io import score_input
 from .proportion import BINOMIAL_PI0_CONFIG, FET_PI0_CONFIG, Pi0Config, estimate_pi0
 from .wfdr import WfdrConfig, bh_reject, weight_study
@@ -61,19 +60,20 @@ class ScenarioConfig:
     master_seed: int
 
     def __post_init__(self):
-        check_group_count("m", self.m)
-        check_group_count("replications", self.replications)
-        if not 0.0 <= self.pi0 <= 1.0:
-            raise InvalidConfigError(f"pi0 must be in [0, 1], got {self.pi0}")
-        if not self.alpha_grid or not self.l_star_grid:
-            raise InvalidConfigError("alpha and l_star grids must be nonempty")
-        if not all(0.0 <= alpha <= 1.0 for alpha in self.alpha_grid):
-            raise InvalidConfigError(f"alpha must be in [0, 1], got {self.alpha_grid}")
-        for l_star in self.l_star_grid:
-            check_group_count("l_star", l_star)
+        check_count("m", self.m, 1)
+        check_count("replications", self.replications, 1)
+        check_count("master_seed", self.master_seed)
+        check_scalar("pi0", self.pi0, "be in [0, 1]")
         for name, grid in (("alpha", self.alpha_grid), ("l_star", self.l_star_grid)):
-            if len(set(grid)) != len(grid):
+            values = check_array(f"{name} grid", grid)
+            if values.size == 0:
+                raise InvalidConfigError("alpha and l_star grids must be nonempty")
+            if np.unique(values).size != values.size:
                 raise InvalidConfigError(f"{name} grid has a repeated value: {grid}")
+        for alpha in self.alpha_grid:
+            check_scalar("alpha", alpha, "be in [0, 1]")
+        for l_star in self.l_star_grid:
+            check_count("l_star", l_star, 1)
 
     def resolved_pi0_config(self) -> Pi0Config:
         if self.family is Family.POISSON_BINOMIAL:
@@ -260,8 +260,7 @@ def _resolve_workers(workers: int | None) -> int:
             workers = int(raw)
         except ValueError:
             raise InvalidConfigError(f"{WORKERS_ENV_VAR}={raw!r} is not an integer") from None
-    if workers < 1:
-        raise InvalidConfigError(f"workers must be >= 1, got {workers}")
+    check_count("workers", workers, 1)
     return workers
 
 

@@ -13,7 +13,6 @@ the overall estimate is 1 the procedure rejects nothing.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from numbers import Real
@@ -27,6 +26,8 @@ from .errors import (
     InvalidConfigError,
     InvalidEstimateError,
     NotApplicableError,
+    check_array,
+    check_scalar,
 )
 from .grouping import (
     GroupingConfig,
@@ -39,7 +40,6 @@ from .proportion import (
     BINOMIAL_PI0_CONFIG,
     Pi0Config,
     Pi0Estimate,
-    as_pvalues,
     groupwise_pi0,
     overall_pi0,
 )
@@ -95,12 +95,10 @@ class RejectionReport:
 
 def group_weights(groupwise_estimates) -> np.ndarray:
     """Per-group weights pi/(1 - pi), infinite where the estimate is 1."""
-    pi = np.asarray(
-        [e.value if isinstance(e, Pi0Estimate) else e for e in groupwise_estimates],
-        dtype=float,
-    )
-    if not np.all((pi >= 0.0) & (pi <= 1.0)):  # NaN fails too
-        raise InvalidEstimateError(f"group estimates must lie in [0, 1], got {pi}")
+    if isinstance(groupwise_estimates, (list, tuple)):  # of numbers or Pi0Estimates
+        groupwise_estimates = [getattr(e, "value", e) for e in groupwise_estimates]
+    pi = check_array("group estimates", groupwise_estimates, "be in [0, 1]",
+                     error=InvalidEstimateError)
     out = np.empty_like(pi)
     at_one = pi == 1.0
     out[at_one] = np.inf
@@ -111,8 +109,8 @@ def group_weights(groupwise_estimates) -> np.ndarray:
 def weighted_pvalues(pvalues, partition: Partition, weights) -> np.ndarray:
     """p-values multiplied by their group's weight (infinite stays infinite);
     raises ``InvalidConfigError`` for a p-value outside (0, 1] or NaN."""
-    pvalues = as_pvalues(pvalues)
-    weights = np.asarray(weights, dtype=float)
+    pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
+    weights = check_array("weights", weights, "be nonnegative")
     if len(weights) != len(partition.groups):
         raise InvalidConfigError("one weight per group required")
     if partition.m != pvalues.size:
@@ -127,53 +125,14 @@ def fdr_estimate(t: float, weighted, pi0_overall: float) -> float:
     array are checked, so that a scan over many thresholds pays no pass over
     ``weighted`` per call.
     """
-    if not t >= 0:
-        raise InvalidConfigError(f"t must be nonnegative, got {t}")
-    _check_pi0(pi0_overall)
-    weighted = _as_1d(weighted)
+    check_scalar("t", t, "be nonnegative")
+    check_scalar("pi0_overall", pi0_overall, "be in [0, 1]", error=InvalidEstimateError)
+    weighted = check_array("weighted p-values", weighted)
     m = weighted.size
     if m == 0:
         raise EmptyStudyError("no hypotheses")
     n_rejected = int(np.count_nonzero(weighted <= t))
     return min(1.0, (1.0 - pi0_overall) * t / (max(n_rejected, 1) / m))
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidConfigError(f"alpha must be in [0, 1], got {alpha}")
-
-
-def _check_pi0(pi0_overall: float) -> None:
-    if not 0.0 <= pi0_overall <= 1.0:
-        raise InvalidEstimateError(
-            f"pi0_overall must be in [0, 1], got {pi0_overall}"
-        )
-
-
-def _as_1d(weighted) -> np.ndarray:
-    """``weighted`` as a float array, rejecting any shape but 1-d."""
-    weighted = np.asarray(weighted, dtype=float)
-    if weighted.ndim != 1:
-        raise InvalidConfigError(
-            f"weighted p-values must form a 1-d array, got {weighted.ndim} dimensions"
-        )
-    return weighted
-
-
-def _as_weighted(weighted) -> np.ndarray:
-    """``weighted`` as a 1-d float array, rejecting NaN and negative values.
-
-    Infinity is valid: it is the weighted p-value of an all-null group.
-    """
-    weighted = _as_1d(weighted)
-    bad = ~(weighted >= 0.0)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise InvalidConfigError(
-            f"weighted p-values must be nonnegative; got {weighted.flat[i]!r} "
-            f"at index {i}"
-        )
-    return weighted
 
 
 def _step_up_threshold(values: np.ndarray, scale: float, alpha: float) -> float:
@@ -197,9 +156,9 @@ def rejection_threshold(alpha: float, weighted, pi0_overall: float) -> float:
     Raises ``InvalidEstimateError`` for ``pi0_overall`` outside [0, 1] or NaN
     and ``InvalidConfigError`` for a weighted p-value that is NaN or negative.
     """
-    _check_alpha(alpha)
-    _check_pi0(pi0_overall)
-    weighted = _as_weighted(weighted)
+    check_scalar("alpha", alpha, "be in [0, 1]")
+    check_scalar("pi0_overall", pi0_overall, "be in [0, 1]", error=InvalidEstimateError)
+    weighted = check_array("weighted p-values", weighted, "be nonnegative")
     if pi0_overall == 1.0:
         return 0.0
     return _step_up_threshold(weighted, 1.0 - pi0_overall, alpha)
@@ -212,8 +171,8 @@ def bh_reject(pvalues, alpha: float) -> RejectionReport:
     p_(k) <= k * alpha / m; rejects nothing when no index qualifies.
     Raises ``InvalidConfigError`` for a p-value outside (0, 1] or NaN.
     """
-    _check_alpha(alpha)
-    pvalues = as_pvalues(pvalues)
+    check_scalar("alpha", alpha, "be in [0, 1]")
+    pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
     threshold = _step_up_threshold(pvalues, 1.0, alpha)
     # p-values are positive, so threshold 0 rejects nothing
     rejected = np.flatnonzero(pvalues <= threshold)
@@ -231,22 +190,21 @@ def theorem1_compare(pvalues, weighted, pi0_overall: float, alpha: float):
     as ``pvalues``.
     """
     k_star = bh_reject(pvalues, alpha).n_rejected
-    if np.size(weighted) != np.size(pvalues):
+    weighted = check_array("weighted p-values", weighted)
+    if weighted.size != np.size(pvalues):
         raise InvalidConfigError("pvalues and weighted must have equal lengths")
     tau = rejection_threshold(alpha, weighted, pi0_overall)
     if pi0_overall == 1.0:
         raise NotApplicableError(
             "comparison requires an overall null-proportion estimate below 1"
         )
-    weighted = np.asarray(weighted, dtype=float)
     k_tilde_star = int(np.count_nonzero(weighted <= tau))
     return k_star, k_tilde_star, k_tilde_star >= k_star
 
 
-def _metric_partition(conditioning_stats, cfg: WfdrConfig) -> Partition:
-    stats = list(conditioning_stats)
-    if any(isinstance(s, Real) and not math.isfinite(s) for s in stats):
-        raise InvalidConfigError("stats must be finite")
+def _metric_partition(stats: list, cfg: WfdrConfig) -> Partition:
+    # margins are finite by construction; two kinds fail to compare below
+    check_array("stats", [s for s in stats if isinstance(s, Real)], "be finite")
     dmat = pairwise_distances(stats, marginal_distance)
     grouping_cfg = GroupingConfig(l_star=cfg.l_star, g_star=cfg.g_star)
     try:
@@ -302,7 +260,7 @@ def weight_study(
     than hypotheses, or for statistics that are not finite numbers or all
     margins.
     """
-    pvalues = as_pvalues(pvalues)
+    pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
     supports = list(supports)
     stats = list(conditioning_stats)
     if not (pvalues.size == len(supports) == len(stats)):

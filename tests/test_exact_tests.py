@@ -27,6 +27,7 @@ from discrete_fdr import (
     fet_pvalue,
 )
 from discrete_fdr.exact_tests import (
+    _MEMO,
     AGGREGATION_RTOL,
     MAX_WINDOW_OUTCOMES,
     _aggregate_pvalues,
@@ -153,6 +154,69 @@ class TestBinomialPvalue:
                 for c1 in range(total + 1)
             ]
             assert all(a <= b for a, b in zip(ps, ps[1:]))
+
+
+class TestSidednessByValue:
+    """``sided`` may be a ``Sidedness`` or its value; anything else is an
+    error, never a silent two-sided test."""
+
+    CALLS = {
+        "binomial_pvalue": lambda sided: binomial_pvalue(PoissonPair(1, 9), sided),
+        "binomial_null_distribution":
+            lambda sided: binomial_null_distribution(10, sided).support.tolist(),
+        "fet_pvalue": lambda sided: fet_pvalue(1, MarginalVector(5, 5, 6), sided),
+        "fet_null_distribution":
+            lambda sided: fet_null_distribution(MarginalVector(5, 5, 6),
+                                                sided).support.tolist(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_value_gives_the_member(self, name):
+        call = self.CALLS[name]
+        assert call("one") == call(ONE) != call(TWO) == call("two")
+
+    def test_one_sided_binomial_value(self):
+        assert binomial_pvalue(PoissonPair(1, 9), "one") == 0.010742187500000005
+        assert binomial_pvalue(PoissonPair(1, 9), "two") == 0.021484375000000007
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("sided", ["both", "ONE", "", None, 1, ["one"]])
+    def test_other_values_rejected(self, name, sided):
+        with pytest.raises(InvalidConfigError, match="sided must be"):
+            self.CALLS[name](sided)
+
+    def test_memo_is_keyed_by_the_member(self):
+        _binomial_test.cache_clear()
+        binomial_null_distribution(13, "one")
+        binomial_null_distribution(13, ONE)
+        assert list(_MEMO.tables) == [("_binomial_test", 13, ONE)]
+        _binomial_test.cache_clear()
+
+
+class TestNoTruncation:
+    """A total or a count that is not an integer is rejected, not rounded."""
+
+    @pytest.mark.parametrize("total", [2.5, 2.0, np.float64(3.0), "2", None])
+    def test_binomial_total(self, total):
+        with pytest.raises(InvalidConfigError, match="total must be an integer"):
+            binomial_null_distribution(total, TWO)
+
+    @pytest.mark.parametrize("c1", [2.7, 2.0, "2", None])
+    def test_fet_count(self, c1):
+        with pytest.raises(InvalidConfigError, match="c1 must be an integer"):
+            fet_pvalue(c1, MarginalVector(5, 5, 4), TWO)
+
+    def test_numpy_integers_accepted(self):
+        assert binomial_null_distribution(np.int64(2), TWO).support.tolist() == (
+            binomial_null_distribution(2, TWO).support.tolist())
+        margins = MarginalVector(5, 5, 4)
+        assert fet_pvalue(np.int32(2), margins, TWO) == fet_pvalue(2, margins, TWO)
+
+    def test_negative_values_keep_their_errors(self):
+        with pytest.raises(DegenerateDataError):
+            binomial_null_distribution(-3, TWO)
+        with pytest.raises(InvalidTableError):
+            fet_pvalue(-1, MarginalVector(5, 5, 4), TWO)
 
 
 class TestFetNullDistribution:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from discrete_fdr import grouping
 from discrete_fdr import (
     DiscreteCDF,
     GroupingConfig,
@@ -135,6 +136,16 @@ class TestMetricGrouping:
         with pytest.raises(GroupingDidNotConvergeError) as exc_info:
             group_from_distances(dmat, GroupingConfig(l_star=2, g_star=2, max_restarts=0))
         assert exc_info.value.trace
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_invalid_distance_rejected_before_any_attempt(self, bad, monkeypatch):
+        def no_attempt(*args):
+            raise AssertionError("an extraction pass ran")
+
+        monkeypatch.setattr(grouping, "_attempt", no_attempt)
+        dmat = np.array([[0.0, 1.0, bad], [1.0, 0.0, 2.0], [bad, 2.0, 0.0]])
+        with pytest.raises(InvalidConfigError, match="finite and nonnegative"):
+            group_from_distances(dmat, GroupingConfig(l_star=2))
 
     def test_restart_instance_converges_with_budget(self):
         stats = np.array([0.0, 1.0, 2.0, 3.0, 100.0])

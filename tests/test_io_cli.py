@@ -612,10 +612,12 @@ class TestSimulateCommand:
         ["--pi0", "0.5", "--pi0", "0.5"],
         ["--alpha", "1.5"],
         ["--l-star", "0"],
+        ["--seed", "-1"],
     ])
     def test_invalid_grid_exit_code(self, tmp_path, monkeypatch, capsys, grid):
-        # rejected before any replication runs: α and l* by the scenario
-        # config, a repeated π0 by the command, which runs one study per π0
+        # rejected before any replication runs: α, l* and the seed by the
+        # scenario config, a repeated π0 by the command, which runs one study
+        # per π0
         def no_replication(*args):
             raise AssertionError("a replication ran")
 

@@ -128,6 +128,25 @@ def test_results_do_not_depend_on_the_memo(family, memo, monkeypatch):
         assert by_stat.setdefault(stat, support) is support
 
 
+def test_supports_built_by_hand_form_one_class_per_statistic():
+    # one table built per hypothesis, totals 1..600 interleaved three times:
+    # the memo drops tables between repeats, so equal supports arrive as
+    # distinct arrays, which must still form one class per total
+    totals = np.tile(np.arange(1, 601), 3)
+    c1 = totals // 3
+    pvalues, supports, stats = score_input(c1, totals - c1, TWO)
+    by_hand = [binomial_null_distribution(int(t), TWO).support for t in totals]
+    assert len({id(s) for s in by_hand}) == 1_800
+    assert len({id(s) for s in supports}) == 600
+    cfg = WfdrConfig(l_star=3)
+    scored = weight_study(pvalues, supports, stats, cfg)
+    built = weight_study(pvalues, by_hand, stats, cfg)
+    assert built.pi0_overall == scored.pi0_overall
+    assert [e.trial_values for e in built.group_pi0] == [
+        e.trial_values for e in scored.group_pi0
+    ]
+
+
 def _memo_bytes_match_its_tables():
     memo = exact_tests._MEMO
     return memo.nbytes == sum(map(exact_tests._table_bytes, memo.tables.values()))

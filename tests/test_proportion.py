@@ -22,6 +22,7 @@ from discrete_fdr import (
     groupwise_pi0,
     overall_pi0,
 )
+from discrete_fdr import proportion
 from discrete_fdr.proportion import _trial_grid
 from discrete_fdr.simulate import score_study
 from instances import INVALID_PVALUES
@@ -110,6 +111,13 @@ class TestTrialGridAgainstReference:
     def test_seeded_instances(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
+            self.assert_matches_reference(*random_class_instance(rng))
+
+    def test_supports_with_equal_hashes_stay_apart_unless_equal(self, monkeypatch):
+        # every support hashes alike, so only the contents tell classes apart
+        monkeypatch.setattr(proportion, "hash", lambda key: 0, raising=False)
+        rng = np.random.default_rng(31)
+        for _ in range(20):
             self.assert_matches_reference(*random_class_instance(rng))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
