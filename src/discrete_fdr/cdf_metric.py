@@ -90,11 +90,12 @@ def marginal_distance(s, t) -> float:
     a Python ``float``.  Each margin is converted to float before the
     subtraction, so margins above 2**53 give the same value as float64
     arrays of the margins would.  Metric grouping calls this once per pair
-    of hypotheses, so the kinds are tested cheapest first: float totals
-    (what the scorer produces), then margins, then any other real scalar.
+    of hypotheses, so the kinds are tested cheapest first: Python float
+    totals (what the scorer produces), then margins, then any other real
+    scalar, numpy floats among them.
     """
-    if isinstance(s, float) and isinstance(t, float):
-        return float(abs(s - t))
+    if type(s) is float and type(t) is float:
+        return abs(s - t)
     if isinstance(s, MarginalVector) and isinstance(t, MarginalVector):
         return max(
             abs(float(s.n1) - float(t.n1)),

@@ -81,15 +81,17 @@ RULES = {
 }
 
 
-def check_array(name: str, value, must: str | None = None, ndim: int = 1,
+def check_array(name: str, value, must: str | None = None, ndim: int | None = 1,
                 error: type = InvalidConfigError) -> np.ndarray:
-    """``value`` as a float array of ``ndim`` dimensions whose every element
-    satisfies the rule ``must``; ``error`` names the first that does not."""
+    """``value`` as a float array of ``ndim`` dimensions (of any number if it
+    is None) whose every element satisfies the rule ``must``; ``error`` names
+    the first that does not."""
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise error(f"{name} must form a {ndim}-d array of numbers: {exc}") from None
-    if array.ndim != ndim:
+        form = "an array" if ndim is None else f"a {ndim}-d array"
+        raise error(f"{name} must form {form} of numbers: {exc}") from None
+    if ndim is not None and array.ndim != ndim:
         raise error(f"{name} must form a {ndim}-d array, got {array.ndim} dimensions")
     if must is not None:
         ok = RULES[must](array)
@@ -98,6 +100,16 @@ def check_array(name: str, value, must: str | None = None, ndim: int = 1,
             at = i if ndim == 1 else tuple(map(int, np.unravel_index(i, array.shape)))
             raise error(f"{name} must {must}; got {array.flat[i]!r} at index {at}")
     return array
+
+
+def check_sequence(name: str, value) -> list:
+    """The items of ``value`` as a list; ``InvalidConfigError`` if it is not
+    iterable, such as None in place of a sequence."""
+    try:
+        return list(value)
+    except TypeError:
+        raise InvalidConfigError(
+            f"{name} must be a sequence, got {type(value).__name__}") from None
 
 
 def check_scalar(name: str, value, must: str, error: type = InvalidConfigError):

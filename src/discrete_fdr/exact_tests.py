@@ -22,6 +22,17 @@ A window of more than ``MAX_WINDOW_OUTCOMES`` outcomes (a binomial total
 beyond about 10^10) is refused with a ``DegenerateDataError`` before anything
 is allocated for it.
 
+A table is built in few array passes with few temporaries.  One buffer holds
+the log weights, then the weights, then the PMF.  The two-sided rule
+searches only for the outcomes tied with their successor.  The aggregation
+walks only the chains of close p-values that span more than the tolerance,
+and sums and repeats atoms only when one holds more than one value: rare in
+drug-safety Fisher tables, while each pair k, total - k of a two-sided
+binomial table is one atom.  While a table builds its arrays peak at 64-71
+bytes per kept outcome (tracemalloc, binomial totals 10^6 to 10^9, both
+sidednesses; 66 for Fisher margins of 10^6 cases among 10^7 events), of
+which the table keeps about 20.
+
 Both tests memoise their tables in one memo, as simulations repeat totals
 from study to study; no result depends on it.  The memo is bounded by the
 bytes its tables' arrays hold, ``MEMO_BYTES``: once they hold more, the
@@ -62,9 +73,9 @@ AGGREGATION_RTOL = 1e-10
 WINDOW_LOG_MARGIN = 800.0
 
 # A window of more outcomes than this is refused before it is evaluated.  At
-# 90-115 bytes per outcome while a table builds, the limit caps that peak
-# near 0.5 GB; binomial totals up to 10^9 (1.26 million outcomes) and Fisher
-# margins of 10^6 cases among 10^7 events (22,762) stay well inside it.
+# 62-68 bytes per window outcome while a table builds, the limit caps that
+# peak near 0.3 GB; binomial totals up to 10^9 (1.26 million outcomes) and
+# Fisher margins of 10^6 cases among 10^7 events (22,762) stay well inside it.
 MAX_WINDOW_OUTCOMES = 1 << 22
 
 MEMO_BYTES = 1 << 20  # bytes of null tables memoised, the newest always kept
@@ -161,7 +172,7 @@ class DiscreteCDF:
 
     def cdf(self, t) -> np.ndarray | float:
         """Right-continuous evaluation P(X <= t); accepts scalars or arrays."""
-        t = np.asarray(t, dtype=float)
+        t = check_array("t", t, ndim=None)
         idx = np.searchsorted(self.support, t, side="right")
         out = np.where(idx > 0, self._cumulative[np.maximum(idx - 1, 0)], 0.0)
         return float(out) if out.ndim == 0 else out
@@ -183,15 +194,22 @@ def _outcome_pvalues(pmf: np.ndarray, sided: Sidedness) -> np.ndarray:
     """
     if sided is Sidedness.ONE_SIDED:
         p = np.cumsum(pmf)
-    else:
-        order = np.argsort(pmf, kind="stable")
-        sorted_pmf = pmf[order]
-        cumulative = np.cumsum(sorted_pmf)
-        n_at_most = np.searchsorted(
-            sorted_pmf, pmf * (1.0 + PROB_TIE_RTOL), side="right"
-        )
-        p = cumulative[n_at_most - 1]
-    return np.minimum(p, 1.0)
+        return np.minimum(p, 1.0, out=p)
+    order = np.argsort(pmf, kind="stable")
+    p = pmf[order]
+    # In this order an outcome's p-value is the cumulative sum up to the last
+    # outcome at most as likely: the outcome itself, unless the next one is
+    # within the tie tolerance.  Only those few are searched for.
+    bound = p * (1.0 + PROB_TIE_RTOL)
+    tied = np.flatnonzero(p[1:] <= bound[:-1])
+    last = np.searchsorted(p, bound[tied], side="right") - 1
+    del bound
+    np.cumsum(p, out=p)
+    p[tied] = p[last]
+    np.minimum(p, 1.0, out=p)
+    pvals = np.empty_like(p)
+    pvals[order] = p
+    return pvals
 
 
 def _atom_starts(values: np.ndarray) -> np.ndarray:
@@ -202,15 +220,24 @@ def _atom_starts(values: np.ndarray) -> np.ndarray:
     always starts an atom; only a chain of close neighbours that spans more
     than the tolerance is walked from atom to atom.
     """
-    bound = 1.0 + AGGREGATION_RTOL
-    gaps = np.flatnonzero(values[1:] > values[:-1] * bound) + 1
-    chain_starts = np.concatenate(([0], gaps))
-    chain_ends = np.append(gaps, values.size)
+    scaled = values * (1.0 + AGGREGATION_RTOL)
+    # whether each value starts a chain of close neighbours; the extra last
+    # entry closes the last chain
+    is_start = np.ones(values.size + 1, dtype=bool)
+    np.greater(values[1:], scaled[:-1], out=is_start[1:-1])
+    chain_starts = np.flatnonzero(is_start[:-1])
+    if chain_starts.size == values.size:  # every value is an atom of its own
+        return chain_starts
+    # the first and the last value of every chain of more than one value
+    first = np.flatnonzero(is_start[:-2] > is_start[1:-1])
+    last = np.flatnonzero(is_start[1:-1] < is_start[2:]) + 1
+    wide = values[last] > scaled[first]
+    if not wide.any():
+        return chain_starts
     starts = [chain_starts]
-    wide = values[chain_ends - 1] > values[chain_starts] * bound
-    for i, end in zip(chain_starts[wide], chain_ends[wide]):
+    for i, end in zip(first[wide], last[wide] + 1):
         while True:
-            i = int(np.searchsorted(values, values[i] * bound, side="right"))
+            i = int(np.searchsorted(values, scaled[i], side="right"))
             if i >= end:
                 break
             starts.append([i])
@@ -248,17 +275,24 @@ def _aggregate_pvalues(pvals: np.ndarray, pmf: np.ndarray):
     sums that such terms enter as +0.0.
     """
     order = np.argsort(pvals, kind="stable")
-    order = order[pmf[order] > 0.0]
-    values = pvals[order]
-    starts = _atom_starts(values)
-    sizes = np.diff(starts, append=values.size)
-    support = values[starts]
+    mass = pmf[order]
+    representable = mass > 0.0
+    if not representable.all():
+        order, mass = order[representable], mass[representable]
+    support = pvals[order]
+    starts = _atom_starts(support)
+    merged = starts.size < support.size  # some atom holds more than one value
+    if merged:
+        sizes = np.diff(starts, append=support.size)
+        support = support[starts]
+        mass = _run_sums(mass, starts, sizes)
+        del starts
     if abs(support[-1] - 1.0) <= AGGREGATION_RTOL:
         support[-1] = 1.0
     canonical = np.full(pvals.size, np.nan)
-    canonical[order] = np.repeat(support, sizes)
+    canonical[order] = np.repeat(support, sizes) if merged else support
     canonical.setflags(write=False)
-    return support, _run_sums(pmf[order], starts, sizes), canonical
+    return support, mass, canonical
 
 
 def _window_edge(log_weight, mode: int, bound: int, floor: float) -> int:
@@ -298,14 +332,18 @@ def _null_table(log_weight, lo: int, hi: int, mode: int, sided: Sidedness,
             f" outcomes, more than the {MAX_WINDOW_OUTCOMES} an exact test"
             " enumerates"
         )
-    log_weights = log_weight(np.arange(first, last + 1, dtype=float))
-    weights = np.exp(log_weights - log_weights.max())
-    pmf = weights / weights[weights > 0.0].sum()
-    kept = np.flatnonzero(pmf)
-    pmf = pmf[kept[0]:kept[-1] + 1]
-    pvals = _outcome_pvalues(pmf, sided)
-    support, mass, canonical = _aggregate_pvalues(pvals, pmf)
-    return DiscreteCDF(support, mass), first + int(kept[0]), canonical
+    # one buffer holds the log weights, then the weights, then the PMF
+    pmf = log_weight(np.arange(first, last + 1, dtype=float))
+    pmf -= pmf.max()
+    np.exp(pmf, out=pmf)
+    pmf /= pmf[pmf > 0.0].sum()
+    # kept where the PMF is positive: a subnormal weight can divide to 0
+    kept = pmf > 0.0
+    start, stop = int(kept.argmax()), kept.size - int(kept[::-1].argmax())
+    del kept
+    pmf = pmf[start:stop]
+    support, mass, canonical = _aggregate_pvalues(_outcome_pvalues(pmf, sided), pmf)
+    return DiscreteCDF(support, mass), first + start, canonical
 
 
 def _canonical_pvalue(table, outcome: int) -> float:

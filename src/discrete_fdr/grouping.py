@@ -20,6 +20,7 @@ from .errors import (
     InvalidConfigError,
     check_array,
     check_count,
+    check_sequence,
 )
 from .exact_tests import DiscreteCDF, MarginalVector
 
@@ -81,17 +82,16 @@ def pairwise_distances(items, distance) -> np.ndarray:
     """Symmetric matrix of ``distance(a, b)`` over all pairs of ``items``.
 
     Calls ``distance`` once per unordered pair, m(m-1)/2 times, and fills
-    one row of the upper triangle (and its mirror column) per item, so no
-    list of all the pairs is ever held.  The diagonal is 0.
+    one row of the upper triangle per item and copies it to the mirror
+    column, so no list of all the pairs is ever held.  The diagonal is 0.
     """
     items = list(items)
     m = len(items)
     out = np.zeros((m, m))
     for i in range(m - 1):
         a = items[i]
-        row = [distance(a, b) for b in items[i + 1:]]
-        out[i, i + 1:] = row
-        out[i + 1:, i] = row
+        out[i, i + 1:] = [distance(a, b) for b in items[i + 1:]]
+        out[i + 1:, i] = out[i, i + 1:]
     return out
 
 
@@ -99,7 +99,8 @@ def pairwise_delta_matrix(
     cdfs, rtol: float = SUPPORT_MATCH_RTOL
 ) -> np.ndarray:
     """Symmetric matrix of CDF-metric totals for a sequence of CDFs."""
-    return pairwise_distances(cdfs, lambda f, g: delta(f, g, rtol=rtol).total)
+    return pairwise_distances(check_sequence("cdfs", cdfs),
+                              lambda f, g: delta(f, g, rtol=rtol).total)
 
 
 def _largest_ball(within: np.ndarray, remaining: np.ndarray) -> np.ndarray:
@@ -192,7 +193,7 @@ def group_from_distances(dmat: np.ndarray, cfg: GroupingConfig) -> Partition:
 
 def group_by_metric(cdfs, cfg: GroupingConfig) -> Partition:
     """Metric-ball grouping of p-value CDFs (greedy, adaptive radius)."""
-    cdfs = list(cdfs)
+    cdfs = check_sequence("cdfs", cdfs)
     if not all(isinstance(c, DiscreteCDF) for c in cdfs):
         raise InvalidConfigError("group_by_metric expects DiscreteCDF inputs")
     return group_from_distances(pairwise_delta_matrix(cdfs), cfg)

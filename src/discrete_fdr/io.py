@@ -46,7 +46,8 @@ class StudyInput:
     """Parsed per-hypothesis counts for one test family.
 
     For the binomial family only ``c1``/``c2`` are set; for the FET family
-    ``n1``/``n2`` carry the row totals as well.
+    ``n1``/``n2`` carry the row totals as well.  Each column is stored as an
+    int64 array, whatever sequence of counts it was given as.
     """
 
     family: str  # "binomial" or "fet"
@@ -65,10 +66,14 @@ class StudyInput:
             column = getattr(self, name)
             if column is None and name in ("n1", "n2"):
                 continue
-            if check_array(name, column, "be nonnegative integers").size != len(self.ids):
-                raise InvalidConfigError(
-                    f"{name} has {len(column)} counts for {len(self.ids)} ids"
-                )
+            size = check_array(name, column, "be nonnegative integers").size
+            if size != len(self.ids):
+                raise InvalidConfigError(f"{name} has {size} counts for {len(self.ids)} ids")
+            with np.errstate(invalid="ignore"):  # 2**63 casts to a negative
+                counts = np.asarray(column).astype(np.int64, copy=False)
+            if (counts < 0).any():
+                raise InvalidConfigError(f"{name} must be counts of at most {MAX_COUNT}")
+            object.__setattr__(self, name, counts)
 
     @property
     def m(self) -> int:

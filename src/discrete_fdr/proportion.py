@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyStudyError, InvalidConfigError, check_array, check_scalar
+from .errors import (
+    EmptyStudyError,
+    InvalidConfigError,
+    check_array,
+    check_scalar,
+    check_sequence,
+)
 from .grouping import Partition
 
 
@@ -88,7 +94,7 @@ def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
     """
     pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
     # the list keeps every support alive, so no two of them share an id
-    supports = list(supports)
+    supports = check_sequence("supports", supports)
     m = pvalues.size
     if m == 0:
         raise EmptyStudyError("no hypotheses")
@@ -159,7 +165,7 @@ def groupwise_pi0(
     An invalid support is reported by its hypothesis's index in the study.
     """
     pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
-    supports = list(supports)
+    supports = check_sequence("supports", supports)
     if partition.m != pvalues.size:
         raise InvalidConfigError("partition does not cover the study")
     estimates = []

@@ -101,6 +101,16 @@ def _num_true_nulls(m: int, pi0: float) -> int:
     return int(np.floor(m * pi0 + 1e-9))
 
 
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for a seed that is None, a numpy seed
+    sequence, bit generator or generator, or an integer >= 0."""
+    if not (seed is None or isinstance(seed, (np.random.SeedSequence,
+                                              np.random.BitGenerator,
+                                              np.random.Generator))):
+        check_count("seed", seed)
+    return np.random.default_rng(seed)
+
+
 def generate_poisson_scenario(cfg: ScenarioConfig, seed) -> SimulatedStudy:
     """Poisson pairs: means from Pareto(scale 7, shape 7), alternatives scaled.
 
@@ -109,7 +119,7 @@ def generate_poisson_scenario(cfg: ScenarioConfig, seed) -> SimulatedStudy:
     """
     if cfg.family is not Family.POISSON_BINOMIAL:
         raise InvalidConfigError("config is not a Poisson scenario")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     m0 = _num_true_nulls(cfg.m, cfg.pi0)
     mu1 = 7.0 * (1.0 + rng.pareto(7.0, cfg.m))
     mu2 = mu1.copy()
@@ -127,7 +137,7 @@ def generate_binomial_scenario(cfg: ScenarioConfig, seed) -> SimulatedStudy:
     across the pair; alternatives fixed at (0.15, 0.3)."""
     if cfg.family is not Family.BINOMIAL_FET:
         raise InvalidConfigError("config is not a binomial scenario")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     m0 = _num_true_nulls(cfg.m, cfg.pi0)
     q1 = np.full(cfg.m, 0.15)
     q2 = np.full(cfg.m, 0.3)

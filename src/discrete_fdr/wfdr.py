@@ -28,6 +28,7 @@ from .errors import (
     NotApplicableError,
     check_array,
     check_scalar,
+    check_sequence,
 )
 from .grouping import (
     GroupingConfig,
@@ -261,8 +262,8 @@ def weight_study(
     margins.
     """
     pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
-    supports = list(supports)
-    stats = list(conditioning_stats)
+    supports = check_sequence("supports", supports)
+    stats = check_sequence("conditioning_stats", conditioning_stats)
     if not (pvalues.size == len(supports) == len(stats)):
         raise InvalidConfigError(
             "pvalues, supports and conditioning_stats must have equal lengths"

@@ -1,6 +1,7 @@
 """Tests for the exact conditional tests and their null p-value distributions."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,9 @@ from discrete_fdr.exact_tests import (
     _MEMO,
     AGGREGATION_RTOL,
     MAX_WINDOW_OUTCOMES,
+    PROB_TIE_RTOL,
     _aggregate_pvalues,
+    _atom_starts,
     _binomial_test,
     _fet_test,
     _outcome_pvalues,
@@ -656,6 +659,76 @@ class TestAggregationRule:
         assert support.tolist() == [0.5, 1.0]
         assert mass.tolist() == [0.5, 0.5]
         assert np.isnan(canonical[1])
+
+
+class TestSingletonAndTiePaths:
+    """The paths whose cost falls when atoms are singletons and PMF ties are
+    few, against the general computations they shortcut."""
+
+    @staticmethod
+    def reference_two_sided(pmf):
+        """Every outcome's count of outcomes at most as likely, searched."""
+        sorted_pmf = pmf[np.argsort(pmf, kind="stable")]
+        at_most = np.searchsorted(sorted_pmf, pmf * (1.0 + PROB_TIE_RTOL), side="right")
+        return np.minimum(np.cumsum(sorted_pmf)[at_most - 1], 1.0)
+
+    def test_two_sided_ties_and_near_ties(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            pmf = rng.uniform(0.0, 1.0, n)
+            # exact ties, and chains of neighbours within the tie tolerance
+            pmf[rng.integers(0, n, n // 3)] = pmf[0]
+            chain = rng.integers(0, n, n // 4)
+            pmf[chain] = pmf[-1] * (1.0 + 0.4 * PROB_TIE_RTOL * np.arange(chain.size))
+            pmf[rng.random(n) < 0.1] = 0.0
+            pmf /= max(pmf.sum(), 1e-300)
+            got = _outcome_pvalues(pmf, TWO)
+            assert got.tobytes() == self.reference_two_sided(pmf).tobytes()
+
+    def test_singleton_atoms(self):
+        values = np.geomspace(1e-6, 1.0, 40)
+        assert _atom_starts(values).tolist() == list(range(40))
+        rng = np.random.default_rng(29)
+        pvals = rng.permutation(values)
+        pmf = rng.uniform(0.01, 1.0, 40)
+        for got, expected in zip(_aggregate_pvalues(pvals, pmf),
+                                 reference_aggregate(pvals, pmf)):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_close_pairs_without_a_wide_chain(self):
+        # two atoms of two values each; no chain spans more than the tolerance
+        values = np.array([0.1, 0.1 * (1 + 0.5 * AGGREGATION_RTOL), 0.2, 0.3,
+                           0.3 * (1 + 0.9 * AGGREGATION_RTOL)])
+        assert _atom_starts(values).tolist() == [0, 2, 3]
+        pmf = np.full(5, 0.2)
+        support, mass, canonical = _aggregate_pvalues(values, pmf)
+        assert support.tolist() == [0.1, 0.2, 0.3]
+        assert mass.tolist() == [0.4, 0.2, 0.4]
+        assert canonical.tolist() == [0.1, 0.1, 0.2, 0.3, 0.3]
+
+
+class TestTransientPeak:
+    """The memory a table build holds at its peak, read with tracemalloc, is
+    at most 80 bytes per kept outcome."""
+
+    @pytest.mark.parametrize("sided", [ONE, TWO], ids=["one", "two"])
+    def test_binomial_total_1e8(self, sided):
+        _MEMO.clear()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            table = _binomial_test(10**8, sided)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        kept = table[2].size
+        assert kept > 380_000
+        assert peak - before <= 80 * kept
 
 
 class TestOutsideSpanClamp:

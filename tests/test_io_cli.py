@@ -186,6 +186,24 @@ class TestApplyFilter:
         assert kept.ids == ("b",)
         assert kept.n1.tolist() == [50]
 
+    def test_columns_given_as_lists(self):
+        # list columns are stored as int64 arrays, so the row total is a sum,
+        # not a concatenation of the lists
+        study = StudyInput("binomial", ("a", "b"), [1, 2], [3, 4])
+        assert study.c1.dtype == study.c2.dtype == np.int64
+        kept = apply_filter(study, FilterRule(min_total=4))
+        assert kept.ids == ("b",)
+        assert kept.c1.tolist() == [2] and kept.c2.tolist() == [4]
+
+    @pytest.mark.parametrize(
+        "column",
+        [[2**63], np.array([2.0**63]), np.array([2**63], dtype=np.uint64)],
+        ids=["int", "float", "uint64"],
+    )
+    def test_counts_beyond_int64_rejected(self, column):
+        with pytest.raises(InvalidConfigError, match="c1 must be counts of at most"):
+            StudyInput("binomial", ("a",), column, [1])
+
 
 class TestCountArrayLengths:
     @pytest.mark.parametrize("column", ["c1", "c2", "n1", "n2"])

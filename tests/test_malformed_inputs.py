@@ -6,7 +6,8 @@ malformed one of its kind (array, matrix, scalar, count or sidedness), builds
 the configs, partitions and CDFs it needs through their own constructors from
 those draws, and makes the call.  A sequence whose elements are themselves
 arrays or objects (supports, conditioning statistics, groups, CDF lists) is
-corrupted element by element.
+corrupted element by element; ``test_none_in_place_of_a_sequence`` passes
+None for the whole sequence.
 """
 
 import math
@@ -142,6 +143,7 @@ class Draws:
 # a constructor that rejects a draw raises inside the call
 CASES = {
     "DiscreteCDF": lambda d: d.cdf(),
+    "DiscreteCDF.cdf": lambda d: d.cdf().cdf(d.array([0.25, 0.5])),
     "PoissonPair": lambda d: d.pair(),
     "MarginalVector": lambda d: d.margins(),
     "binomial_null_distribution":
@@ -176,10 +178,10 @@ CASES = {
         d.array(PVALUES), d.supports(), d.partition(), d.pi0_config()),
     "ScenarioConfig": lambda d: d.scenario(),
     "generate_poisson_scenario":
-        lambda d: fdr.generate_poisson_scenario(d.scenario(), 1),
+        lambda d: fdr.generate_poisson_scenario(d.scenario(), d.count(1)),
     "generate_binomial_scenario": lambda d: fdr.generate_binomial_scenario(
         fdr.ScenarioConfig(fdr.Family.BINOMIAL_FET, d.count(12), d.scalar(0.8),
-                           (0.05,), (2,), 1, 3), 1),
+                           (0.05,), (2,), 1, 3), d.count(1)),
     # the only valid worker count drawn is 1, so no process is started
     "run_study": lambda d: fdr.run_study(d.scenario(), d.count(1)),
     "WfdrConfig": lambda d: d.wfdr_config(),
@@ -225,3 +227,58 @@ def test_malformed_values_raise_package_errors(name, tables, data):
         CASES[name](Draws(data, tables))
     except DiscreteFdrError:
         pass
+
+
+def _poisson_config():
+    return fdr.ScenarioConfig(fdr.Family.POISSON_BINOMIAL, 12, 0.8, (0.05,), (2,), 1, 3)
+
+
+def _binomial_config():
+    return fdr.ScenarioConfig(fdr.Family.BINOMIAL_FET, 12, 0.8, (0.05,), (2,), 1, 3)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "x", [1]])
+@pytest.mark.parametrize("generate, config", [
+    (fdr.generate_poisson_scenario, _poisson_config),
+    (fdr.generate_binomial_scenario, _binomial_config),
+], ids=["poisson", "binomial"])
+def test_malformed_seed(generate, config, seed):
+    with pytest.raises(fdr.InvalidConfigError, match="seed must be an integer >= 0"):
+        generate(config(), seed)
+
+
+@pytest.mark.parametrize("seed", [0, np.int64(5), None, np.random.SeedSequence(5),
+                                  np.random.PCG64(5), np.random.default_rng(5)],
+                         ids=["zero", "numpy-int", "none", "seed-sequence",
+                              "bit-generator", "generator"])
+def test_numpy_seeds_accepted(seed):
+    assert fdr.generate_poisson_scenario(_poisson_config(), seed).c1.size == 12
+
+
+@pytest.mark.parametrize("t", ["x", [0.5, "x"], [[0.5], [0.5, 0.5]]])
+def test_cdf_of_non_numbers(t):
+    cdf = fdr.DiscreteCDF(np.array([0.25, 1.0]), np.array([0.25, 0.75]))
+    with pytest.raises(fdr.InvalidConfigError, match="t must form an array of numbers"):
+        cdf.cdf(t)
+
+
+CONFIG = fdr.Pi0Config(0.2, 0.05)
+NONE_CALLS = {
+    "estimate_pi0-supports": lambda: fdr.estimate_pi0(PVALUES, None, CONFIG),
+    "groupwise_pi0-supports": lambda: fdr.groupwise_pi0(
+        PVALUES, None, fdr.Partition((np.array([0, 2]), np.array([1]))), CONFIG),
+    "weight_study-supports": lambda: fdr.weight_study(
+        PVALUES, None, STATS, fdr.WfdrConfig(l_star=2)),
+    "weight_study-stats": lambda: fdr.weight_study(
+        PVALUES, [SUPPORT] * 3, None, fdr.WfdrConfig(l_star=2)),
+    "wfdr_reject-stats": lambda: fdr.wfdr_reject(
+        PVALUES, [SUPPORT] * 3, None, 0.05, fdr.WfdrConfig(l_star=2)),
+    "group_by_metric-cdfs": lambda: fdr.group_by_metric(None, fdr.GroupingConfig(2)),
+    "pairwise_delta_matrix-cdfs": lambda: fdr.pairwise_delta_matrix(None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONE_CALLS))
+def test_none_in_place_of_a_sequence(name):
+    with pytest.raises(fdr.InvalidConfigError, match="must be a sequence, got NoneType"):
+        NONE_CALLS[name]()
