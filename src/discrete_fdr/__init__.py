@@ -50,6 +50,7 @@ from .io import FilterRule, StudyInput, apply_filter, parse_counts_csv
 from .proportion import (
     BINOMIAL_PI0_CONFIG,
     FET_PI0_CONFIG,
+    NullSupports,
     Pi0Config,
     Pi0Estimate,
     estimate_pi0,

@@ -73,6 +73,7 @@ RULES = {
     "be nonnegative": lambda x: x >= 0.0,
     "be positive": lambda x: x > 0.0,
     "be finite": np.isfinite,
+    "not be NaN": lambda x: ~np.isnan(x),
     "be finite and nonnegative": lambda x: (x >= 0.0) & (x < np.inf),
     "be nonnegative integers": lambda x: (x >= 0.0) & (x <= 2.0**63) & (np.floor(x) == x),
     # each point above its predecessor, the first above 0, and none above 1
@@ -85,7 +86,7 @@ def check_array(name: str, value, must: str | None = None, ndim: int | None = 1,
                 error: type = InvalidConfigError) -> np.ndarray:
     """``value`` as a float array of ``ndim`` dimensions (of any number if it
     is None) whose every element satisfies the rule ``must``; ``error`` names
-    the first that does not."""
+    the first that does not, by its index unless the array is a scalar."""
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -97,8 +98,9 @@ def check_array(name: str, value, must: str | None = None, ndim: int | None = 1,
         ok = RULES[must](array)
         if not ok.all():
             i = int(np.argmin(ok))  # the first failing element, flat
-            at = i if ndim == 1 else tuple(map(int, np.unravel_index(i, array.shape)))
-            raise error(f"{name} must {must}; got {array.flat[i]!r} at index {at}")
+            at = i if array.ndim == 1 else tuple(map(int, np.unravel_index(i, array.shape)))
+            where = f" at index {at}" if array.ndim else ""
+            raise error(f"{name} must {must}; got {array.flat[i]!r}{where}")
     return array
 
 

@@ -87,6 +87,10 @@ class Sidedness(enum.Enum):
     ONE_SIDED = "one"
     TWO_SIDED = "two"
 
+    # members are singletons, so identity hashing agrees with equality and
+    # spares the memo the hash of the name on every lookup
+    __hash__ = object.__hash__
+
 
 def _sidedness(sided) -> Sidedness:
     """``sided``, or the ``Sidedness`` whose value, "one" or "two", it is."""
@@ -171,8 +175,13 @@ class DiscreteCDF:
         object.__setattr__(self, "_cumulative", cumulative)
 
     def cdf(self, t) -> np.ndarray | float:
-        """Right-continuous evaluation P(X <= t); accepts scalars or arrays."""
-        t = check_array("t", t, ndim=None)
+        """Right-continuous evaluation P(X <= t); accepts scalars or arrays.
+
+        ``t = -inf`` gives 0.0 and ``+inf`` 1.0.  NaN (and ``None``) has no
+        such probability and raises ``InvalidConfigError``, which names its
+        index in an array.
+        """
+        t = check_array("t", t, "not be NaN", ndim=None)
         idx = np.searchsorted(self.support, t, side="right")
         out = np.where(idx > 0, self._cumulative[np.maximum(idx - 1, 0)], 0.0)
         return float(out) if out.ndim == 0 else out
@@ -351,7 +360,7 @@ def _canonical_pvalue(table, outcome: int) -> float:
     the kept span takes the nearest kept outcome's."""
     _, first, canonical = table
     p = float(canonical[min(max(outcome - first, 0), canonical.size - 1)])
-    if np.isnan(p):  # a zero PMF inside the span, which concavity rules out
+    if p != p:  # NaN: a zero PMF inside the span, which concavity rules out
         raise DegenerateDataError(
             f"null probability of the outcome {outcome} underflows double precision"
         )

@@ -31,6 +31,7 @@ from .exact_tests import (
     fet_null_distribution,
     fet_pvalue,
 )
+from .proportion import NullSupports
 
 BINOMIAL_COLUMNS = ("id", "c1", "c2")
 FET_COLUMNS = ("id", "c1", "n1", "c2", "n2")
@@ -207,7 +208,9 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None):
     0 has no data and scores p = 1 with support {1}.  With row totals
     ``n1``, ``n2`` each row is a 2x2 table tested with Fisher's exact test
     given its margins ``MarginalVector(n1, n2, c1 + c2)``.  Hypotheses that
-    share a statistic form a null class and share one support array.
+    share a statistic share one support array, and statistics whose supports
+    are equal, such as the totals 0 and 1, one null class: the supports are
+    returned as a ``NullSupports`` that carries each hypothesis's class.
     """
     if (n1 is None) != (n2 is None):
         raise InvalidConfigError("row totals need both n1 and n2")
@@ -220,18 +223,21 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None):
     fet = n1 is not None
     stats = ([MarginalVector(a, b, c + d) for a, b, c, d in zip(*counts[2:], c1, c2)]
              if fet else [a + b for a, b in zip(c1, c2)])
-    classes: dict = {}  # null class of each statistic: its hypotheses
+    members: dict = {}  # the hypotheses of each statistic
     for i, stat in enumerate(stats):
-        classes.setdefault(stat, []).append(i)
+        members.setdefault(stat, []).append(i)
     pvalues = np.ones(len(c1))
-    supports = [np.array([1.0])] * len(c1)
+    arrays = []  # the support of each statistic
+    ids = np.empty(len(c1), dtype=np.intp)  # the statistic of each hypothesis
     null = fet_null_distribution if fet else binomial_null_distribution
-    for stat, members in classes.items():
+    for stat, hypotheses in members.items():
+        ids[hypotheses] = len(arrays)
         if stat == 0:  # a total of 0 has no data: p = 1 with support {1}
+            arrays.append(np.array([1.0]))
             continue
-        support = null(stat, sided).support
-        for i in members:
+        arrays.append(null(stat, sided).support)
+        for i in hypotheses:
             pvalues[i] = (fet_pvalue(c1[i], stat, sided) if fet
                           else binomial_pvalue(PoissonPair(c1[i], c2[i]), sided))
-            supports[i] = support
-    return pvalues, supports, stats if fet else list(map(float, stats))
+    return (pvalues, NullSupports(arrays, ids),
+            stats if fet else list(map(float, stats)))

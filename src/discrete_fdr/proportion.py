@@ -6,10 +6,18 @@ the hypothesis's null support and contributes 1{p > lambda} / (1 - lambda);
 hypotheses whose support has no point below tau contribute 1.  The estimate
 is the minimum of these trial averages over the grid.  Per-group estimates
 combine into an overall estimate by a group-size weighted average.
+
+The estimator works per null class, the hypotheses whose supports are
+equal.  ``NullSupports`` carries the classes of a study: one checked array
+per class and a class id per hypothesis.  ``io.score_input`` returns one;
+a plain sequence of arrays becomes one at the boundary of each function
+here.  A class's lambdas are found once per study and guiding grid and
+kept on it, and a group of the partition reads a view of it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,73 +75,151 @@ class Pi0Estimate:
     trial_values: tuple[tuple[float, float], ...]
 
 
-class _SupportError(InvalidConfigError):
-    """A null support that is not a nonempty, strictly increasing 1-d array
-    in (0, 1]; ``hypothesis`` is the first hypothesis that has it."""
+def _checked_support(array, hypothesis: int) -> np.ndarray:
+    """``array`` as a support: a nonempty, strictly increasing 1-d float
+    array in (0, 1]; otherwise an error names ``hypothesis``."""
+    message = (f"support of hypothesis {hypothesis} must be a nonempty, strictly "
+               "increasing 1-d array in (0, 1]")
+    support = check_array("support", array, "lie in (0, 1], strictly increasing",
+                          error=lambda _: InvalidConfigError(message))
+    if support.size == 0:
+        raise InvalidConfigError(message)
+    return support
 
-    def __init__(self, hypothesis: int):
-        super().__init__(
-            f"support of hypothesis {hypothesis} must be a nonempty, strictly "
-            "increasing 1-d array in (0, 1]"
-        )
-        self.hypothesis = hypothesis
+
+def _lambda_row(support: np.ndarray, taus: np.ndarray):
+    """A class's lambda at the ascending guiding values ``taus``: how many of
+    them lie below its first point, then the ascending distinct lambdas at
+    the others, 1 - lambda, and the number of guiding values each serves."""
+    idx = np.searchsorted(support, taus, side="right") - 1
+    below = int(np.count_nonzero(idx < 0))
+    points, runs = np.unique(idx[below:], return_counts=True)
+    lam = support[points]
+    return below, lam, 1.0 - lam, runs
+
+
+class NullSupports(Sequence):
+    """The null supports of a study, one shared array per null class.
+
+    A null class is the hypotheses whose supports have equal contents.
+    ``classes`` holds one checked support per class, in order of first
+    occurrence, and ``ids`` the class of each hypothesis, so ``supports[i]``
+    is the array that hypothesis i shares with its class.
+
+    ``NullSupports(arrays, ids)`` gives hypothesis i the support
+    ``arrays[ids[i]]``.  Each array that a hypothesis has is checked once, and
+    an invalid one is refused naming its first hypothesis; arrays of equal
+    contents become one class.  The arrays must not change afterwards.
+    """
+
+    def __init__(self, arrays, ids):
+        arrays = check_sequence("support arrays", arrays)
+        ids = check_array("class ids", ids, "be nonnegative integers").astype(np.intp)
+        if ids.size and ids.max() >= len(arrays):
+            raise InvalidConfigError(
+                f"class ids must be below the {len(arrays)} support arrays")
+        m = ids.size
+        first = np.full(len(arrays), m)  # each array's first hypothesis
+        np.minimum.at(first, ids, np.arange(m))
+        number = np.empty(len(arrays), dtype=np.intp)  # the class of each array
+        classes: list = []
+        by_contents: dict = {}  # classes by the hash of their contents
+        for j in np.argsort(first, kind="stable"):
+            if first[j] == m:
+                break  # this array and the rest belong to no hypothesis
+            s = _checked_support(arrays[j], int(first[j]))
+            # of a 1-d support, so its bytes fix its shape
+            same = by_contents.setdefault(hash(s.tobytes()), [])
+            c = next((c for c in same if np.array_equal(classes[c], s)), None)
+            if c is None:
+                c = len(classes)
+                same.append(c)
+                classes.append(s)
+            number[j] = c
+        self._share(tuple(classes), number[ids], {})
+
+    def _share(self, classes: tuple, ids: np.ndarray, rows: dict) -> None:
+        ids.setflags(write=False)
+        self.classes, self.ids, self._rows = classes, ids, rows
+
+    @classmethod
+    def of(cls, supports) -> NullSupports:
+        """``supports`` itself if it is a ``NullSupports``.  Otherwise its
+        distinct arrays, taken by identity in order of first occurrence, each
+        checked once, with equal contents merged into one class."""
+        if isinstance(supports, NullSupports):
+            return supports
+        # the list keeps every support alive, so no two of them share an id
+        supports = check_sequence("supports", supports)
+        ids = np.fromiter(map(id, supports), dtype=np.uintp, count=len(supports))
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        return cls([supports[i] for i in first], inverse)
+
+    def take(self, indices) -> NullSupports:
+        """The supports of the hypotheses ``indices``, in that order, sharing
+        this study's classes and lambda rows."""
+        view = object.__new__(NullSupports)
+        view._share(self.classes, self.ids[indices], self._rows)
+        return view
+
+    def _lambda_rows(self, taus: np.ndarray) -> list:
+        """``_lambda_row`` of every class at the guiding values ``taus``,
+        built on the first call with these values and kept for the study."""
+        key = taus.tobytes()
+        if key not in self._rows:
+            self._rows.clear()  # a study keeps the rows of one grid
+            self._rows[key] = [_lambda_row(s, taus) for s in self.classes]
+        return self._rows[key]
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        return self.classes[self.ids[i]]
+
+    def __iter__(self):
+        return map(self.classes.__getitem__, self.ids.tolist())
 
 
 def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
-    """Trial estimates at every guiding value; one pass per null class.
+    """Trial estimates at the ascending guiding values; one pass per class.
 
-    A null class is the hypotheses whose supports are equal: the arrays
-    that ``io.score_input`` shares among a statistic's hypotheses, merged
-    with any distinct arrays of equal contents.  Within a class each
-    hypothesis has the same lambda at each guiding value, so the class
-    contributes (number of its p-values above lambda) / (1 - lambda),
-    counted by binary search in its sorted p-values.  Classes are numbered
-    and summed in order of first occurrence, never by memory address.  Each
-    distinct array is checked once; ``_SupportError`` names the first
-    hypothesis that has it.
+    Within a null class each hypothesis has the same lambda at each guiding
+    value, so the class contributes (number of its p-values above lambda) /
+    (1 - lambda), counted by binary search in its sorted p-values, or its
+    size where no point lies below the guiding value.  The classes present
+    are summed in order of their first hypothesis here.
     """
     pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
-    # the list keeps every support alive, so no two of them share an id
-    supports = check_sequence("supports", supports)
+    supports = NullSupports.of(supports)
     m = pvalues.size
     if m == 0:
         raise EmptyStudyError("no hypotheses")
     if len(supports) != m:
         raise InvalidConfigError("pvalues and supports must have equal length")
-    ids = np.fromiter(map(id, supports), dtype=np.uintp, count=m)
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    by_contents: dict = {}  # number and support of each class, by hash of contents
-    array_class = np.empty_like(first)
-    for j in np.argsort(first):
-        i = int(first[j])
-        s = check_array("support", supports[i], "lie in (0, 1], strictly increasing",
-                        error=lambda message: _SupportError(i))
-        if s.size == 0:
-            raise _SupportError(i)
-        key = hash(s.tobytes())  # of a 1-d support, so its bytes fix its shape
-        if key in by_contents and not np.array_equal(by_contents[key][1], s):
-            key = (key, j)  # equal hashes of unequal contents: a class of its own
-        array_class[j], _ = by_contents.setdefault(key, (len(by_contents), s))
-    classes = [s for _, s in by_contents.values()]
-    cls = array_class[inverse]
-    order = np.lexsort((pvalues, cls))
-    p_sorted = pvalues[order]
-    bounds = np.searchsorted(cls[order], np.arange(len(classes) + 1))
+    rows = supports._lambda_rows(taus)
+    ids = supports.ids
+    k = len(rows)
+    # the hypotheses of each class together, in index order; numpy's stable
+    # sort of 16-bit integers is a radix sort
+    order = np.argsort(ids.astype(np.uint16) if k <= 1 << 16 else ids, kind="stable")
+    sizes = np.bincount(ids, minlength=k)
+    ends = np.cumsum(sizes)
+    present = np.flatnonzero(sizes)
+    present = present[np.argsort(order[(ends - sizes)[present]])]
     total = np.zeros(taus.size)
-    for c, s in enumerate(classes):
-        p_class = p_sorted[bounds[c]:bounds[c + 1]]
-        idx = np.searchsorted(s, taus, side="right") - 1
-        contrib = np.full(taus.size, float(p_class.size))
-        has_point = idx >= 0
-        if np.any(has_point):
-            lam = s[idx[has_point]]
-            if np.any(lam >= 1.0):
-                raise InvalidConfigError(
-                    "a guiding value reached a support point of 1"
-                )
-            above = p_class.size - np.searchsorted(p_class, lam, side="right")
-            contrib[has_point] = above / (1.0 - lam)
-        total += contrib
+    for c in present.tolist():
+        below, lam, one_minus_lam, runs = rows[c]
+        size = sizes[c]
+        total[:below] += float(size)
+        if lam.size:
+            if lam[-1] >= 1.0:
+                raise InvalidConfigError("a guiding value reached a support point of 1")
+            p_class = np.sort(pvalues[order[ends[c] - size:ends[c]]])
+            above = size - np.searchsorted(p_class, lam, side="right")
+            total[below:] += np.repeat(above / one_minus_lam, runs)
     return total / m
 
 
@@ -162,19 +248,16 @@ def groupwise_pi0(
 ) -> list[Pi0Estimate]:
     """Apply ``estimate_pi0`` to each group of the partition.
 
-    An invalid support is reported by its hypothesis's index in the study.
+    The supports are checked once for the study, and an invalid one is
+    reported by its first hypothesis's index in the study.
     """
     pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
-    supports = check_sequence("supports", supports)
+    supports = NullSupports.of(supports)
+    if len(supports) != pvalues.size:
+        raise InvalidConfigError("pvalues and supports must have equal length")
     if partition.m != pvalues.size:
         raise InvalidConfigError("partition does not cover the study")
-    estimates = []
-    for g in partition.groups:
-        try:
-            estimates.append(estimate_pi0(pvalues[g], [supports[i] for i in g], cfg))
-        except _SupportError as err:
-            raise _SupportError(int(g[err.hypothesis])) from None
-    return estimates
+    return [estimate_pi0(pvalues[g], supports.take(g), cfg) for g in partition.groups]
 
 
 def overall_pi0(partition: Partition, groupwise: list[Pi0Estimate]) -> float:

@@ -39,6 +39,7 @@ from .grouping import (
 )
 from .proportion import (
     BINOMIAL_PI0_CONFIG,
+    NullSupports,
     Pi0Config,
     Pi0Estimate,
     groupwise_pi0,
@@ -262,7 +263,7 @@ def weight_study(
     margins.
     """
     pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
-    supports = check_sequence("supports", supports)
+    supports = NullSupports.of(supports)
     stats = check_sequence("conditioning_stats", conditioning_stats)
     if not (pvalues.size == len(supports) == len(stats)):
         raise InvalidConfigError(

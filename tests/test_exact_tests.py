@@ -27,6 +27,7 @@ from discrete_fdr import (
     fet_null_distribution,
     fet_pvalue,
 )
+from discrete_fdr import exact_tests
 from discrete_fdr.exact_tests import (
     _MEMO,
     AGGREGATION_RTOL,
@@ -35,6 +36,7 @@ from discrete_fdr.exact_tests import (
     _aggregate_pvalues,
     _atom_starts,
     _binomial_test,
+    _canonical_pvalue,
     _fet_test,
     _outcome_pvalues,
 )
@@ -97,6 +99,25 @@ class TestDiscreteCDF:
         assert d.cdf(0.5) == 0.25
         assert d.cdf(1.0) == 1.0
         assert_allclose(d.cdf(np.array([0.2, 0.25, 0.9, 1.0])), [0, 0.25, 0.25, 1.0])
+
+    @pytest.mark.parametrize("t", [float("nan"), np.nan, None], ids=["float", "numpy", "none"])
+    def test_nan_scalar_rejected(self, t):
+        # P(X <= NaN) has no value; NaN sorts after every support point
+        with pytest.raises(InvalidConfigError, match="t must not be NaN"):
+            binomial_null_distribution(5, "two").cdf(t)
+
+    def test_nan_in_array_named_by_index(self):
+        d = binomial_null_distribution(5, "two")
+        with pytest.raises(InvalidConfigError, match="not be NaN; got .* at index 2$"):
+            d.cdf([0.1, 0.5, np.nan, 1.0])
+        with pytest.raises(InvalidConfigError, match=re.escape("at index (1, 0)")):
+            d.cdf([[0.1], [None]])
+
+    def test_infinite_argument(self):
+        d = binomial_null_distribution(5, "two")
+        assert d.cdf(-np.inf) == 0.0
+        assert d.cdf(np.inf) == 1.0
+        assert d.cdf([-np.inf, np.inf]).tolist() == [0.0, 1.0]
 
 
 class TestBinomialNullDistribution:
@@ -194,6 +215,51 @@ class TestSidednessByValue:
         binomial_null_distribution(13, ONE)
         assert list(_MEMO.tables) == [("_binomial_test", 13, ONE)]
         _binomial_test.cache_clear()
+
+
+class TestMemoHit:
+    """A p-value read from the memo is the same whichever spelling of
+    ``sided`` built or reads the table."""
+
+    SPELLINGS = [(TWO, "two"), ("two", TWO), (ONE, "one"), ("one", ONE)]
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        _MEMO.clear()
+        yield
+        _MEMO.clear()
+
+    @pytest.mark.parametrize("sided", [TWO, ONE])
+    def test_equal_pvalues_for_member_and_value(self, sided):
+        for c1 in range(14):
+            assert (binomial_pvalue(PoissonPair(c1, 13 - c1), sided)
+                    == binomial_pvalue(PoissonPair(c1, 13 - c1), sided.value))
+        margins = MarginalVector(9, 12, 8)
+        for c1 in range(9):
+            assert fet_pvalue(c1, margins, sided) == fet_pvalue(c1, margins, sided.value)
+
+    @pytest.mark.parametrize("built,read", SPELLINGS)
+    def test_table_built_under_one_spelling_is_a_hit_for_the_other(
+            self, built, read, monkeypatch):
+        calls = []
+        original = exact_tests._outcome_pvalues
+        monkeypatch.setattr(exact_tests, "_outcome_pvalues",
+                            lambda pmf, sided: calls.append(sided) or original(pmf, sided))
+        first = [binomial_pvalue(PoissonPair(3, 10), built),
+                 fet_pvalue(2, MarginalVector(9, 12, 8), built)]
+        assert len(calls) == 2
+        assert [binomial_pvalue(PoissonPair(3, 10), read),
+                fet_pvalue(2, MarginalVector(9, 12, 8), read)] == first
+        assert len(calls) == 2  # both tables came from the memo
+        assert len(_MEMO.tables) == 2
+
+    def test_nan_canonical_pvalue_raises(self):
+        cdf, first, canonical = _binomial_test(6, TWO)
+        holed = canonical.copy()
+        holed[3 - first] = np.nan  # a zero PMF inside the kept span
+        with pytest.raises(DegenerateDataError, match="outcome 3 underflows"):
+            _canonical_pvalue((cdf, first, holed), 3)
+        assert _canonical_pvalue((cdf, first, holed), 2) == canonical[2 - first]
 
 
 class TestNoTruncation:

@@ -1,15 +1,29 @@
 """Scoring by null class: every distinct conditioning statistic gets one null
 distribution, computed once, and all its hypotheses share one support array,
-whatever the exact-test memo holds."""
+whatever the exact-test memo holds.  The supports come as a ``NullSupports``,
+and the estimator gives bit-identical results for it, for its views and for
+plain lists of the same arrays."""
 
 import os
 
 import numpy as np
 import pytest
 
-from discrete_fdr import Sidedness, WfdrConfig, binomial_null_distribution, weight_study
-from discrete_fdr import exact_tests, io
+from discrete_fdr import (
+    InvalidConfigError,
+    NullSupports,
+    Partition,
+    Pi0Config,
+    Sidedness,
+    WfdrConfig,
+    binomial_null_distribution,
+    estimate_pi0,
+    groupwise_pi0,
+    weight_study,
+)
+from discrete_fdr import exact_tests, io, proportion
 from discrete_fdr.io import score_input
+from discrete_fdr.proportion import _trial_grid
 from discrete_fdr.simulate import Family, ScenarioConfig, run_study
 
 TWO = Sidedness.TWO_SIDED
@@ -197,3 +211,187 @@ def test_simulation_builds_each_total_once(monkeypatch):
                          l_star_grid=(2,), replications=3, master_seed=1)
     run_study(cfg, workers=1)
     assert len(built) == len(set(built)) > 80  # (lo, hi, mode, sided) names a total
+
+
+# --- the class form of the supports: NullSupports -------------------------
+
+TAUS = Pi0Config(0.45, 0.005).guiding_values()
+PI0_CFG = Pi0Config(0.45, 0.005)
+
+
+def reference_grid(pvalues, supports, taus):
+    """Trial estimates class by class, as the estimator defines them.
+
+    Classes are the supports of equal contents, taken in order of their
+    first hypothesis in this call; each contributes (its p-values above
+    lambda) / (1 - lambda), or its size where no point lies below the
+    guiding value, and the contributions are added in that order.
+    """
+    pvalues = np.asarray(pvalues, dtype=float)
+    classes: dict = {}
+    for i, support in enumerate(supports):
+        classes.setdefault(tuple(np.asarray(support, dtype=float).tolist()), []).append(i)
+    total = np.zeros(taus.size)
+    for contents, members in classes.items():
+        support = np.array(contents)
+        p_class = np.sort(pvalues[members])
+        idx = np.searchsorted(support, taus, side="right") - 1
+        contrib = np.full(taus.size, float(len(members)))
+        lam = support[idx[idx >= 0]]
+        if np.any(lam >= 1.0):
+            raise InvalidConfigError("a guiding value reached a support point of 1")
+        contrib[idx >= 0] = (len(members) - np.searchsorted(p_class, lam, side="right")
+                             ) / (1.0 - lam)
+        total += contrib
+    return total / pvalues.size
+
+
+def mixed_study(seed=5, m=400):
+    """Binomial pairs whose totals 0..14 repeat, with totals 0 and 1 both
+    present (both have the support {1}), in random order."""
+    rng = np.random.default_rng(seed)
+    totals = rng.integers(0, 15, size=m)
+    totals[:4] = [3, 0, 1, 0]
+    c1 = rng.binomial(totals, 0.4)
+    pvalues, supports, stats = score_input(c1, totals - c1, TWO)
+    return pvalues, supports, totals
+
+
+def by_hand(totals):
+    """One null-distribution call per hypothesis, each a table of its own."""
+    supports = []
+    for total in totals:
+        exact_tests._MEMO.clear()
+        supports.append(np.array([1.0]) if total == 0
+                        else binomial_null_distribution(int(total), TWO).support)
+    return supports
+
+
+def forms(supports, totals):
+    return {"scored": supports, "list": list(supports), "by-hand": by_hand(totals)}
+
+
+def splitting_partition(m, seed=7):
+    """Four groups of random members, so that classes split across groups."""
+    order = np.random.default_rng(seed).permutation(m)
+    return Partition(tuple(np.array_split(order, 4)))
+
+
+def test_score_input_returns_null_supports():
+    pvalues, supports, totals = mixed_study()
+    assert isinstance(supports, NullSupports)
+    assert len(supports) == len(list(supports)) == pvalues.size
+    assert supports[1] is supports[2] is supports[3] is supports[-len(supports) + 1]
+    assert supports[1].tolist() == [1.0]  # totals 0 and 1: one class
+    assert len(supports.classes) == len(set(totals.tolist())) - 1
+    first = [int(np.flatnonzero(supports.ids == c)[0]) for c in range(len(supports.classes))]
+    assert first == sorted(first)  # numbered in order of first occurrence
+    assert all(s is supports.classes[c] for s, c in zip(supports, supports.ids))
+    assert not supports.ids.flags.writeable
+
+
+@pytest.mark.parametrize("off_support", [False, True], ids=["scored", "off-support"])
+def test_trial_grid_identical_for_every_form(off_support):
+    pvalues, supports, totals = mixed_study()
+    if off_support:  # p-values that are not points of their support
+        pvalues = np.random.default_rng(9).uniform(1e-3, 1.0, size=pvalues.size)
+    expected = reference_grid(pvalues, list(supports), TAUS)
+    for name, form in forms(supports, totals).items():
+        assert np.array_equal(_trial_grid(pvalues, form, TAUS), expected), name
+
+
+def test_estimates_identical_for_every_form():
+    pvalues, supports, totals = mixed_study()
+    partition = splitting_partition(pvalues.size)
+    results = {name: (estimate_pi0(pvalues, form, PI0_CFG),
+                      groupwise_pi0(pvalues, form, partition, PI0_CFG))
+               for name, form in forms(supports, totals).items()}
+    assert results["list"] == results["scored"] == results["by-hand"]
+    members = list(supports)
+    assert results["scored"][1] == [
+        estimate_pi0(pvalues[g], [members[i] for i in g], PI0_CFG) for g in partition.groups]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["ascending", "reversed"])
+def test_view_identical_to_the_list_of_its_members(reverse):
+    pvalues, supports, _ = mixed_study()
+    members = list(supports)
+    for g in splitting_partition(pvalues.size).groups:
+        g = g[::-1] if reverse else g
+        view = supports.take(g)
+        listed = [members[i] for i in g]
+        assert [s is t for s, t in zip(view, listed)] == [True] * g.size
+        got = _trial_grid(pvalues[g], view, TAUS)
+        assert np.array_equal(got, _trial_grid(pvalues[g], listed, TAUS))
+        assert np.array_equal(got, reference_grid(pvalues[g], listed, TAUS))
+        assert estimate_pi0(pvalues[g], view, PI0_CFG) == estimate_pi0(
+            pvalues[g], listed, PI0_CFG)
+
+
+def test_view_sums_its_classes_in_its_own_order():
+    # globally the classes first occur as 0, 1, 2, ...; the view meets them
+    # in reverse, and floating-point sums depend on the order
+    rng = np.random.default_rng(11)
+    arrays = [np.append(np.sort(rng.choice(np.arange(1, 200) / 400.0, 30, replace=False)),
+                        1.0) for _ in range(12)]
+    ids = np.concatenate([np.arange(12), rng.integers(0, 12, size=500)])
+    supports = NullSupports(arrays, ids)
+    pvalues = rng.uniform(1e-3, 1.0, size=ids.size)
+    g = np.concatenate([np.arange(12, ids.size), np.arange(12)[::-1]])
+    got = _trial_grid(pvalues[g], supports.take(g), TAUS)
+    assert np.array_equal(got, reference_grid(pvalues[g], [arrays[c] for c in ids[g]], TAUS))
+
+
+def test_support_point_of_one_only_where_a_class_reaches_it():
+    supports = NullSupports([np.array([0.3, 0.6]), np.array([0.5, 1.0])], [0, 1, 0, 1])
+    pvalues = np.array([0.6, 1.0, 0.3, 0.5])
+    taus = np.array([0.4, 1.0])
+    for form in (supports, list(supports)):
+        with pytest.raises(InvalidConfigError, match="support point of 1"):
+            _trial_grid(pvalues, form, taus)
+    # the view holds only the class whose points stay below 1
+    view = supports.take([2, 0])
+    assert np.array_equal(_trial_grid(pvalues[[2, 0]], view, taus),
+                          reference_grid(pvalues[[2, 0]], list(view), taus))
+    with pytest.raises(InvalidConfigError, match="support point of 1"):
+        _trial_grid(pvalues[[0, 1]], supports.take([0, 1]), taus)
+
+
+def test_invalid_class_array_refused_once_naming_its_first_hypothesis(monkeypatch):
+    good, bad = np.array([0.5, 1.0]), np.array([0.5, 0.25, 1.0])
+    with pytest.raises(InvalidConfigError, match="support of hypothesis 2 "):
+        NullSupports([good, bad], [0, 0, 1, 0, 1])
+    checked = []
+    original = proportion._checked_support
+    monkeypatch.setattr(proportion, "_checked_support",
+                        lambda array, i: checked.append(i) or original(array, i))
+    supports = NullSupports([good, good.copy(), np.array([0.2, 1.0])], [1, 0, 2, 0])
+    assert checked == [0, 1, 2]  # each array once, by its first hypothesis
+    assert len(supports.classes) == 2 and supports.ids.tolist() == [0, 0, 1, 0]
+    pvalues = np.array([0.5, 1.0, 0.2, 1.0])
+    estimate_pi0(pvalues, supports, PI0_CFG)
+    groupwise_pi0(pvalues, supports, Partition((np.array([0, 2]), np.array([1, 3]))),
+                  PI0_CFG)
+    assert checked == [0, 1, 2]  # not checked again
+
+
+@pytest.mark.parametrize("ids", [[0, 2], [0, -1], [0.5, 1]], ids=["too-large", "negative",
+                                                                 "fraction"])
+def test_class_ids_must_name_an_array(ids):
+    with pytest.raises(InvalidConfigError, match="class ids"):
+        NullSupports([np.array([1.0]), np.array([0.5, 1.0])], ids)
+
+
+def test_lambda_rows_built_once_per_grid_and_shared_with_views(monkeypatch):
+    pvalues, supports, _ = mixed_study()
+    built = []
+    original = proportion._lambda_row
+    monkeypatch.setattr(proportion, "_lambda_row",
+                        lambda s, taus: built.append(taus.size) or original(s, taus))
+    partition = splitting_partition(pvalues.size)
+    estimate_pi0(pvalues, supports, PI0_CFG)
+    groupwise_pi0(pvalues, supports, partition, PI0_CFG)
+    assert built == [TAUS.size] * len(supports.classes)
+    other = Pi0Config(0.3, 0.01)
+    groupwise_pi0(pvalues, supports, partition, other)
+    assert len(built) == 2 * len(supports.classes)
