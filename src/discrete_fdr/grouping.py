@@ -2,10 +2,15 @@
 
 Two strategies are provided.  The metric grouping extracts greedy metric
 balls of adaptive radius from the pairwise distance matrix until the target
-number of groups with the requested minimal size is reached.  The quantile
-grouping bins the conditioning statistics (total counts, or one varying
-margin) at equally spaced percentiles, which is the cheap equivalent for
-binomial-test and Fisher's-exact-test studies.
+number of groups with the requested minimal size is reached.  Hypotheses
+whose rows and columns of the matrix are equal, such as copies of one
+conditioning statistic, form a class, and every ball is a union of classes;
+so the balls are extracted over the k classes, counted in hypotheses, and no
+temporary approaches the size of the m x m matrix.  The matrix itself still
+takes m(m-1)/2 distance calls, and one of more than ``MAX_DISTANCE_BYTES`` is
+refused.  The quantile grouping bins the conditioning statistics (total
+counts, or one varying margin) at equally spaced percentiles, which is the
+cheap equivalent for binomial-test and Fisher's-exact-test studies.
 """
 
 from __future__ import annotations
@@ -78,15 +83,41 @@ class Partition:
         return out
 
 
+# The largest distance matrix metric grouping builds: m x m float64 entries,
+# so m <= 11,585.  A larger study is refused before anything is allocated.
+MAX_DISTANCE_BYTES = 1 << 30
+
+# Bytes of float64 entries compared or gathered at once when the distance
+# matrix is read a block of rows at a time; at most 128 rows.
+_BLOCK_BYTES = 1 << 16
+
+
+def _rows_per_block(ncols: int) -> int:
+    return max(1, min(128, _BLOCK_BYTES // (8 * max(ncols, 1))))
+
+
+def _check_distance_bytes(m: int) -> None:
+    needed = 8 * m * m
+    if needed > MAX_DISTANCE_BYTES:
+        raise InvalidConfigError(
+            f"metric grouping of m = {m} hypotheses needs a {m} x {m} distance "
+            f"matrix of {needed} bytes, more than MAX_DISTANCE_BYTES = "
+            f"{MAX_DISTANCE_BYTES}"
+        )
+
+
 def pairwise_distances(items, distance) -> np.ndarray:
     """Symmetric matrix of ``distance(a, b)`` over all pairs of ``items``.
 
     Calls ``distance`` once per unordered pair, m(m-1)/2 times, and fills
     one row of the upper triangle per item and copies it to the mirror
     column, so no list of all the pairs is ever held.  The diagonal is 0.
+    A matrix of more than ``MAX_DISTANCE_BYTES`` is refused with
+    ``InvalidConfigError`` before ``distance`` is called.
     """
     items = list(items)
     m = len(items)
+    _check_distance_bytes(m)
     out = np.zeros((m, m))
     for i in range(m - 1):
         a = items[i]
@@ -98,40 +129,111 @@ def pairwise_distances(items, distance) -> np.ndarray:
 def pairwise_delta_matrix(
     cdfs, rtol: float = SUPPORT_MATCH_RTOL
 ) -> np.ndarray:
-    """Symmetric matrix of CDF-metric totals for a sequence of CDFs."""
-    return pairwise_distances(check_sequence("cdfs", cdfs),
-                              lambda f, g: delta(f, g, rtol=rtol).total)
+    """Symmetric matrix of CDF-metric totals for a sequence of CDFs.
 
-
-def _largest_ball(within: np.ndarray, remaining: np.ndarray) -> np.ndarray:
-    """Biggest ball centred on a remaining point, among the remaining points.
-
-    ``within`` is the boolean matrix ``dmat <= sigma`` of the current radius,
-    computed once per radius; only its (remaining, remaining) block is read.
-    Ties in ball size are broken by the lowest center index so repeated runs
-    extract identical balls.
+    ``delta`` runs once per pair of distinct CDF objects, taken by identity;
+    copies of one object are at distance 0, and the matrix over the distinct
+    ones is expanded to every pair.  ``delta`` is symmetric, so the matrix is
+    the one a call per pair of items gives.
     """
-    sub = within[np.ix_(remaining, remaining)]
-    counts = np.count_nonzero(sub, axis=1)
-    center = int(np.argmax(counts))  # first max = lowest index
-    return remaining[sub[center]]
+    cdfs = check_sequence("cdfs", cdfs)
+    _check_distance_bytes(len(cdfs))
+    # the list keeps every CDF alive, so no two of them share an id
+    ids = np.fromiter(map(id, cdfs), dtype=np.uintp, count=len(cdfs))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    distinct = pairwise_distances([cdfs[i] for i in first],
+                                  lambda f, g: delta(f, g, rtol=rtol).total)
+    return distinct[np.ix_(inverse, inverse)]
 
 
-def _attempt(dmat: np.ndarray, sigma: float, l_star: int, g_star: int):
-    """One pass of greedy ball extraction at a fixed radius.
+def _split_unequal(rep: np.ndarray, equal) -> np.ndarray:
+    """Refine the classes ``rep`` (each point's lowest classmate) until
+    ``equal(points, reps)`` holds for every point and its representative.
+    The points of a class that fail form a new class, led by the lowest."""
+    pending = np.flatnonzero(rep != np.arange(rep.size))
+    while pending.size:
+        bad = pending[~equal(pending, rep[pending])]
+        _, first, inverse = np.unique(rep[bad], return_index=True,
+                                      return_inverse=True)
+        rep[bad] = bad[first][inverse]
+        pending = bad[rep[bad] != bad]
+    return rep
 
-    Returns ("done", groups) on success, or ("halve" | "grow", None) when the
-    radius must be adapted and the pass restarted from scratch.
+
+def _rows_equal(dmat: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty(a.size, dtype=bool)
+    step = _rows_per_block(dmat.shape[1])
+    for s in range(0, a.size, step):
+        out[s:s + step] = (dmat[a[s:s + step]] == dmat[b[s:s + step]]).all(axis=1)
+    return out
+
+
+def _columns_equal(dmat: np.ndarray, rows: np.ndarray, a: np.ndarray,
+                   b: np.ndarray) -> np.ndarray:
+    out = np.ones(a.size, dtype=bool)
+    step = _rows_per_block(a.size)
+    for s in range(0, rows.size, step):
+        r = rows[s:s + step, None]
+        out &= (dmat[r, a] == dmat[r, b]).all(axis=0)
+    return out
+
+
+def _classes(dmat: np.ndarray) -> np.ndarray:
+    """The lowest index of each point's class: the points whose rows and
+    whose columns of ``dmat`` both equal its own.
+
+    Candidates share a row sum weighted by distinct weights in [1, 2), so
+    rows that permute one another differ; ``einsum`` sums every row in the
+    same order wherever it lies in memory (a BLAS product need not), so
+    equal rows get equal sums.  Each candidate's row is then compared with
+    its representative's.  Once
+    the rows are classed, a column is fixed by its entries in one row of
+    each row class, so columns are compared on those rows only.
     """
     m = dmat.shape[0]
-    within = dmat <= sigma
-    remaining = np.arange(m)
+    weights = 1.0 + (np.arange(m) * 0.6180339887498949) % 1.0
+    keys = np.einsum("ij,j->i", dmat, weights)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rep = _split_unequal(first[inverse], lambda a, b: _rows_equal(dmat, a, b))
+    rows = np.flatnonzero(rep == np.arange(m))
+    return _split_unequal(rep, lambda a, b: _columns_equal(dmat, rows, a, b))
+
+
+def _ball_matrix(dmat: np.ndarray, reps, sigma: float) -> np.ndarray:
+    """``dmat <= sigma`` between the classes led by ``reps`` (every point if
+    None), gathered a block of rows at a time."""
+    if reps is None:
+        return dmat <= sigma
+    within = np.empty((reps.size, reps.size), dtype=bool)
+    step = _rows_per_block(reps.size)
+    for s in range(0, reps.size, step):
+        np.less_equal(dmat[np.ix_(reps[s:s + step], reps)], sigma,
+                      out=within[s:s + step])
+    return within
+
+
+def _attempt(dmat: np.ndarray, reps, sizes: np.ndarray, sigma: float,
+             l_star: int, g_star: int):
+    """One pass of greedy ball extraction over the classes at a fixed radius.
+
+    A class's count is the number of remaining hypotheses within the radius
+    of it; the ball of the first class with the largest count is taken, so
+    ties go to the lowest first index.  Returns ("done", groups of class
+    indices) on success, or ("halve" | "grow", None) when the radius must be
+    adapted and the pass restarted from scratch.
+    """
+    within = _ball_matrix(dmat, reps, sigma)
+    counts = np.einsum("ij,j->i", within, sizes)
+    remaining = np.arange(sizes.size)
+    left = int(sizes.sum())
     groups: list[np.ndarray] = []
     for stage in range(1, l_star + 1):
-        ball = _largest_ball(within, remaining)
+        center = remaining[int(np.argmax(counts[remaining]))]
+        inside = within[center, remaining]
+        ball = remaining[inside]
         groups.append(ball)
-        remaining = np.setdiff1d(remaining, ball, assume_unique=True)
-        left = remaining.size
+        remaining = remaining[~inside]
+        left -= int(counts[center])
         if stage <= l_star - 1:
             if stage == l_star - 1 and left == g_star:
                 # the leftover is exactly the minimal last group: take it
@@ -140,7 +242,9 @@ def _attempt(dmat: np.ndarray, sigma: float, l_star: int, g_star: int):
             if left <= g_star:
                 # too few left to form the remaining groups: shrink the balls
                 return "halve", None
-            # enough left; extract the next ball
+            # enough left; drop the ball from the counts, extract the next
+            counts[remaining] -= np.einsum(
+                "ij,j->i", within[np.ix_(remaining, ball)], sizes[ball])
         else:
             if left <= g_star:
                 # fold the small leftover into the final ball
@@ -160,8 +264,18 @@ def group_from_distances(dmat: np.ndarray, cfg: GroupingConfig) -> Partition:
     by 1.5 when the final remainder is too large; each adaptation restarts
     the extraction.  If all pairwise distances vanish a single group is
     formed immediately.
+
+    Points whose rows and columns are equal are at the same distance from
+    everything, so every ball holds all of a class or none of it.  The
+    balls are extracted over the classes, counted in hypotheses, and then
+    expanded to their hypotheses: the partition is the one the extraction
+    over every point gives.
     """
-    dmat = check_array("distance matrix", dmat, "be finite and nonnegative", ndim=2)
+    dmat = check_array("distance matrix", dmat, ndim=2)
+    delta_star = float(dmat.max(initial=0.0))
+    if not (dmat.min(initial=0.0) >= 0.0 and delta_star < np.inf):
+        # name the first bad entry; NaN fails both reductions above
+        check_array("distance matrix", dmat, "be finite and nonnegative", ndim=2)
     m = dmat.shape[0]
     if dmat.shape != (m, m):
         raise InvalidConfigError("distance matrix must be square")
@@ -169,16 +283,21 @@ def group_from_distances(dmat: np.ndarray, cfg: GroupingConfig) -> Partition:
         raise InvalidConfigError(
             f"l_star * g_star = {cfg.l_star * cfg.g_star} exceeds m = {m}"
         )
-    delta_star = float(dmat.max(initial=0.0))
     if cfg.l_star == 1 or delta_star == 0.0:
         return Partition((np.arange(m),), radius_final=0.0, iterations=0)
 
+    rep = _classes(dmat)
+    reps = np.flatnonzero(rep == np.arange(m))
+    label = np.searchsorted(reps, rep)
+    sizes = np.bincount(label).astype(float)
     sigma = delta_star / (2.0 * cfg.l_star)
     restarts = 0
     trace: list[tuple[float, str]] = []
     while True:
-        outcome, groups = _attempt(dmat, sigma, cfg.l_star, cfg.g_star)
+        outcome, groups = _attempt(dmat, None if reps.size == m else reps,
+                                   sizes, sigma, cfg.l_star, cfg.g_star)
         if outcome == "done":
+            groups = (np.flatnonzero(np.isin(label, g)) for g in groups)
             return Partition(tuple(groups), radius_final=sigma, iterations=restarts)
         trace.append((sigma, outcome))
         restarts += 1

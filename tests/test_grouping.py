@@ -1,6 +1,7 @@
 """Tests for metric-ball and quantile grouping."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,15 +214,36 @@ def assert_matches_reference(dmat: np.ndarray, cfg: GroupingConfig) -> str:
     return "restarted" if restarts else "first pass"
 
 
-def random_dmat(rng, m: int, kind: int) -> np.ndarray:
+CLASS_KINDS = ("few-rows", "equal-rows-other-columns", "nonzero-diagonal")
+
+
+def class_dmat(table: np.ndarray, label: np.ndarray, kind: str) -> np.ndarray:
+    """A matrix over copies of a few points: hypothesis i copies point
+    ``label[i]``.  ``table`` is k x k, or k x m for "equal-rows-other-columns".
+    """
+    if kind == "few-rows":  # a symmetric matrix with a zero diagonal
+        upper = np.triu(table, 1)
+        return (upper + upper.T)[np.ix_(label, label)]
+    if kind == "equal-rows-other-columns":
+        # not symmetric: copies share their rows, but every column is its own
+        return table[label]
+    # not symmetric, and a copy is at a nonzero distance from itself
+    return table[np.ix_(label, label)]
+
+
+def random_dmat(rng, m: int, kind) -> np.ndarray:
     if kind == 0:  # scalar statistics with ties
         x = rng.integers(0, 20, m).astype(float)
         return np.abs(x[:, None] - x[None, :])
     if kind == 1:  # planar points
         return euclidean_dmat(rng.random((m, 2)))
-    # symmetric integer dissimilarities, not necessarily a metric
-    upper = np.triu(rng.integers(0, 6, (m, m)).astype(float), 1)
-    return upper + upper.T
+    if kind == 2:  # symmetric integer dissimilarities, not necessarily a metric
+        upper = np.triu(rng.integers(0, 6, (m, m)).astype(float), 1)
+        return upper + upper.T
+    k = int(rng.integers(1, max(2, m // 3) + 1))
+    label = rng.integers(0, k, m)
+    cols = m if kind == "equal-rows-other-columns" else k
+    return class_dmat(rng.integers(0, 6, (k, cols)).astype(float), label, kind)
 
 
 class TestBallMatrixDifferential:
@@ -263,6 +285,74 @@ class TestBallMatrixDifferential:
         upper = np.triu(np.array(values, dtype=float).reshape(m, m), 1)
         assert_matches_reference(upper + upper.T, GroupingConfig(l_star, g_star, max_restarts))
 
+    @pytest.mark.parametrize("kind", CLASS_KINDS)
+    def test_class_instances(self, kind):
+        # copies of a point form one class; the balls are extracted over the
+        # classes and must match the extraction over every point
+        seen = set()
+        for seed in range(150):
+            rng = np.random.default_rng([CLASS_KINDS.index(kind), seed])
+            m = int(rng.integers(2, 60))
+            l_star, g_star = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            if l_star * g_star > m:
+                continue
+            dmat = random_dmat(rng, m, kind)
+            for max_restarts in (0, 2, 64):
+                seen.add(assert_matches_reference(dmat, GroupingConfig(l_star, g_star, max_restarts)))
+        assert seen == {"error", "restarted", "first pass"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_hypothesis_class_instances(self, data):
+        kind = data.draw(st.sampled_from(CLASS_KINDS))
+        k = data.draw(st.integers(1, 5))
+        label = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=16)))
+        cols = label.size if kind == "equal-rows-other-columns" else k
+        values = data.draw(st.lists(st.integers(0, 5), min_size=k * cols, max_size=k * cols))
+        table = np.array(values, dtype=float).reshape(k, cols)
+        l_star, g_star = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        assume(l_star * g_star <= label.size)
+        cfg = GroupingConfig(l_star, g_star, data.draw(st.integers(0, 6)))
+        assert_matches_reference(class_dmat(table, label, kind), cfg)
+
+    @pytest.mark.parametrize("positions, first_ball", [
+        # three classes tie at 3 hypotheses within the radius 2.5: the one
+        # at 10 (sizes 3), the one at 0 (2, plus 1 at distance 1) and the
+        # one at 1; the class with the lowest first index wins
+        ([10, 0, 10, 0, 1, 10], [0, 2, 5]),
+        ([0, 10, 10, 0, 1, 10], [0, 3, 4]),
+        ([1, 10, 0, 10, 0, 10], [0, 2, 4]),
+    ])
+    def test_centre_tie_goes_to_lowest_first_index(self, positions, first_ball):
+        x = np.array(positions, dtype=float)
+        dmat = np.abs(x[:, None] - x[None, :])
+        cfg = GroupingConfig(l_star=2)
+        assert assert_matches_reference(dmat, cfg) == "first pass"
+        part = group_from_distances(dmat, cfg)
+        assert part.radius_final == 2.5
+        assert part.groups[0].tolist() == first_ball
+
+
+class TestGroupingMemory:
+    """No temporary of ``group_from_distances`` comes near its input."""
+
+    @pytest.mark.parametrize("distinct, bound", [(61, 0.5e6), (1500, 4.5e6)])
+    def test_peak_beyond_input(self, distinct, bound):
+        rng = np.random.default_rng(61)
+        values = rng.permutation(np.resize(rng.random(distinct) * 100.0, 1500))
+        assert np.unique(values).size == distinct
+        dmat = np.abs(values[:, None] - values[None, :])
+        cfg = GroupingConfig(l_star=3)
+        expected = group_from_distances(dmat, cfg)
+        tracemalloc.start()
+        try:
+            part = group_from_distances(dmat, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+        assert [g.tolist() for g in part.groups] == [g.tolist() for g in expected.groups]
+
 
 class TestPairwiseDeltaMatrix:
     def test_matches_pairwise_loop(self):
@@ -280,6 +370,60 @@ class TestPairwiseDeltaMatrix:
                 if i < j:
                     expected[i, j] = expected[j, i] = delta(f, g).total
         assert np.array_equal(pairwise_delta_matrix(cdfs), expected)
+
+    def test_one_delta_per_pair_of_distinct_cdfs(self, monkeypatch):
+        a, b, c, d = (binomial_null_distribution(t, TWO) for t in (3, 5, 8, 12))
+        cdfs = [b, a, b, c, a, d, b, c]
+        expected = np.zeros((len(cdfs), len(cdfs)))
+        for i, f in enumerate(cdfs):
+            for j, g in enumerate(cdfs):
+                if i < j:
+                    expected[i, j] = expected[j, i] = delta(f, g).total
+        calls = []
+
+        def counted(f, g, rtol):
+            calls.append((f, g))
+            return delta(f, g, rtol=rtol)
+
+        monkeypatch.setattr(grouping, "delta", counted)
+        got = pairwise_delta_matrix(cdfs)
+        assert len(calls) == 4 * 3 // 2
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestDistanceSizeLimit:
+    """A distance matrix above ``MAX_DISTANCE_BYTES`` is refused before the
+    first distance is computed."""
+
+    def test_pairwise_distances(self, monkeypatch):
+        monkeypatch.setattr(grouping, "MAX_DISTANCE_BYTES", 8 * 3 * 3)
+        calls = []
+
+        def distance(a, b):
+            calls.append((a, b))
+            return float(abs(a - b))
+
+        assert grouping.pairwise_distances(range(3), distance).shape == (3, 3)
+        assert len(calls) == 3
+        with pytest.raises(InvalidConfigError, match=r"m = 4 .* 128 bytes"):
+            grouping.pairwise_distances(range(4), distance)
+        assert len(calls) == 3
+
+    def test_pairwise_delta_matrix(self, monkeypatch):
+        def no_delta(*args, **kwargs):
+            raise AssertionError("a distance was computed")
+
+        monkeypatch.setattr(grouping, "MAX_DISTANCE_BYTES", 8 * 3 * 3)
+        monkeypatch.setattr(grouping, "delta", no_delta)
+        # one distinct CDF would need no distance, but the matrix is 4 x 4
+        cdfs = [binomial_null_distribution(4, TWO)] * 4
+        with pytest.raises(InvalidConfigError, match=r"m = 4 .* 128 bytes"):
+            group_by_metric(cdfs, GroupingConfig(l_star=2))
+
+    def test_default_limit(self):
+        assert grouping.MAX_DISTANCE_BYTES == 1 << 30
+        with pytest.raises(InvalidConfigError, match=r"m = 11586 .* 1073883168 bytes"):
+            grouping.pairwise_distances(range(11_586), None)
 
 
 def mask_loop_quantile_groups(stats, l_star: int) -> list[np.ndarray]:

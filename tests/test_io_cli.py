@@ -21,7 +21,7 @@ from discrete_fdr import (
     weight_study,
     wfdr_reject,
 )
-from discrete_fdr import cli, simulate
+from discrete_fdr import cli, grouping, simulate
 from discrete_fdr.cli import EXIT_COMPUTE, EXIT_PARSE, EXIT_SCHEMA, main
 from discrete_fdr.io import score_input
 
@@ -512,6 +512,24 @@ class TestStrongSignals:
 
 
 class TestWindowLimit:
+    @pytest.mark.parametrize("test, rows", [
+        ("binomial", "id,c1,c2\na,3,12\nb,7,6\nc,0,9\n"),
+        ("fet", "id,c1,n1,c2,n2\na,3,40,5,60\nb,7,50,2,45\nc,0,30,4,70\n"),
+    ])
+    def test_metric_distance_matrix_limit_exits_compute(self, tmp_path, capsys,
+                                                         monkeypatch, test, rows):
+        # metric grouping has no quantile fallback for a study too large for
+        # its distance matrix: the run fails, naming the bytes needed
+        monkeypatch.setattr(grouping, "MAX_DISTANCE_BYTES", 8 * 2 * 2)
+        path = write(tmp_path / "rows.csv", rows)
+        assert run_cli(
+            ["analyze", "--test", test, "--input", path, "--grouping", "metric",
+             "--groups", "1", "--output", tmp_path / "out"]
+        ) == EXIT_COMPUTE
+        assert "m = 3 hypotheses needs a 3 x 3 distance matrix of 72 bytes" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out.report.csv").exists()
+
     @pytest.mark.parametrize("total", [10**12, 2**62], ids=["1e12", "2^62"])
     def test_huge_total_exits_compute(self, tmp_path, capsys, total):
         path = write(tmp_path / "huge.csv", f"id,c1,c2\na,3,{total - 3}\nb,7,6\n")

@@ -507,6 +507,22 @@ class TestMetricPartitionDistances:
         assert np.array_equal(dmat, margins_reference_dmat(margins))
 
 
+def test_metric_partition_refuses_large_matrix_before_any_distance(monkeypatch):
+    from discrete_fdr import grouping
+
+    def no_distance(*args):
+        raise AssertionError("a distance was computed")
+
+    monkeypatch.setattr(grouping, "MAX_DISTANCE_BYTES", 8 * 3 * 3)
+    monkeypatch.setattr(wfdr, "marginal_distance", no_distance)
+    cfg = WfdrConfig(l_star=2, grouping="metric", pi0=Pi0Config(0.2, 0.1))
+    supports = [np.array([0.5, 1.0])] * 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no fallback to quantile grouping
+        with pytest.raises(InvalidConfigError, match=r"m = 4 .* 128 bytes"):
+            weight_study([0.5, 1.0, 0.5, 1.0], supports, [1.0, 2.0, 5.0, 9.0], cfg)
+
+
 class TestConditioningStatisticValidation:
     SUPPORTS = [np.array([0.5, 1.0])] * 3
 
