@@ -25,6 +25,7 @@ from .errors import (
     InvalidConfigError,
     check_array,
     check_count,
+    check_scalar,
     check_sequence,
 )
 from .exact_tests import DiscreteCDF, MarginalVector
@@ -137,6 +138,11 @@ def pairwise_delta_matrix(
     the one a call per pair of items gives.
     """
     cdfs = check_sequence("cdfs", cdfs)
+    check_scalar("rtol", rtol, "be nonnegative")  # even if delta never runs
+    bad = next((i for i, c in enumerate(cdfs) if not isinstance(c, DiscreteCDF)), None)
+    if bad is not None:
+        raise InvalidConfigError(f"cdfs must be DiscreteCDF objects, got "
+                                 f"{type(cdfs[bad]).__name__} at index {bad}")
     _check_distance_bytes(len(cdfs))
     # the list keeps every CDF alive, so no two of them share an id
     ids = np.fromiter(map(id, cdfs), dtype=np.uintp, count=len(cdfs))
@@ -312,9 +318,6 @@ def group_from_distances(dmat: np.ndarray, cfg: GroupingConfig) -> Partition:
 
 def group_by_metric(cdfs, cfg: GroupingConfig) -> Partition:
     """Metric-ball grouping of p-value CDFs (greedy, adaptive radius)."""
-    cdfs = check_sequence("cdfs", cdfs)
-    if not all(isinstance(c, DiscreteCDF) for c in cdfs):
-        raise InvalidConfigError("group_by_metric expects DiscreteCDF inputs")
     return group_from_distances(pairwise_delta_matrix(cdfs), cfg)
 
 

@@ -298,7 +298,8 @@ class TestBallMatrixDifferential:
                 continue
             dmat = random_dmat(rng, m, kind)
             for max_restarts in (0, 2, 64):
-                seen.add(assert_matches_reference(dmat, GroupingConfig(l_star, g_star, max_restarts)))
+                cfg = GroupingConfig(l_star, g_star, max_restarts)
+                seen.add(assert_matches_reference(dmat, cfg))
         assert seen == {"error", "restarted", "first pass"}
 
     @settings(max_examples=200, deadline=None)
@@ -370,6 +371,21 @@ class TestPairwiseDeltaMatrix:
                 if i < j:
                     expected[i, j] = expected[j, i] = delta(f, g).total
         assert np.array_equal(pairwise_delta_matrix(cdfs), expected)
+
+    @pytest.mark.parametrize("call", [
+        pairwise_delta_matrix, lambda c: group_by_metric(c, GroupingConfig(l_star=2)),
+    ], ids=["pairwise_delta_matrix", "group_by_metric"])
+    def test_non_cdf_item_rejected(self, call):
+        cdfs = [binomial_null_distribution(3, TWO), 0.5, binomial_null_distribution(4, TWO)]
+        with pytest.raises(InvalidConfigError, match="got float at index 1"):
+            call(cdfs)
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_invalid_rtol_rejected_without_distinct_pairs(self, copies):
+        # one distinct CDF needs no delta call, but rtol is still checked
+        cdfs = [binomial_null_distribution(4, TWO)] * copies
+        with pytest.raises(InvalidConfigError, match="rtol must be nonnegative"):
+            pairwise_delta_matrix(cdfs, rtol=-1.0)
 
     def test_one_delta_per_pair_of_distinct_cdfs(self, monkeypatch):
         a, b, c, d = (binomial_null_distribution(t, TWO) for t in (3, 5, 8, 12))
