@@ -25,7 +25,6 @@ from .errors import (
     InvalidConfigError,
     check_array,
     check_count,
-    check_scalar,
     check_sequence,
 )
 from .exact_tests import DiscreteCDF, MarginalVector
@@ -97,16 +96,6 @@ def _rows_per_block(ncols: int) -> int:
     return max(1, min(128, _BLOCK_BYTES // (8 * max(ncols, 1))))
 
 
-def _check_distance_bytes(m: int) -> None:
-    needed = 8 * m * m
-    if needed > MAX_DISTANCE_BYTES:
-        raise InvalidConfigError(
-            f"metric grouping of m = {m} hypotheses needs a {m} x {m} distance "
-            f"matrix of {needed} bytes, more than MAX_DISTANCE_BYTES = "
-            f"{MAX_DISTANCE_BYTES}"
-        )
-
-
 def pairwise_distances(items, distance) -> np.ndarray:
     """Symmetric matrix of ``distance(a, b)`` over all pairs of ``items``.
 
@@ -118,7 +107,13 @@ def pairwise_distances(items, distance) -> np.ndarray:
     """
     items = list(items)
     m = len(items)
-    _check_distance_bytes(m)
+    needed = 8 * m * m
+    if needed > MAX_DISTANCE_BYTES:
+        raise InvalidConfigError(
+            f"metric grouping of m = {m} hypotheses needs a {m} x {m} distance "
+            f"matrix of {needed} bytes, more than MAX_DISTANCE_BYTES = "
+            f"{MAX_DISTANCE_BYTES}"
+        )
     out = np.zeros((m, m))
     for i in range(m - 1):
         a = items[i]
@@ -130,39 +125,21 @@ def pairwise_distances(items, distance) -> np.ndarray:
 def pairwise_delta_matrix(
     cdfs, rtol: float = SUPPORT_MATCH_RTOL
 ) -> np.ndarray:
-    """Symmetric matrix of CDF-metric totals for a sequence of CDFs.
-
-    ``delta`` runs once per pair of distinct CDF objects, taken by identity;
-    copies of one object are at distance 0, and the matrix over the distinct
-    ones is expanded to every pair.  ``delta`` is symmetric, so the matrix is
-    the one a call per pair of items gives.
-    """
+    """Symmetric matrix of CDF-metric totals for a sequence of CDFs."""
     cdfs = check_sequence("cdfs", cdfs)
-    check_scalar("rtol", rtol, "be nonnegative")  # even if delta never runs
     bad = next((i for i, c in enumerate(cdfs) if not isinstance(c, DiscreteCDF)), None)
     if bad is not None:
         raise InvalidConfigError(f"cdfs must be DiscreteCDF objects, got "
                                  f"{type(cdfs[bad]).__name__} at index {bad}")
-    _check_distance_bytes(len(cdfs))
-    # the list keeps every CDF alive, so no two of them share an id
-    ids = np.fromiter(map(id, cdfs), dtype=np.uintp, count=len(cdfs))
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    distinct = pairwise_distances([cdfs[i] for i in first],
-                                  lambda f, g: delta(f, g, rtol=rtol).total)
-    return distinct[np.ix_(inverse, inverse)]
+    return pairwise_distances(cdfs, lambda f, g: delta(f, g, rtol=rtol).total)
 
 
 def _split_unequal(rep: np.ndarray, equal) -> np.ndarray:
-    """Refine the classes ``rep`` (each point's lowest classmate) until
-    ``equal(points, reps)`` holds for every point and its representative.
-    The points of a class that fail form a new class, led by the lowest."""
+    """Make each point that is not ``equal(point, rep[point])`` to the
+    representative of its candidate class ``rep`` a class of its own."""
     pending = np.flatnonzero(rep != np.arange(rep.size))
-    while pending.size:
-        bad = pending[~equal(pending, rep[pending])]
-        _, first, inverse = np.unique(rep[bad], return_index=True,
-                                      return_inverse=True)
-        rep[bad] = bad[first][inverse]
-        pending = bad[rep[bad] != bad]
+    bad = pending[~equal(pending, rep[pending])]
+    rep[bad] = bad
     return rep
 
 
@@ -188,32 +165,32 @@ def _classes(dmat: np.ndarray) -> np.ndarray:
     """The lowest index of each point's class: the points whose rows and
     whose columns of ``dmat`` both equal its own.
 
-    Candidates share a row sum weighted by distinct weights in [1, 2), so
-    rows that permute one another differ; ``einsum`` sums every row in the
-    same order wherever it lies in memory (a BLAS product need not), so
-    equal rows get equal sums.  Each candidate's row is then compared with
-    its representative's.  Once
-    the rows are classed, a column is fixed by its entries in one row of
-    each row class, so columns are compared on those rows only.
+    Candidates share a key, the sum of a row's bit patterns times distinct
+    odd weights modulo 2**64, which no entry's magnitude can swamp.  Each
+    candidate's row is then compared with its representative's, and once
+    the rows are classed, its column on one row of each row class.  A point
+    that fails is put in a class of its own: classes finer than needed give
+    the same balls, so a key collision, or the columns of a non-symmetric
+    matrix differing within a row class, costs time (at most that of k = m),
+    never a wrong partition.  So do entries equal as numbers but not as bits,
+    0.0 and -0.0.
     """
     m = dmat.shape[0]
-    weights = 1.0 + (np.arange(m) * 0.6180339887498949) % 1.0
-    keys = np.einsum("ij,j->i", dmat, weights)
+    weights = np.arange(1, 2 * m, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    keys = np.einsum("ij,j->i", dmat.view(np.uint64), weights)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     rep = _split_unequal(first[inverse], lambda a, b: _rows_equal(dmat, a, b))
     rows = np.flatnonzero(rep == np.arange(m))
     return _split_unequal(rep, lambda a, b: _columns_equal(dmat, rows, a, b))
 
 
-def _ball_matrix(dmat: np.ndarray, reps, sigma: float) -> np.ndarray:
-    """``dmat <= sigma`` between the classes led by ``reps`` (every point if
-    None), gathered a block of rows at a time."""
-    if reps is None:
-        return dmat <= sigma
+def _ball_matrix(dmat: np.ndarray, reps: np.ndarray, sigma: float) -> np.ndarray:
+    """``dmat <= sigma`` between the classes led by ``reps``, gathered a
+    block of rows at a time."""
     within = np.empty((reps.size, reps.size), dtype=bool)
-    step = _rows_per_block(reps.size)
+    step = _rows_per_block(dmat.shape[1])
     for s in range(0, reps.size, step):
-        np.less_equal(dmat[np.ix_(reps[s:s + step], reps)], sigma,
+        np.less_equal(dmat[reps[s:s + step]].take(reps, axis=1), sigma,
                       out=within[s:s + step])
     return within
 
@@ -222,40 +199,38 @@ def _attempt(dmat: np.ndarray, reps, sizes: np.ndarray, sigma: float,
              l_star: int, g_star: int):
     """One pass of greedy ball extraction over the classes at a fixed radius.
 
-    A class's count is the number of remaining hypotheses within the radius
-    of it; the ball of the first class with the largest count is taken, so
-    ties go to the lowest first index.  Returns ("done", groups of class
-    indices) on success, or ("halve" | "grow", None) when the radius must be
-    adapted and the pass restarted from scratch.
+    A class's count is the number of hypotheses in no ball yet within the
+    radius of it; the ball of the first such class with the largest count is
+    taken, so ties go to the lowest first index.  Returns ("done", groups of
+    class indices) on success, or ("halve" | "grow", None) when the radius
+    must be adapted and the pass restarted from scratch.
     """
     within = _ball_matrix(dmat, reps, sigma)
-    counts = np.einsum("ij,j->i", within, sizes)
-    remaining = np.arange(sizes.size)
+    alive = sizes.copy()  # the hypotheses of each class in no ball yet
     left = int(sizes.sum())
     groups: list[np.ndarray] = []
     for stage in range(1, l_star + 1):
-        center = remaining[int(np.argmax(counts[remaining]))]
-        inside = within[center, remaining]
-        ball = remaining[inside]
+        counts = np.einsum("ij,j->i", within, alive)
+        counts[alive == 0.0] = -1.0  # a class in a ball is no centre
+        center = int(np.argmax(counts))
+        ball = np.flatnonzero(within[center] & (alive > 0.0))
         groups.append(ball)
-        remaining = remaining[~inside]
+        alive[ball] = 0.0
         left -= int(counts[center])
         if stage <= l_star - 1:
             if stage == l_star - 1 and left == g_star:
                 # the leftover is exactly the minimal last group: take it
-                groups.append(remaining)
+                groups.append(np.flatnonzero(alive))
                 return "done", groups
             if left <= g_star:
                 # too few left to form the remaining groups: shrink the balls
                 return "halve", None
-            # enough left; drop the ball from the counts, extract the next
-            counts[remaining] -= np.einsum(
-                "ij,j->i", within[np.ix_(remaining, ball)], sizes[ball])
+            # enough left: extract the next ball
         else:
             if left <= g_star:
                 # fold the small leftover into the final ball
                 if left:
-                    groups[-1] = np.concatenate([groups[-1], remaining])
+                    groups[-1] = np.concatenate([groups[-1], np.flatnonzero(alive)])
                 return "done", groups
             # leftover too large after the last ball: grow the balls
             return "grow", None
@@ -300,8 +275,8 @@ def group_from_distances(dmat: np.ndarray, cfg: GroupingConfig) -> Partition:
     restarts = 0
     trace: list[tuple[float, str]] = []
     while True:
-        outcome, groups = _attempt(dmat, None if reps.size == m else reps,
-                                   sizes, sigma, cfg.l_star, cfg.g_star)
+        outcome, groups = _attempt(dmat, reps, sizes, sigma, cfg.l_star,
+                                   cfg.g_star)
         if outcome == "done":
             groups = (np.flatnonzero(np.isin(label, g)) for g in groups)
             return Partition(tuple(groups), radius_final=sigma, iterations=restarts)

@@ -1,6 +1,7 @@
 """Tests for metric-ball and quantile grouping."""
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -355,6 +356,42 @@ class TestGroupingMemory:
         assert [g.tolist() for g in part.groups] == [g.tolist() for g in expected.groups]
 
 
+class TestClassingCost:
+    """Classing compares each point with its class leader once, by rows and
+    by columns, whatever the magnitudes or the symmetry of the matrix."""
+
+    @pytest.mark.parametrize("kind", ["outlier", "equal-rows-other-columns"])
+    def test_one_comparison_pass(self, kind, monkeypatch):
+        rng = np.random.default_rng(1500)
+        m = 1500
+        if kind == "outlier":
+            # a point at 1e30 from all others would swamp any sum over a row
+            x = rng.random(m) * 100.0
+            x[0] = 1e30
+            dmat = np.abs(x[:, None] - x[None, :])
+        else:
+            # half the rows are one row, but every column is its own
+            dmat = rng.integers(0, 6, (m, m)).astype(float)
+            dmat[: m // 2] = dmat[0]
+        calls = []
+        for name in ("_rows_equal", "_columns_equal"):
+            def counted(*args, _f=getattr(grouping, name), _name=name):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(grouping, name, counted)
+        cfg = GroupingConfig(l_star=2, max_restarts=2)
+        start = time.perf_counter()
+        try:
+            group_from_distances(dmat, cfg)
+        except GroupingDidNotConvergeError:
+            pass
+        elapsed = time.perf_counter() - start
+        assert calls.count("_rows_equal") <= 1
+        assert calls.count("_columns_equal") <= 1
+        assert elapsed < 2.0
+        assert_matches_reference(dmat, cfg)
+
+
 class TestPairwiseDeltaMatrix:
     def test_matches_pairwise_loop(self):
         rng = np.random.default_rng(41)
@@ -379,32 +416,6 @@ class TestPairwiseDeltaMatrix:
         cdfs = [binomial_null_distribution(3, TWO), 0.5, binomial_null_distribution(4, TWO)]
         with pytest.raises(InvalidConfigError, match="got float at index 1"):
             call(cdfs)
-
-    @pytest.mark.parametrize("copies", [1, 2])
-    def test_invalid_rtol_rejected_without_distinct_pairs(self, copies):
-        # one distinct CDF needs no delta call, but rtol is still checked
-        cdfs = [binomial_null_distribution(4, TWO)] * copies
-        with pytest.raises(InvalidConfigError, match="rtol must be nonnegative"):
-            pairwise_delta_matrix(cdfs, rtol=-1.0)
-
-    def test_one_delta_per_pair_of_distinct_cdfs(self, monkeypatch):
-        a, b, c, d = (binomial_null_distribution(t, TWO) for t in (3, 5, 8, 12))
-        cdfs = [b, a, b, c, a, d, b, c]
-        expected = np.zeros((len(cdfs), len(cdfs)))
-        for i, f in enumerate(cdfs):
-            for j, g in enumerate(cdfs):
-                if i < j:
-                    expected[i, j] = expected[j, i] = delta(f, g).total
-        calls = []
-
-        def counted(f, g, rtol):
-            calls.append((f, g))
-            return delta(f, g, rtol=rtol)
-
-        monkeypatch.setattr(grouping, "delta", counted)
-        got = pairwise_delta_matrix(cdfs)
-        assert len(calls) == 4 * 3 // 2
-        assert got.tobytes() == expected.tobytes()
 
 
 class TestDistanceSizeLimit:
@@ -431,7 +442,6 @@ class TestDistanceSizeLimit:
 
         monkeypatch.setattr(grouping, "MAX_DISTANCE_BYTES", 8 * 3 * 3)
         monkeypatch.setattr(grouping, "delta", no_delta)
-        # one distinct CDF would need no distance, but the matrix is 4 x 4
         cdfs = [binomial_null_distribution(4, TWO)] * 4
         with pytest.raises(InvalidConfigError, match=r"m = 4 .* 128 bytes"):
             group_by_metric(cdfs, GroupingConfig(l_star=2))
