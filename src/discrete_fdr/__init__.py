@@ -71,7 +71,6 @@ from .wfdr import (
     WeightedStudy,
     WfdrConfig,
     bh_reject,
-    fdr_estimate,
     group_weights,
     rejection_threshold,
     theorem1_compare,

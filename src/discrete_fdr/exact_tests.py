@@ -6,32 +6,38 @@ Two tests are provided: the binomial test for a pair of Poisson counts
 p-value and the full null distribution of the p-value as a step CDF, i.e.
 the attainable p-values together with their probabilities under the null.
 
-Log weights are evaluated with ``gammaln``, exponentiated relative to the
+Log weights are sums of log-factorials, exponentiated relative to the
 mode's, and divided by the sum of the positive weights, so the masses sum to
 one to rounding; binomial totals up to 1e7 and Fisher margins of 1e6 cases
-among 1e7 events have been checked.  Only the outcomes whose probability
-double precision can represent are enumerated: bisection on the concave log
-weight finds the window within ``WINDOW_LOG_MARGIN`` of the mode's, and
-everything outside it would underflow to a weight of 0.0.  For drug-safety
-margins that is a small fraction of the full range, and the results are
-bit-identical to enumerating all of it the same way.  An observed outcome
-outside the window, a signal too strong to be represented, takes the
-p-value of the nearest kept outcome: a support point, never below the exact
-p-value by more than the underflowed mass, 2.5e-324 per outcome at most.
-A window of more than ``MAX_WINDOW_OUTCOMES`` outcomes (a binomial total
-beyond about 10^10) is refused with a ``DegenerateDataError`` before anything
-is allocated for it.
+among 1e7 events have been checked.  A log-factorial is ``gammaln(x + 1.0)``,
+read from one shared table for x below ``LOG_FACTORIAL_CAP`` (at most 1 MiB,
+built on first use and grown by doubling) and evaluated per window above it.
+Only the outcomes whose probability double precision can represent are
+enumerated: bisection on the concave log weight, in scalars with
+``math.lgamma``, finds the window within ``WINDOW_LOG_MARGIN`` of the mode's,
+and everything outside it would underflow to a weight of 0.0.  For
+drug-safety margins that is a small fraction of the full range, and the
+results are bit-identical to enumerating all of it the same way.  An
+observed outcome outside the window, a signal too strong to be represented,
+takes the p-value of the nearest kept outcome: a support point, never below
+the exact p-value by more than the underflowed mass, 2.5e-324 per outcome
+at most.  A window of more than ``MAX_WINDOW_OUTCOMES`` outcomes (a binomial
+total beyond about 10^10) is refused with a ``DegenerateDataError`` before
+anything is allocated for it.
 
-A table is built in few array passes with few temporaries.  One buffer holds
-the log weights, then the weights, then the PMF.  The two-sided rule
-searches only for the outcomes tied with their successor.  The aggregation
-walks only the chains of close p-values that span more than the tolerance,
-and sums and repeats atoms only when one holds more than one value: rare in
-drug-safety Fisher tables, while each pair k, total - k of a two-sided
-binomial table is one atom.  While a table builds its arrays peak at 64-71
-bytes per kept outcome (tracemalloc, binomial totals 10^6 to 10^9, both
-sidednesses; 66 for Fisher margins of 10^6 cases among 10^7 events), of
-which the table keeps about 20.
+A table is built in few array passes with few temporaries and one sort.
+One buffer holds the log weights, then the weights, then the PMF.  The
+two-sided rule sorts the PMF, searches only for the outcomes tied with
+their successor, and its order, with each run of equal p-values put in
+index order, sorts the p-values for the aggregation too; one-sided p-values
+are sorted already.  The aggregation walks only the chains of close
+p-values that span more than the tolerance, and sums and repeats atoms only
+when one holds more than one value: rare in drug-safety Fisher tables,
+while each pair k, total - k of a two-sided binomial table is one atom.
+While a table builds its arrays peak at 64-71 bytes per kept outcome
+(tracemalloc, binomial totals 10^6 to 10^9, both sidednesses; 64-66 for
+Fisher margins of 10^6 cases among 10^7 events), of which the table keeps
+about 20.
 
 Both tests memoise their tables in one memo, as simulations repeat totals
 from study to study; no result depends on it.  The memo is bounded by the
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +76,8 @@ AGGREGATION_RTOL = 1e-10
 # PMF of exactly 0.0: their weight relative to the mode's underflows, since
 # exp does below -745.13, and the normalising sum of the weights is at least
 # the mode's weight of 1.  The slack beyond 745 absorbs the rounding of the
-# scalar log weights that place the window.
+# scalar log weights that place the window: ``math.lgamma`` rounds
+# differently from ``gammaln``, by far less than 55.
 WINDOW_LOG_MARGIN = 800.0
 
 # A window of more outcomes than this is refused before it is evaluated.  At
@@ -79,6 +87,12 @@ WINDOW_LOG_MARGIN = 800.0
 MAX_WINDOW_OUTCOMES = 1 << 22
 
 MEMO_BYTES = 1 << 20  # bytes of null tables memoised, the newest always kept
+
+# The shared table of log-factorials holds at most this many entries (1 MiB);
+# larger arguments are evaluated with ``gammaln`` for each window.  Each entry
+# depends on its index alone, so sharing the table changes no result.
+LOG_FACTORIAL_CAP = 1 << 17
+_LOG_FACTORIALS = np.empty(0)
 
 
 class Sidedness(enum.Enum):
@@ -190,20 +204,18 @@ class DiscreteCDF:
         return int(self.support.size)
 
 
-def _log_binom_coeff(n, k):
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-
-
-def _outcome_pvalues(pmf: np.ndarray, sided: Sidedness) -> np.ndarray:
-    """P-value of every outcome of a discrete test with PMF ``pmf``.
+def _outcome_pvalues(pmf: np.ndarray, sided: Sidedness) -> tuple[np.ndarray, np.ndarray]:
+    """P-value of every outcome of a discrete test with PMF ``pmf``, and a
+    stable ascending order of them, the permutation that
+    ``np.argsort(pvals, kind="stable")`` gives.
 
     One-sided: lower-tail probability of the outcome.  Two-sided: total
     probability of outcomes that are equally likely to or less likely than
     the observed one, with ties judged at ``PROB_TIE_RTOL``.
     """
     if sided is Sidedness.ONE_SIDED:
-        p = np.cumsum(pmf)
-        return np.minimum(p, 1.0, out=p)
+        p = np.cumsum(pmf)  # non-decreasing, as no mass is negative
+        return np.minimum(p, 1.0, out=p), np.arange(p.size)
     order = np.argsort(pmf, kind="stable")
     p = pmf[order]
     # In this order an outcome's p-value is the cumulative sum up to the last
@@ -218,7 +230,21 @@ def _outcome_pvalues(pmf: np.ndarray, sided: Sidedness) -> np.ndarray:
     np.minimum(p, 1.0, out=p)
     pvals = np.empty_like(p)
     pvals[order] = p
-    return pvals
+    # p is non-decreasing, so ``order`` sorts the p-values; a stable sort
+    # also puts each run of equal ones in index order
+    is_start = np.ones(p.size + 1, dtype=bool)
+    np.not_equal(p[1:], p[:-1], out=is_start[1:-1])
+    del p
+    starts = np.flatnonzero(is_start)
+    if starts.size < is_start.size:  # some run holds more than one p-value
+        sizes = np.diff(starts)
+        starts = starts[:-1]
+        for size in np.unique(sizes[sizes > 1]):
+            runs = starts[sizes == size, None] + np.arange(size)
+            block = order[runs]
+            block.sort(axis=1)
+            order[runs] = block
+    return pvals, order
 
 
 def _atom_starts(values: np.ndarray) -> np.ndarray:
@@ -268,8 +294,9 @@ def _run_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarra
     return sums
 
 
-def _aggregate_pvalues(pvals: np.ndarray, pmf: np.ndarray):
-    """Collapse numerically identical p-values into support atoms.
+def _aggregate_pvalues(pvals: np.ndarray, pmf: np.ndarray, order: np.ndarray):
+    """Collapse numerically identical p-values into support atoms; ``order``
+    is ``np.argsort(pvals, kind="stable")``.
 
     Returns the sorted support, the per-atom masses, and the canonical
     p-value of each outcome (its atom's value).  Values within
@@ -283,7 +310,6 @@ def _aggregate_pvalues(pvals: np.ndarray, pmf: np.ndarray):
     Their presence does not perturb the other outcomes' p-values, which are
     sums that such terms enter as +0.0.
     """
-    order = np.argsort(pvals, kind="stable")
     mass = pmf[order]
     representable = mass > 0.0
     if not representable.all():
@@ -304,6 +330,37 @@ def _aggregate_pvalues(pvals: np.ndarray, pmf: np.ndarray):
     return support, mass, canonical
 
 
+def _log_factorials(a: int, b: int) -> np.ndarray:
+    """``gammaln(x + 1.0)`` for x = a..b: a read-only view of the shared
+    table when ``b`` lies below ``LOG_FACTORIAL_CAP``, else a new array.
+    The table is built on first use and grows by doubling."""
+    global _LOG_FACTORIALS
+    if b >= LOG_FACTORIAL_CAP:
+        x = np.arange(a, b + 1, dtype=float)
+        x += 1.0
+        return gammaln(x, out=x)
+    if b >= _LOG_FACTORIALS.size:
+        table = np.arange(max(1024, 1 << int(b).bit_length()), dtype=float)
+        table += 1.0
+        gammaln(table, out=table)
+        table.setflags(write=False)
+        _LOG_FACTORIALS = table
+    return _LOG_FACTORIALS[a:b + 1]
+
+
+def _log_choose(n: int, a: int, b: int) -> np.ndarray:
+    """``log C(n, k)`` for k = a..b, a new array."""
+    out = gammaln(n + 1.0) - _log_factorials(a, b)
+    out -= _log_factorials(n - b, n - a)[::-1]
+    return out
+
+
+def _lgamma_choose(n: float):
+    """``k -> log C(n, k)`` of one outcome, to place the window edges."""
+    log_n = math.lgamma(n + 1.0)
+    return lambda k: log_n - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+
+
 def _window_edge(log_weight, mode: int, bound: int, floor: float) -> int:
     """The outcome farthest from ``mode`` towards ``bound`` whose log weight
     is at least ``floor``, by bisection: the log weight is concave with its
@@ -320,17 +377,13 @@ def _window_edge(log_weight, mode: int, bound: int, floor: float) -> int:
     return inside
 
 
-def _null_table(log_weight, lo: int, hi: int, mode: int, sided: Sidedness,
-                statistic: str):
-    """Null p-value distribution of a test with outcomes ``lo..hi``.
+def _window(log_weight, lo: int, hi: int, mode: int, statistic: str):
+    """The first and last of the outcomes ``lo..hi`` within
+    ``WINDOW_LOG_MARGIN`` of the mode's log weight.
 
-    ``log_weight(k)`` is the unnormalised log probability of outcome
-    ``k``, concave with its maximum at ``mode``.  Only the window of outcomes
-    within ``WINDOW_LOG_MARGIN`` of the mode's log weight is evaluated, and
-    one wider than ``MAX_WINDOW_OUTCOMES`` is refused, naming ``statistic``.
-    Its weights relative to the mode's are normalised by their own sum, and
-    only the outcomes with a nonzero PMF are kept.  Returns the distribution,
-    the first kept outcome, and the canonical p-value of every kept outcome.
+    ``log_weight(k)`` is the unnormalised log probability of outcome ``k``,
+    concave with its maximum at ``mode``.  A window wider than
+    ``MAX_WINDOW_OUTCOMES`` is refused, naming ``statistic``.
     """
     floor = log_weight(float(mode)) - WINDOW_LOG_MARGIN
     first = _window_edge(log_weight, mode, lo, floor)
@@ -341,8 +394,18 @@ def _null_table(log_weight, lo: int, hi: int, mode: int, sided: Sidedness,
             f" outcomes, more than the {MAX_WINDOW_OUTCOMES} an exact test"
             " enumerates"
         )
+    return first, last
+
+
+def _null_table(pmf: np.ndarray, first: int, sided: Sidedness):
+    """Null p-value distribution of a test from the log weights ``pmf`` of
+    its window of outcomes from ``first`` on.
+
+    The weights relative to the mode's are normalised by their own sum, and
+    only the outcomes with a nonzero PMF are kept.  Returns the distribution,
+    the first kept outcome, and the canonical p-value of every kept outcome.
+    """
     # one buffer holds the log weights, then the weights, then the PMF
-    pmf = log_weight(np.arange(first, last + 1, dtype=float))
     pmf -= pmf.max()
     np.exp(pmf, out=pmf)
     pmf /= pmf[pmf > 0.0].sum()
@@ -351,7 +414,8 @@ def _null_table(log_weight, lo: int, hi: int, mode: int, sided: Sidedness,
     start, stop = int(kept.argmax()), kept.size - int(kept[::-1].argmax())
     del kept
     pmf = pmf[start:stop]
-    support, mass, canonical = _aggregate_pvalues(_outcome_pvalues(pmf, sided), pmf)
+    pvals, order = _outcome_pvalues(pmf, sided)
+    support, mass, canonical = _aggregate_pvalues(pvals, pmf, order)
     return DiscreteCDF(support, mass), first + start, canonical
 
 
@@ -418,27 +482,23 @@ def _binomial_test(total: int, sided: Sidedness):
         raise DegenerateDataError(
             f"binomial test needs a positive total count, got {total}"
         )
-
-    def log_weight(k):
-        # log C(total, k); the 0.5^total factor is constant and cancels in
-        # the normalisation.
-        return _log_binom_coeff(float(total), k)
-
-    return _null_table(log_weight, 0, total, total // 2, sided,
-                       f"the binomial total {total}")
+    # log C(total, k); the 0.5^total factor is constant and cancels in the
+    # normalisation.
+    first, last = _window(_lgamma_choose(float(total)), 0, total, total // 2,
+                          f"the binomial total {total}")
+    return _null_table(_log_choose(total, first, last), first, sided)
 
 
 @_MEMO
 def _fet_test(n1: int, n2: int, m_obs: int, sided: Sidedness):
-    def log_weight(k):
-        return _log_binom_coeff(float(n1), k) + _log_binom_coeff(
-            float(n2), float(m_obs) - k
-        )
-
+    row1, row2, col = _lgamma_choose(float(n1)), _lgamma_choose(float(n2)), float(m_obs)
     lo, hi = _fet_range(n1, n2, m_obs)
     mode = (n1 + 1) * (m_obs + 1) // (n1 + n2 + 2)  # of the hypergeometric
-    return _null_table(log_weight, lo, hi, mode, sided,
-                       f"the margins (n1, n2, m_obs) = ({n1}, {n2}, {m_obs})")
+    first, last = _window(lambda k: row1(k) + row2(col - k), lo, hi, mode,
+                          f"the margins (n1, n2, m_obs) = ({n1}, {n2}, {m_obs})")
+    log_weights = _log_choose(n1, first, last)
+    log_weights += _log_choose(n2, m_obs - last, m_obs - first)[::-1]
+    return _null_table(log_weights, first, sided)
 
 
 def binomial_null_distribution(total: int, sided: Sidedness) -> DiscreteCDF:

@@ -21,7 +21,6 @@ import numpy as np
 
 from .cdf_metric import marginal_distance
 from .errors import (
-    EmptyStudyError,
     GroupingDidNotConvergeError,
     InvalidConfigError,
     InvalidEstimateError,
@@ -118,23 +117,6 @@ def weighted_pvalues(pvalues, partition: Partition, weights) -> np.ndarray:
     if partition.m != pvalues.size:
         raise InvalidConfigError("partition does not cover the study")
     return pvalues * weights[partition.group_of()]
-
-
-def fdr_estimate(t: float, weighted, pi0_overall: float) -> float:
-    """Estimated FDR of the rule "reject whenever the weighted p-value <= t".
-
-    Only ``t``, ``pi0_overall`` and that ``weighted`` is a nonempty 1-d
-    array are checked, so that a scan over many thresholds pays no pass over
-    ``weighted`` per call.
-    """
-    check_scalar("t", t, "be nonnegative")
-    check_scalar("pi0_overall", pi0_overall, "be in [0, 1]", error=InvalidEstimateError)
-    weighted = check_array("weighted p-values", weighted)
-    m = weighted.size
-    if m == 0:
-        raise EmptyStudyError("no hypotheses")
-    n_rejected = int(np.count_nonzero(weighted <= t))
-    return min(1.0, (1.0 - pi0_overall) * t / (max(n_rejected, 1) / m))
 
 
 def _step_up_threshold(values: np.ndarray, scale: float, alpha: float) -> float:

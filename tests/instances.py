@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from discrete_fdr import fdr_estimate, rejection_threshold
+from discrete_fdr import rejection_threshold
 
 # p-values every entry point must reject: non-finite or outside (0, 1]
 INVALID_PVALUES = [np.nan, np.inf, -np.inf, 0.0, 1.5]
@@ -60,13 +60,21 @@ def grid_sup_rejections(ptilde, pi0_overall, alpha):
     """Rejection set from a dense-grid evaluation of the estimated-FDR sup.
 
     Candidates: 0, every finite weighted p-value, midpoints between
-    neighbours, and a point beyond the maximum.
+    neighbours, and a point beyond the maximum.  The estimated FDR of the
+    rule "reject whenever the weighted p-value <= t" is
+    min(1, (1 - pi0) t / (max(R_t, 1) / m)), with R_t the number rejected.
     """
+    m = ptilde.size
+
+    def fdr_estimate(t):
+        rejected = int(np.count_nonzero(ptilde <= t))
+        return min(1.0, (1.0 - pi0_overall) * t / (max(rejected, 1) / m))
+
     finite = np.unique(ptilde[np.isfinite(ptilde)])
     candidates = [0.0]
     candidates.extend(finite.tolist())
     candidates.extend(((finite[:-1] + finite[1:]) / 2).tolist())
     if finite.size:
         candidates.append(float(finite.max()) * 1.5 + 1.0)
-    tau = max(t for t in candidates if fdr_estimate(t, ptilde, pi0_overall) <= alpha)
+    tau = max(t for t in candidates if fdr_estimate(t) <= alpha)
     return set(np.flatnonzero(ptilde <= tau).tolist())

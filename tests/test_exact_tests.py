@@ -429,6 +429,11 @@ class TestAgainstRationalOracle:
 # bit.
 
 
+def aggregate(pvals, pmf):
+    """``_aggregate_pvalues`` given the stable order of ``pvals`` it takes."""
+    return _aggregate_pvalues(pvals, pmf, np.argsort(pvals, kind="stable"))
+
+
 def reference_aggregate(pvals, pmf):
     representable = pmf > 0.0
     order = np.argsort(pvals, kind="stable")
@@ -470,7 +475,7 @@ def _reference_pmf(log_weights):
 
 def _reference_table(log_weights, sided):
     pmf = _reference_pmf(log_weights)
-    return reference_aggregate(_outcome_pvalues(pmf, sided), pmf)
+    return reference_aggregate(_outcome_pvalues(pmf, sided)[0], pmf)
 
 
 def _binomial_log_weight(total):
@@ -609,6 +614,45 @@ class TestWindowedEnumerationMatchesReference:
         n2 = n1 if n2 is None else n2  # None draws the tied case n1 = n2
         check_fet(n1, n2, int(share * min(n1 + n2, 60_000)), sided)
 
+    @pytest.mark.parametrize("sided", [ONE, TWO], ids=["one", "two"])
+    def test_binomial_windows_across_the_log_factorial_cap(self, sided):
+        for total in (2**18 - 1, 2**18, 2**18 + 1):
+            check_binomial(total, sided)
+
+    @pytest.mark.parametrize("sided", [ONE, TWO], ids=["one", "two"])
+    def test_fet_rows_at_the_log_factorial_cap(self, sided):
+        for n1 in (2**17 - 1, 2**17, 2**17 + 1):
+            check_fet(n1, 2_000_000 - n1, 20_000, sided)
+
+
+class TestSharedLogFactorials:
+    """The log-factorial table that every table build reads."""
+
+    @staticmethod
+    def small_tables():
+        _MEMO.clear()
+        tables = [_binomial_test(50, TWO), _fet_test(40, 60, 30, ONE)]
+        return [(t[0].support.tobytes(), t[0].mass.tobytes(), t[1], t[2].tobytes())
+                for t in tables]
+
+    def test_grows_to_the_cap_and_no_further(self, monkeypatch):
+        monkeypatch.setattr(exact_tests, "_LOG_FACTORIALS", np.empty(0))
+        before = self.small_tables()
+        assert exact_tests._LOG_FACTORIALS.size == 1024
+        _binomial_test(200_000, TWO)  # a window below the cap
+        assert exact_tests._LOG_FACTORIALS.size == exact_tests.LOG_FACTORIAL_CAP
+        for total in (10**8, 2**18):
+            _binomial_test(total, ONE)
+            assert exact_tests._LOG_FACTORIALS.size <= exact_tests.LOG_FACTORIAL_CAP
+        cap = exact_tests.LOG_FACTORIAL_CAP
+        edge = exact_tests._log_factorials(cap - 2, cap)  # evaluated past the table
+        assert edge.tobytes() == gammaln(np.arange(cap - 2, cap + 1) + 1.0).tobytes()
+        assert exact_tests._LOG_FACTORIALS.size == cap
+        table = exact_tests._LOG_FACTORIALS
+        assert not table.flags.writeable
+        assert table.tobytes() == gammaln(np.arange(table.size) + 1.0).tobytes()
+        assert self.small_tables() == before
+
 
 def _chunked_log_weights(log_weight, lo, hi, chunk=1_000_000):
     """``log_weight`` of the outcomes lo..hi, evaluated a chunk at a time so
@@ -628,7 +672,7 @@ def check_large(table, pvalue, log_weight, lo, hi, sided):
     kept = np.flatnonzero(pmf)
     first, last = lo + int(kept[0]), lo + int(kept[-1])
     pmf = pmf[kept[0]:kept[-1] + 1]
-    reference = reference_aggregate(_outcome_pvalues(pmf, sided), pmf)
+    reference = reference_aggregate(_outcome_pvalues(pmf, sided)[0], pmf)
     assert_bit_identical(table, (first, *reference))
     mode = first + int(np.argmax(pmf))
     for c1 in (first, first + pmf.size // 4, mode, last - 7, last):
@@ -685,7 +729,7 @@ class TestAggregationRule:
             pvals = np.where(rng.random(n) < 0.6, atoms, rng.uniform(0.01, 1.0, n))
             pmf = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(1e-300, 1.0, n))
             pmf[0] = 0.5  # at least one representable outcome
-            got = _aggregate_pvalues(pvals, pmf)
+            got = aggregate(pvals, pmf)
             expected = reference_aggregate(pvals, pmf)
             for a, b in zip(got, expected):
                 assert a.tobytes() == b.tobytes()
@@ -694,7 +738,7 @@ class TestAggregationRule:
         # neighbours 0.6e-10 apart in relative terms, spanning 2.4e-10: an
         # atom holds what lies within tolerance of its first value
         pvals = 0.5 * (1 + 0.6e-10) ** np.arange(5)
-        support, mass, canonical = _aggregate_pvalues(pvals, np.full(5, 0.2))
+        support, mass, canonical = aggregate(pvals, np.full(5, 0.2))
         assert support.tolist() == [pvals[0], pvals[2], pvals[4]]
         assert mass.tolist() == [0.2 + 0.2, 0.2 + 0.2, 0.2]
         assert canonical.tolist() == [pvals[0]] * 2 + [pvals[2]] * 2 + [pvals[4]]
@@ -703,23 +747,23 @@ class TestAggregationRule:
         # 1.0 + 1e-16 rounds back to 1.0 each time; a pairwise sum adds the
         # eight small masses first and lands one ulp above 1.0
         pmf = np.array([1.0] + [1e-16] * 8)
-        support, mass, _ = _aggregate_pvalues(np.full(9, 0.25), pmf)
+        support, mass, _ = aggregate(np.full(9, 0.25), pmf)
         assert support.tolist() == [0.25]
         assert mass.tolist() == [1.0]
 
     def test_atom_near_one_snaps(self):
-        support, _, canonical = _aggregate_pvalues(
+        support, _, canonical = aggregate(
             np.array([0.5, 1 - 5e-11, 1.0]), np.array([0.5, 0.25, 0.25])
         )
         assert support.tolist() == [0.5, 1.0]
         assert canonical.tolist() == [0.5, 1.0, 1.0]
-        support, _, _ = _aggregate_pvalues(
+        support, _, _ = aggregate(
             np.array([0.5, 1 - 2e-10]), np.array([0.5, 0.5])
         )
         assert support.tolist() == [0.5, 1 - 2e-10]
 
     def test_underflowed_outcomes_left_out(self):
-        support, mass, canonical = _aggregate_pvalues(
+        support, mass, canonical = aggregate(
             np.array([0.5, 0.25, 1.0]), np.array([0.5, 0.0, 0.5])
         )
         assert support.tolist() == [0.5, 1.0]
@@ -738,7 +782,8 @@ class TestSingletonAndTiePaths:
         at_most = np.searchsorted(sorted_pmf, pmf * (1.0 + PROB_TIE_RTOL), side="right")
         return np.minimum(np.cumsum(sorted_pmf)[at_most - 1], 1.0)
 
-    def test_two_sided_ties_and_near_ties(self):
+    @staticmethod
+    def tied_pmfs():
         rng = np.random.default_rng(23)
         for _ in range(200):
             n = int(rng.integers(1, 40))
@@ -749,8 +794,18 @@ class TestSingletonAndTiePaths:
             pmf[chain] = pmf[-1] * (1.0 + 0.4 * PROB_TIE_RTOL * np.arange(chain.size))
             pmf[rng.random(n) < 0.1] = 0.0
             pmf /= max(pmf.sum(), 1e-300)
-            got = _outcome_pvalues(pmf, TWO)
+            yield pmf
+
+    def test_two_sided_ties_and_near_ties(self):
+        for pmf in self.tied_pmfs():
+            got = _outcome_pvalues(pmf, TWO)[0]
             assert got.tobytes() == self.reference_two_sided(pmf).tobytes()
+
+    @pytest.mark.parametrize("sided", [ONE, TWO], ids=["one", "two"])
+    def test_order_is_the_stable_sort_of_the_pvalues(self, sided):
+        for pmf in self.tied_pmfs():
+            pvals, order = _outcome_pvalues(pmf, sided)
+            assert order.tolist() == np.argsort(pvals, kind="stable").tolist()
 
     def test_singleton_atoms(self):
         values = np.geomspace(1e-6, 1.0, 40)
@@ -758,7 +813,7 @@ class TestSingletonAndTiePaths:
         rng = np.random.default_rng(29)
         pvals = rng.permutation(values)
         pmf = rng.uniform(0.01, 1.0, 40)
-        for got, expected in zip(_aggregate_pvalues(pvals, pmf),
+        for got, expected in zip(aggregate(pvals, pmf),
                                  reference_aggregate(pvals, pmf)):
             assert got.tobytes() == expected.tobytes()
 
@@ -768,7 +823,7 @@ class TestSingletonAndTiePaths:
                            0.3 * (1 + 0.9 * AGGREGATION_RTOL)])
         assert _atom_starts(values).tolist() == [0, 2, 3]
         pmf = np.full(5, 0.2)
-        support, mass, canonical = _aggregate_pvalues(values, pmf)
+        support, mass, canonical = aggregate(values, pmf)
         assert support.tolist() == [0.1, 0.2, 0.3]
         assert mass.tolist() == [0.4, 0.2, 0.4]
         assert canonical.tolist() == [0.1, 0.1, 0.2, 0.3, 0.3]

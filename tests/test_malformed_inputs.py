@@ -188,8 +188,6 @@ CASES = {
     "group_weights": lambda d: fdr.group_weights(d.array([0.5, 0.8])),
     "weighted_pvalues": lambda d: fdr.weighted_pvalues(
         d.array(PVALUES), d.partition(), d.array([1.0, 4.0])),
-    "fdr_estimate": lambda d: fdr.fdr_estimate(
-        d.scalar(0.05), d.array(PVALUES), d.scalar(0.8)),
     "rejection_threshold": lambda d: fdr.rejection_threshold(
         d.scalar(0.05), d.array(PVALUES), d.scalar(0.8)),
     "bh_reject": lambda d: fdr.bh_reject(d.array(PVALUES), d.scalar(0.05)),

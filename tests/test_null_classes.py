@@ -202,15 +202,15 @@ def test_table_above_the_budget_builds_once_per_study(monkeypatch):
 
 def test_simulation_builds_each_total_once(monkeypatch):
     built = []
-    original = exact_tests._null_table
+    original = exact_tests._window
     monkeypatch.setattr(
-        exact_tests, "_null_table",
-        lambda *args: built.append(args[1:5]) or original(*args),
+        exact_tests, "_window",
+        lambda *args: built.append(args[1:4]) or original(*args),
     )
     cfg = ScenarioConfig(Family.POISSON_BINOMIAL, m=20_000, pi0=0.8, alpha_grid=(0.05,),
                          l_star_grid=(2,), replications=3, master_seed=1)
     run_study(cfg, workers=1)
-    assert len(built) == len(set(built)) > 80  # (lo, hi, mode, sided) names a total
+    assert len(built) == len(set(built)) > 80  # (lo, hi, mode) names a total
 
 
 # --- the class form of the supports: NullSupports -------------------------

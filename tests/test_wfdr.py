@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discrete_fdr import (
-    EmptyStudyError,
     InvalidConfigError,
     InvalidEstimateError,
     NotApplicableError,
@@ -19,7 +18,6 @@ from discrete_fdr import (
     bh_reject,
     binomial_null_distribution,
     binomial_pvalue,
-    fdr_estimate,
     group_weights,
     rejection_threshold,
     theorem1_compare,
@@ -83,31 +81,6 @@ class TestWeightedPvalues:
         part = Partition((np.array([0, 1]),))
         with pytest.raises(InvalidConfigError, match=match):
             weighted_pvalues(pvalues, part, [1.0])
-
-
-class TestFdrEstimate:
-    def test_worked_value(self):
-        ptilde = [0.05, 0.08, 0.09, 0.1, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
-        assert fdr_estimate(0.1, ptilde, 0.5) == pytest.approx(0.125)
-
-    def test_zero_threshold(self):
-        assert fdr_estimate(0.0, [0.5, 1.0], 0.7) == 0.0
-
-    def test_floor_engages_without_rejections(self):
-        assert fdr_estimate(0.2, [0.5] * 10, 0.0) == 1.0
-
-    def test_capped_at_one(self):
-        assert fdr_estimate(100.0, [0.5], 0.0) == 1.0
-
-    def test_empty_study(self):
-        with pytest.raises(EmptyStudyError, match="no hypotheses"):
-            fdr_estimate(0.1, [], 0.5)
-
-    def test_not_1d(self):
-        with pytest.raises(InvalidConfigError, match="1-d array, got 2"):
-            fdr_estimate(0.1, [[0.05, 0.5]], 0.5)
-        with pytest.raises(InvalidConfigError, match="1-d array, got 0"):
-            fdr_estimate(0.1, 0.05, 0.5)
 
 
 class TestRejectionThreshold:
@@ -300,7 +273,6 @@ class TestWeightedScaleValidation:
         for call in (
             lambda: rejection_threshold(0.1, [0.001, 0.002], pi0),
             lambda: theorem1_compare([0.001, 0.002], [0.001, 0.002], pi0, 0.1),
-            lambda: fdr_estimate(0.1, [0.001, 0.002], pi0),
         ):
             with pytest.raises(InvalidEstimateError, match="pi0_overall"):
                 call()
@@ -311,8 +283,6 @@ class TestWeightedScaleValidation:
             rejection_threshold(0.1, [0.001, bad], 0.5)
         with pytest.raises(InvalidConfigError, match="at index 1"):
             theorem1_compare([0.001, 0.002], [0.001, bad], 0.5, 0.1)
-        with pytest.raises(InvalidConfigError, match="t must be nonnegative"):
-            fdr_estimate(bad, [0.001, 0.002], 0.5)
 
     def test_infinite_and_zero_weighted_valid(self):
         # weight inf (all-null group) and weight 0 (all-non-null group)
@@ -324,7 +294,6 @@ class TestWeightedScaleValidation:
     def test_pi0_bounds_valid(self):
         assert rejection_threshold(0.1, [0.001, 0.002], 1.0) == 0.0
         assert rejection_threshold(0.1, [0.001, 0.002], 0.0) == 0.002
-        assert fdr_estimate(0.1, [0.001, 0.002], 1.0) == 0.0
 
 
 class TestWfdrReject:
