@@ -9,9 +9,15 @@ the attainable p-values together with their probabilities under the null.
 Log weights are sums of log-factorials, exponentiated relative to the
 mode's, and divided by the sum of the positive weights, so the masses sum to
 one to rounding; binomial totals up to 1e7 and Fisher margins of 1e6 cases
-among 1e7 events have been checked.  A log-factorial is ``gammaln(x + 1.0)``,
-read from one shared table for x below ``LOG_FACTORIAL_CAP`` (at most 1 MiB,
-built on first use and grown by doubling) and evaluated per window above it.
+among 1e7 events have been checked.  Beyond about 1e9 the difference of
+log-factorials cancels, and errors grow: a one-sided p-value of the margins
+(N, N, 4) is off by 2e-6 relative at N = 1e9 and by 4e-3 at 1e12.  A total
+or margin at or above 2^53, which float64 cannot hold exactly, is refused
+with a ``DegenerateDataError`` before it is converted.
+
+A log-factorial is ``gammaln(x + 1.0)``, read from one shared table for x
+below ``LOG_FACTORIAL_CAP`` (at most 1 MiB, built on first use and grown by
+doubling) and evaluated per window above it.
 Only the outcomes whose probability double precision can represent are
 enumerated: bisection on the concave log weight, in scalars with
 ``math.lgamma``, finds the window within ``WINDOW_LOG_MARGIN`` of the mode's,
@@ -25,19 +31,21 @@ at most.  A window of more than ``MAX_WINDOW_OUTCOMES`` outcomes (a binomial
 total beyond about 10^10) is refused with a ``DegenerateDataError`` before
 anything is allocated for it.
 
-A table is built in few array passes with few temporaries and one sort.
-One buffer holds the log weights, then the weights, then the PMF.  The
-two-sided rule sorts the PMF, searches only for the outcomes tied with
-their successor, and its order, with each run of equal p-values put in
-index order, sorts the p-values for the aggregation too; one-sided p-values
-are sorted already.  The aggregation walks only the chains of close
-p-values that span more than the tolerance, and sums and repeats atoms only
-when one holds more than one value: rare in drug-safety Fisher tables,
-while each pair k, total - k of a two-sided binomial table is one atom.
-While a table builds its arrays peak at 64-71 bytes per kept outcome
-(tracemalloc, binomial totals 10^6 to 10^9, both sidednesses; 64-66 for
-Fisher margins of 10^6 cases among 10^7 events), of which the table keeps
-about 20.
+A table keeps three arrays: its support, its masses and the canonical
+p-value of each kept outcome, built in one sorted pass with few
+temporaries.  One buffer holds the log weights, then the weights, then the
+PMF.  The p-values come out in ascending order with the outcome of each:
+one-sided they are sorted already, and two-sided the rule sorts the PMF,
+searches only for the outcomes tied with their successor, and puts each run
+of equal p-values in outcome order.  The aggregation takes them as they
+are, walks only the chains of close p-values that span more than the
+tolerance, and sums and repeats atoms only when one holds more than one
+value: rare in drug-safety Fisher tables, while each pair k, total - k of a
+two-sided binomial table is one atom.  That is 16-17 bytes per kept
+outcome in binomial tables, and up to 24 when every outcome is an atom of
+its own.  While a table builds, its arrays peak at no more than 80 bytes
+per kept outcome (tracemalloc; the bound the tests check at a binomial
+total of 10^8).
 
 Both tests memoise their tables in one memo, as simulations repeat totals
 from study to study; no result depends on it.  The memo is bounded by the
@@ -81,8 +89,8 @@ AGGREGATION_RTOL = 1e-10
 WINDOW_LOG_MARGIN = 800.0
 
 # A window of more outcomes than this is refused before it is evaluated.  At
-# 62-68 bytes per window outcome while a table builds, the limit caps that
-# peak near 0.3 GB; binomial totals up to 10^9 (1.26 million outcomes) and
+# most 80 bytes per window outcome while a table builds, the limit caps that
+# peak near 0.34 GB; binomial totals up to 10^9 (1.26 million outcomes) and
 # Fisher margins of 10^6 cases among 10^7 events (22,762) stay well inside it.
 MAX_WINDOW_OUTCOMES = 1 << 22
 
@@ -161,9 +169,9 @@ class MarginalVector:
 class DiscreteCDF:
     """A step CDF: strictly increasing support points in (0, 1] with masses.
 
-    Evaluation is right-continuous.  Masses must be positive and sum to one
-    within 1e-10.  Instances are immutable; the underlying arrays are marked
-    read-only.
+    Evaluation is right-continuous: ``cdf()`` adds up the masses on each
+    call.  Masses must be positive and sum to one within 1e-10.  Instances
+    are immutable; the underlying arrays are marked read-only.
     """
 
     support: np.ndarray
@@ -184,9 +192,6 @@ class DiscreteCDF:
         mass.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "mass", mass)
-        cumulative = np.cumsum(mass)
-        cumulative.setflags(write=False)
-        object.__setattr__(self, "_cumulative", cumulative)
 
     def cdf(self, t) -> np.ndarray | float:
         """Right-continuous evaluation P(X <= t); accepts scalars or arrays.
@@ -197,7 +202,7 @@ class DiscreteCDF:
         """
         t = check_array("t", t, "not be NaN", ndim=None)
         idx = np.searchsorted(self.support, t, side="right")
-        out = np.where(idx > 0, self._cumulative[np.maximum(idx - 1, 0)], 0.0)
+        out = np.where(idx > 0, np.cumsum(self.mass)[np.maximum(idx - 1, 0)], 0.0)
         return float(out) if out.ndim == 0 else out
 
     def __len__(self) -> int:
@@ -205,9 +210,9 @@ class DiscreteCDF:
 
 
 def _outcome_pvalues(pmf: np.ndarray, sided: Sidedness) -> tuple[np.ndarray, np.ndarray]:
-    """P-value of every outcome of a discrete test with PMF ``pmf``, and a
-    stable ascending order of them, the permutation that
-    ``np.argsort(pvals, kind="stable")`` gives.
+    """P-values of the outcomes of a discrete test with PMF ``pmf`` in
+    ascending order, and the outcome of each: the stable order that
+    ``np.argsort`` of the p-values by outcome gives.
 
     One-sided: lower-tail probability of the outcome.  Two-sided: total
     probability of outcomes that are equally likely to or less likely than
@@ -228,13 +233,10 @@ def _outcome_pvalues(pmf: np.ndarray, sided: Sidedness) -> tuple[np.ndarray, np.
     np.cumsum(p, out=p)
     p[tied] = p[last]
     np.minimum(p, 1.0, out=p)
-    pvals = np.empty_like(p)
-    pvals[order] = p
-    # p is non-decreasing, so ``order`` sorts the p-values; a stable sort
-    # also puts each run of equal ones in index order
+    # p is non-decreasing; a stable order puts each run of equal ones in
+    # outcome order
     is_start = np.ones(p.size + 1, dtype=bool)
     np.not_equal(p[1:], p[:-1], out=is_start[1:-1])
-    del p
     starts = np.flatnonzero(is_start)
     if starts.size < is_start.size:  # some run holds more than one p-value
         sizes = np.diff(starts)
@@ -244,7 +246,7 @@ def _outcome_pvalues(pmf: np.ndarray, sided: Sidedness) -> tuple[np.ndarray, np.
             block = order[runs]
             block.sort(axis=1)
             order[runs] = block
-    return pvals, order
+    return p, order
 
 
 def _atom_starts(values: np.ndarray) -> np.ndarray:
@@ -294,9 +296,10 @@ def _run_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarra
     return sums
 
 
-def _aggregate_pvalues(pvals: np.ndarray, pmf: np.ndarray, order: np.ndarray):
-    """Collapse numerically identical p-values into support atoms; ``order``
-    is ``np.argsort(pvals, kind="stable")``.
+def _aggregate_pvalues(support: np.ndarray, order: np.ndarray, pmf: np.ndarray):
+    """Collapse numerically identical p-values into support atoms, given the
+    ascending p-values and the outcome of each, as ``_outcome_pvalues``
+    returns them.
 
     Returns the sorted support, the per-atom masses, and the canonical
     p-value of each outcome (its atom's value).  Values within
@@ -313,8 +316,8 @@ def _aggregate_pvalues(pvals: np.ndarray, pmf: np.ndarray, order: np.ndarray):
     mass = pmf[order]
     representable = mass > 0.0
     if not representable.all():
-        order, mass = order[representable], mass[representable]
-    support = pvals[order]
+        support, order, mass = (support[representable], order[representable],
+                                mass[representable])
     starts = _atom_starts(support)
     merged = starts.size < support.size  # some atom holds more than one value
     if merged:
@@ -324,7 +327,7 @@ def _aggregate_pvalues(pvals: np.ndarray, pmf: np.ndarray, order: np.ndarray):
         del starts
     if abs(support[-1] - 1.0) <= AGGREGATION_RTOL:
         support[-1] = 1.0
-    canonical = np.full(pvals.size, np.nan)
+    canonical = np.full(pmf.size, np.nan)
     canonical[order] = np.repeat(support, sizes) if merged else support
     canonical.setflags(write=False)
     return support, mass, canonical
@@ -377,6 +380,18 @@ def _window_edge(log_weight, mode: int, bound: int, floor: float) -> int:
     return inside
 
 
+def _float_exact(statistic: str, *values: int) -> str:
+    """``statistic``, whose totals or margins are ``values``, if float64
+    holds each of them exactly: all lie below 2^53.  Otherwise their log
+    weights would be rounded beyond use, or not computed at all."""
+    if max(values) >= 2**53:
+        raise DegenerateDataError(
+            f"an exact test refuses {statistic}: every total and margin must"
+            " lie below 2^53, where float64 holds integers exactly"
+        )
+    return statistic
+
+
 def _window(log_weight, lo: int, hi: int, mode: int, statistic: str):
     """The first and last of the outcomes ``lo..hi`` within
     ``WINDOW_LOG_MARGIN`` of the mode's log weight.
@@ -414,8 +429,7 @@ def _null_table(pmf: np.ndarray, first: int, sided: Sidedness):
     start, stop = int(kept.argmax()), kept.size - int(kept[::-1].argmax())
     del kept
     pmf = pmf[start:stop]
-    pvals, order = _outcome_pvalues(pmf, sided)
-    support, mass, canonical = _aggregate_pvalues(pvals, pmf, order)
+    support, mass, canonical = _aggregate_pvalues(*_outcome_pvalues(pmf, sided), pmf)
     return DiscreteCDF(support, mass), first + start, canonical
 
 
@@ -439,8 +453,7 @@ def _fet_range(n1: int, n2: int, m_obs: int) -> tuple[int, int]:
 def _table_bytes(table) -> int:
     """Bytes held by the arrays of a ``_null_table``."""
     cdf, _, canonical = table
-    return (cdf.support.nbytes + cdf.mass.nbytes + cdf._cumulative.nbytes
-            + canonical.nbytes)
+    return cdf.support.nbytes + cdf.mass.nbytes + canonical.nbytes
 
 
 class _TableMemo:
@@ -465,7 +478,6 @@ class _TableMemo:
                     self.nbytes -= _table_bytes(self.tables.pop(oldest))
             return table
 
-        memoised.cache_clear = self.clear
         return memoised
 
     def clear(self) -> None:
@@ -482,20 +494,22 @@ def _binomial_test(total: int, sided: Sidedness):
         raise DegenerateDataError(
             f"binomial test needs a positive total count, got {total}"
         )
+    statistic = _float_exact(f"the binomial total {total}", total)
     # log C(total, k); the 0.5^total factor is constant and cancels in the
     # normalisation.
     first, last = _window(_lgamma_choose(float(total)), 0, total, total // 2,
-                          f"the binomial total {total}")
+                          statistic)
     return _null_table(_log_choose(total, first, last), first, sided)
 
 
 @_MEMO
 def _fet_test(n1: int, n2: int, m_obs: int, sided: Sidedness):
+    statistic = _float_exact(
+        f"the margins (n1, n2, m_obs) = ({n1}, {n2}, {m_obs})", n1, n2, m_obs)
     row1, row2, col = _lgamma_choose(float(n1)), _lgamma_choose(float(n2)), float(m_obs)
     lo, hi = _fet_range(n1, n2, m_obs)
     mode = (n1 + 1) * (m_obs + 1) // (n1 + n2 + 2)  # of the hypergeometric
-    first, last = _window(lambda k: row1(k) + row2(col - k), lo, hi, mode,
-                          f"the margins (n1, n2, m_obs) = ({n1}, {n2}, {m_obs})")
+    first, last = _window(lambda k: row1(k) + row2(col - k), lo, hi, mode, statistic)
     log_weights = _log_choose(n1, first, last)
     log_weights += _log_choose(n2, m_obs - last, m_obs - first)[::-1]
     return _null_table(log_weights, first, sided)

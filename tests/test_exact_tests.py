@@ -39,6 +39,7 @@ from discrete_fdr.exact_tests import (
     _canonical_pvalue,
     _fet_test,
     _outcome_pvalues,
+    _table_bytes,
 )
 from rational_oracles import (
     binomial_pmf_exact,
@@ -210,11 +211,11 @@ class TestSidednessByValue:
             self.CALLS[name](sided)
 
     def test_memo_is_keyed_by_the_member(self):
-        _binomial_test.cache_clear()
+        _MEMO.clear()
         binomial_null_distribution(13, "one")
         binomial_null_distribution(13, ONE)
         assert list(_MEMO.tables) == [("_binomial_test", 13, ONE)]
-        _binomial_test.cache_clear()
+        _MEMO.clear()
 
 
 class TestMemoHit:
@@ -430,8 +431,19 @@ class TestAgainstRationalOracle:
 
 
 def aggregate(pvals, pmf):
-    """``_aggregate_pvalues`` given the stable order of ``pvals`` it takes."""
-    return _aggregate_pvalues(pvals, pmf, np.argsort(pvals, kind="stable"))
+    """``_aggregate_pvalues`` of the p-values ``pvals`` by outcome, given
+    them in the stable ascending order it takes."""
+    order = np.argsort(pvals, kind="stable")
+    return _aggregate_pvalues(pvals[order], order, pmf)
+
+
+def outcome_pvalues(pmf, sided):
+    """The p-value of every outcome, in outcome order, rebuilt from the
+    ascending p-values and their outcomes that ``_outcome_pvalues`` returns."""
+    ascending, order = _outcome_pvalues(pmf, sided)
+    pvals = np.empty_like(ascending)
+    pvals[order] = ascending
+    return pvals
 
 
 def reference_aggregate(pvals, pmf):
@@ -475,7 +487,7 @@ def _reference_pmf(log_weights):
 
 def _reference_table(log_weights, sided):
     pmf = _reference_pmf(log_weights)
-    return reference_aggregate(_outcome_pvalues(pmf, sided)[0], pmf)
+    return reference_aggregate(outcome_pvalues(pmf, sided), pmf)
 
 
 def _binomial_log_weight(total):
@@ -672,7 +684,7 @@ def check_large(table, pvalue, log_weight, lo, hi, sided):
     kept = np.flatnonzero(pmf)
     first, last = lo + int(kept[0]), lo + int(kept[-1])
     pmf = pmf[kept[0]:kept[-1] + 1]
-    reference = reference_aggregate(_outcome_pvalues(pmf, sided)[0], pmf)
+    reference = reference_aggregate(outcome_pvalues(pmf, sided), pmf)
     assert_bit_identical(table, (first, *reference))
     mode = first + int(np.argmax(pmf))
     for c1 in (first, first + pmf.size // 4, mode, last - 7, last):
@@ -798,14 +810,17 @@ class TestSingletonAndTiePaths:
 
     def test_two_sided_ties_and_near_ties(self):
         for pmf in self.tied_pmfs():
-            got = _outcome_pvalues(pmf, TWO)[0]
+            got = outcome_pvalues(pmf, TWO)
             assert got.tobytes() == self.reference_two_sided(pmf).tobytes()
 
     @pytest.mark.parametrize("sided", [ONE, TWO], ids=["one", "two"])
     def test_order_is_the_stable_sort_of_the_pvalues(self, sided):
         for pmf in self.tied_pmfs():
-            pvals, order = _outcome_pvalues(pmf, sided)
+            ascending, order = _outcome_pvalues(pmf, sided)
+            pvals = (self.reference_two_sided(pmf) if sided is TWO
+                     else np.minimum(np.cumsum(pmf), 1.0))
             assert order.tolist() == np.argsort(pvals, kind="stable").tolist()
+            assert ascending.tobytes() == pvals[order].tobytes()
 
     def test_singleton_atoms(self):
         values = np.geomspace(1e-6, 1.0, 40)
@@ -849,6 +864,8 @@ class TestTransientPeak:
                 tracemalloc.stop()
         kept = table[2].size
         assert kept > 380_000
+        # the support, the masses and the canonical p-values, nothing more
+        assert _table_bytes(table) == 8 * (2 * table[0].support.size + kept)
         assert peak - before <= 80 * kept
 
 
@@ -943,11 +960,15 @@ class TestWindowLimit:
 
     @pytest.mark.parametrize("total", [10**12, 2**62], ids=["1e12", "2^62"])
     def test_binomial_total_refused(self, total):
-        with pytest.raises(DegenerateDataError,
-                           match=f"the binomial total {total} needs") as excinfo:
+        # a total float64 holds exactly is refused for its window, one at or
+        # above 2^53 for the total itself
+        refusal = (f"the binomial total {total} needs" if total < 2**53
+                   else f"refuses the binomial total {total}: .* below 2\\^53")
+        with pytest.raises(DegenerateDataError, match=refusal) as excinfo:
             binomial_null_distribution(total, TWO)
-        assert self.outcomes(excinfo) > MAX_WINDOW_OUTCOMES
-        with pytest.raises(DegenerateDataError, match="outcomes"):
+        if total < 2**53:
+            assert self.outcomes(excinfo) > MAX_WINDOW_OUTCOMES
+        with pytest.raises(DegenerateDataError, match=refusal):
             binomial_pvalue(PoissonPair(total // 2, total - total // 2), ONE)
 
     def test_fet_margins_refused(self):
@@ -963,3 +984,44 @@ class TestWindowLimit:
         # 126,489 and 22,762 outcomes in the window
         assert _binomial_test(10**7, TWO)[2].size <= MAX_WINDOW_OUTCOMES
         assert _fet_test(10**6, 9 * 10**6, 10**6, TWO)[2].size <= MAX_WINDOW_OUTCOMES
+
+
+class TestFloatExactLimit:
+    """A total or margin at or above 2^53, which float64 cannot hold
+    exactly, is refused with a typed error that names the statistic, before
+    it is converted to a float."""
+
+    REFUSAL = ": every total and margin must lie below 2\\^53"
+
+    @pytest.mark.parametrize("total", [2**53, 10**400], ids=["2^53", "1e400"])
+    def test_binomial_total_refused(self, total):
+        # float(10**400) overflows
+        match = f"the binomial total {total}{self.REFUSAL}"
+        with pytest.raises(DegenerateDataError, match=match):
+            binomial_null_distribution(total, TWO)
+        with pytest.raises(DegenerateDataError, match=match):
+            binomial_pvalue(PoissonPair(total - 3, 3), ONE)
+
+    @pytest.mark.parametrize(
+        "margins",
+        [(10**400, 10**400, 3), (5, 2**53 + 1, 4), (2**53, 3, 2), (3, 2**53, 2),
+         (2**52, 2**52, 2**53)],
+        ids=["1e400", "n2-rounded", "n1", "n2", "m_obs"],
+    )
+    def test_fet_margins_refused(self, margins):
+        # float64 rounds n2 = 2^53 + 1 to 2^53
+        match = re.escape(f"the margins (n1, n2, m_obs) = {margins}") + self.REFUSAL
+        for sided in (ONE, TWO):
+            with pytest.raises(DegenerateDataError, match=match):
+                fet_null_distribution(MarginalVector(*margins), sided)
+            with pytest.raises(DegenerateDataError, match=match):
+                fet_pvalue(max(0, margins[2] - margins[1]), MarginalVector(*margins), sided)
+
+    @pytest.mark.parametrize("sided", [ONE, TWO], ids=["one", "two"])
+    def test_below_2_53_accepted(self, sided):
+        for margins in ((5, 2**53 - 1, 4), (2**53 - 1, 2**53 - 1, 3)):
+            table = fet_null_distribution(MarginalVector(*margins), sided)
+            assert table.mass.sum() == pytest.approx(1.0, abs=1e-10)
+        # the total 2^53 - 1 is refused for its window only
+        with pytest.raises(DegenerateDataError, match=f"the binomial total {2**53 - 1} needs"):
+            binomial_null_distribution(2**53 - 1, sided)

@@ -538,8 +538,25 @@ class TestWindowLimit:
              "--output", tmp_path / "out"]
         ) == EXIT_COMPUTE
         err = capsys.readouterr().err
-        assert re.search(f"error: the null distribution of the binomial total {total}"
-                         r" needs \d+ outcomes", err)
+        # a total float64 holds exactly is refused for its window, one at or
+        # above 2^53 for the total itself
+        refusal = (f"error: the null distribution of the binomial total {total}"
+                   r" needs \d+ outcomes" if total < 2**53 else
+                   f"error: an exact test refuses the binomial total {total}:"
+                   r" every total and margin must lie below 2\^53")
+        assert re.search(refusal, err)
+
+    def test_study_total_above_2_53_exits_compute(self, tmp_path, capsys):
+        # the second row's n2 = 9007199254742000 - 10000 lies above 2^53 too,
+        # but the first row's table is refused first
+        path = write(tmp_path / "safety.csv", "id,c1,n1\nd1,2,127\nd2,120,10000\n")
+        assert run_cli(
+            ["analyze", "--test", "fet", "--input", path, "--groups", "1",
+             "--study-totals", "20000,9007199254742000", "--output", tmp_path / "out"]
+        ) == EXIT_COMPUTE
+        assert ("error: an exact test refuses the margins (n1, n2, m_obs) ="
+                " (127, 9007199254741873, 20000)") in capsys.readouterr().err
+        assert not (tmp_path / "out.report.csv").exists()
 
 
 class TestAnalyzeMatchesLibrary:

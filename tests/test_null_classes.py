@@ -27,16 +27,13 @@ from discrete_fdr.proportion import _trial_grid
 from discrete_fdr.simulate import Family, ScenarioConfig, run_study
 
 TWO = Sidedness.TWO_SIDED
-MEMOS = (exact_tests._binomial_test, exact_tests._fet_test)
 
 
 @pytest.fixture(autouse=True)
 def cold_memo():
-    for memo in MEMOS:
-        memo.cache_clear()
+    exact_tests._MEMO.clear()
     yield
-    for memo in MEMOS:
-        memo.cache_clear()
+    exact_tests._MEMO.clear()
 
 
 def binomial_study():
@@ -108,13 +105,10 @@ def test_memo_stays_bounded_over_distinct_safety_studies():
 
 def _evicting(monkeypatch):
     """Clear the memo before every p-value, as a full memo evicts entries."""
-    for name, memo in (("binomial_pvalue", exact_tests._binomial_test),
-                       ("fet_pvalue", exact_tests._fet_test)):
+    for name in ("binomial_pvalue", "fet_pvalue"):
         original = getattr(io, name)
         monkeypatch.setattr(
-            io, name,
-            lambda *args, f=original, memo=memo: memo.cache_clear() or f(*args),
-        )
+            io, name, lambda *args, f=original: exact_tests._MEMO.clear() or f(*args))
 
 
 def _score_and_weigh(family):
