@@ -15,7 +15,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import InvalidComparisonError, check_scalar
+from .errors import InvalidComparisonError, InvalidConfigError, check_scalar
 from .exact_tests import DiscreteCDF, MarginalVector
 
 # Two support points count as the same attainable p-value when they agree to
@@ -92,18 +92,23 @@ def marginal_distance(s, t) -> float:
     arrays of the margins would.  Metric grouping calls this once per pair
     of hypotheses, so the kinds are tested cheapest first: Python float
     totals (what the scorer produces), then margins, then any other real
-    scalar, numpy floats among them.
+    scalar, numpy floats among them.  A statistic or difference beyond
+    float64's range raises ``InvalidConfigError``.
     """
     if type(s) is float and type(t) is float:
         return abs(s - t)
-    if isinstance(s, MarginalVector) and isinstance(t, MarginalVector):
-        return max(
-            abs(float(s.n1) - float(t.n1)),
-            abs(float(s.n2) - float(t.n2)),
-            abs(float(s.m_obs) - float(t.m_obs)),
-        )
-    if isinstance(s, Real) and isinstance(t, Real):
-        return float(abs(s - t))
+    try:
+        if isinstance(s, MarginalVector) and isinstance(t, MarginalVector):
+            return max(
+                abs(float(s.n1) - float(t.n1)),
+                abs(float(s.n2) - float(t.n2)),
+                abs(float(s.m_obs) - float(t.m_obs)),
+            )
+        if isinstance(s, Real) and isinstance(t, Real):
+            return float(abs(s - t))
+    except OverflowError:
+        raise InvalidConfigError(
+            "conditioning statistics must lie within float64's range") from None
     raise InvalidComparisonError(
         f"cannot compare conditioning statistics of kinds "
         f"{type(s).__name__} and {type(t).__name__}"

@@ -21,12 +21,7 @@ import numpy as np
 from .errors import DiscreteFdrError, InvalidConfigError, ParseError, SchemaError
 from .exact_tests import Sidedness
 from .io import MAX_COUNT, FilterRule, apply_filter, parse_counts_csv, score_input
-from .proportion import (
-    BINOMIAL_PI0_CONFIG,
-    FET_PI0_CONFIG,
-    Pi0Config,
-    estimate_pi0,
-)
+from .proportion import _PI0_CONFIGS, Pi0Config, estimate_pi0
 from .simulate import Family, ScenarioConfig, run_study
 from .wfdr import WfdrConfig, bh_reject, weight_study
 
@@ -112,7 +107,7 @@ def _add_simulate_parser(subparsers) -> None:
 
 
 def _pi0_config(args) -> Pi0Config:
-    default = BINOMIAL_PI0_CONFIG if args.test == "binomial" else FET_PI0_CONFIG
+    default = _PI0_CONFIGS[args.test]
     lambda_max = args.lambda_max if args.lambda_max is not None else default.lambda_max
     step = args.step if args.step is not None else default.step
     return Pi0Config(lambda_max=lambda_max, step=step)

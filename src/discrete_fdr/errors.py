@@ -82,6 +82,14 @@ RULES = {
 }
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the bit length of an int too long to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def check_array(name: str, value, must: str | None = None, ndim: int | None = 1,
                 error: type = InvalidConfigError) -> np.ndarray:
     """``value`` as a float array of ``ndim`` dimensions (of any number if it
@@ -89,7 +97,7 @@ def check_array(name: str, value, must: str | None = None, ndim: int | None = 1,
     the first that does not, by its index unless the array is a scalar."""
     try:
         array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         form = "an array" if ndim is None else f"a {ndim}-d array"
         raise error(f"{name} must form {form} of numbers: {exc}") from None
     if ndim is not None and array.ndim != ndim:
@@ -117,7 +125,7 @@ def check_sequence(name: str, value) -> list:
 def check_scalar(name: str, value, must: str, error: type = InvalidConfigError):
     """Raise ``error`` unless ``value`` is a real number satisfying ``must``."""
     if not (isinstance(value, Real) and RULES[must](value)):
-        raise error(f"{name} must {must}, got {value!r}")
+        raise error(f"{name} must {must}, got {_shown(value)}")
 
 
 def check_count(name: str, value, minimum: int | None = 0):
@@ -125,5 +133,5 @@ def check_count(name: str, value, minimum: int | None = 0):
     if not isinstance(value, (int, np.integer)) or (
             minimum is not None and value < minimum):
         at_least = "" if minimum is None else f" >= {minimum}"
-        raise InvalidConfigError(f"{name} must be an integer{at_least}, got {value!r}")
+        raise InvalidConfigError(f"{name} must be an integer{at_least}, got {_shown(value)}")
     return value

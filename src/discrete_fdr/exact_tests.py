@@ -68,6 +68,7 @@ from .errors import (
     DegenerateDataError,
     InvalidConfigError,
     InvalidTableError,
+    _shown,
     check_array,
     check_count,
 )
@@ -157,9 +158,8 @@ class MarginalVector:
         check_count("n2", self.n2)
         check_count("m_obs", self.m_obs)
         if self.m_obs > self.n1 + self.n2:
-            raise InvalidConfigError(
-                f"m_obs={self.m_obs} exceeds n1+n2={self.n1 + self.n2}"
-            )
+            raise InvalidConfigError("m_obs={} exceeds n1+n2={}".format(
+                *map(_shown, (self.m_obs, self.n1 + self.n2))))
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (int(self.n1), int(self.n2), int(self.m_obs))
@@ -381,15 +381,16 @@ def _window_edge(log_weight, mode: int, bound: int, floor: float) -> int:
 
 
 def _float_exact(statistic: str, *values: int) -> str:
-    """``statistic``, whose totals or margins are ``values``, if float64
-    holds each of them exactly: all lie below 2^53.  Otherwise their log
-    weights would be rounded beyond use, or not computed at all."""
+    """The format string ``statistic`` filled with its totals or margins
+    ``values``, if float64 holds each of them exactly: all lie below 2^53.
+    Otherwise their log weights would be rounded beyond use, or not computed
+    at all; the refusal names a value too long to print by its bit length."""
     if max(values) >= 2**53:
         raise DegenerateDataError(
-            f"an exact test refuses {statistic}: every total and margin must"
-            " lie below 2^53, where float64 holds integers exactly"
+            f"an exact test refuses {statistic.format(*map(_shown, values))}: every"
+            " total and margin must lie below 2^53, where float64 holds integers exactly"
         )
-    return statistic
+    return statistic.format(*values)
 
 
 def _window(log_weight, lo: int, hi: int, mode: int, statistic: str):
@@ -492,9 +493,9 @@ _MEMO = _TableMemo()
 def _binomial_test(total: int, sided: Sidedness):
     if total < 1:
         raise DegenerateDataError(
-            f"binomial test needs a positive total count, got {total}"
+            f"binomial test needs a positive total count, got {_shown(total)}"
         )
-    statistic = _float_exact(f"the binomial total {total}", total)
+    statistic = _float_exact("the binomial total {}", total)
     # log C(total, k); the 0.5^total factor is constant and cancels in the
     # normalisation.
     first, last = _window(_lgamma_choose(float(total)), 0, total, total // 2,
@@ -505,7 +506,7 @@ def _binomial_test(total: int, sided: Sidedness):
 @_MEMO
 def _fet_test(n1: int, n2: int, m_obs: int, sided: Sidedness):
     statistic = _float_exact(
-        f"the margins (n1, n2, m_obs) = ({n1}, {n2}, {m_obs})", n1, n2, m_obs)
+        "the margins (n1, n2, m_obs) = ({}, {}, {})", n1, n2, m_obs)
     row1, row2, col = _lgamma_choose(float(n1)), _lgamma_choose(float(n2)), float(m_obs)
     lo, hi = _fet_range(n1, n2, m_obs)
     mode = (n1 + 1) * (m_obs + 1) // (n1 + n2 + 2)  # of the hypergeometric
@@ -573,7 +574,6 @@ def fet_pvalue(c1: int, margins: MarginalVector, sided: Sidedness) -> float:
     lo, hi = _fet_range(n1, n2, m_obs)
     if not lo <= c1 <= hi:
         raise InvalidTableError(
-            f"count {c1} outside hypergeometric range [{lo}, {hi}]"
-            f" for margins ({n1}, {n2}, {m_obs})"
-        )
+            "count {} outside hypergeometric range [{}, {}] for margins ({}, {}, {})"
+            .format(*map(_shown, (c1, lo, hi, n1, n2, m_obs))))
     return _canonical_pvalue(_fet_test(n1, n2, m_obs, _sidedness(sided)), c1)

@@ -313,9 +313,10 @@ def group_by_statistic_quantiles(stats, l_star: int) -> Partition:
             n1, n2, m_obs = np.array([s.as_tuple() for s in stats], dtype=float).T
             stats = next((c for c in (m_obs, n1, n2) if np.ptp(c) > 0), n1)
         stats = np.asarray(stats, dtype=float)
-    except (AttributeError, TypeError, ValueError):
+    except (AttributeError, TypeError, ValueError, OverflowError):
         raise InvalidConfigError(
-            "stats must be all real scalars or all MarginalVector margins"
+            "stats must be all real scalars or all MarginalVector margins, "
+            "within float64's range"
         ) from None
     if check_array("stats", stats, "be finite").size == 0:
         raise InvalidConfigError("stats must be a nonempty 1-d sequence")

@@ -11,12 +11,14 @@ The estimator works per null class, the hypotheses whose supports are
 equal.  ``NullSupports`` carries the classes of a study: one checked array
 per class and a class id per hypothesis.  ``io.score_input`` returns one;
 a plain sequence of arrays becomes one at the boundary of each function
-here.  A class's lambdas are found once per study and guiding grid and
-kept on it, and a group of the partition reads a view of it.
+here.  The lambdas of all classes are found once per study and guiding
+grid, one k x |tau| matrix kept on it, and a group of the partition reads
+a view of it.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -59,6 +61,8 @@ class Pi0Config:
 # Grid settings used for each test family in the reference simulations.
 BINOMIAL_PI0_CONFIG = Pi0Config(lambda_max=0.2, step=0.0005)
 FET_PI0_CONFIG = Pi0Config(lambda_max=0.5, step=0.008)
+# the default grid of each exact test, keyed by the test's name
+_PI0_CONFIGS = {"binomial": BINOMIAL_PI0_CONFIG, "fet": FET_PI0_CONFIG}
 
 
 @dataclass(frozen=True)
@@ -87,15 +91,11 @@ def _checked_support(array, hypothesis: int) -> np.ndarray:
     return support
 
 
-def _lambda_row(support: np.ndarray, taus: np.ndarray):
-    """A class's lambda at the ascending guiding values ``taus``: how many of
-    them lie below its first point, then the ascending distinct lambdas at
-    the others, 1 - lambda, and the number of guiding values each serves."""
+def _lambda_row(support: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """A class's lambda at each guiding value: its largest point at or below
+    the value, or 0 where it has none, so that every p-value counts 1."""
     idx = np.searchsorted(support, taus, side="right") - 1
-    below = int(np.count_nonzero(idx < 0))
-    points, runs = np.unique(idx[below:], return_counts=True)
-    lam = support[points]
-    return below, lam, 1.0 - lam, runs
+    return np.where(idx >= 0, support[idx], 0.0)
 
 
 class NullSupports(Sequence):
@@ -118,16 +118,12 @@ class NullSupports(Sequence):
         if ids.size and ids.max() >= len(arrays):
             raise InvalidConfigError(
                 f"class ids must be below the {len(arrays)} support arrays")
-        m = ids.size
-        first = np.full(len(arrays), m)  # each array's first hypothesis
-        np.minimum.at(first, ids, np.arange(m))
+        _, first = np.unique(ids, return_index=True)  # each array's first hypothesis
         number = np.empty(len(arrays), dtype=np.intp)  # the class of each array
         classes: list = []
         by_contents: dict = {}  # classes by the hash of their contents
-        for j in np.argsort(first, kind="stable"):
-            if first[j] == m:
-                break  # this array and the rest belong to no hypothesis
-            s = _checked_support(arrays[j], int(first[j]))
+        for i in np.sort(first).tolist():
+            s = _checked_support(arrays[ids[i]], i)
             # of a 1-d support, so its bytes fix its shape
             same = by_contents.setdefault(hash(s.tobytes()), [])
             c = next((c for c in same if np.array_equal(classes[c], s)), None)
@@ -135,12 +131,9 @@ class NullSupports(Sequence):
                 c = len(classes)
                 same.append(c)
                 classes.append(s)
-            number[j] = c
-        self._share(tuple(classes), number[ids], {})
-
-    def _share(self, classes: tuple, ids: np.ndarray, rows: dict) -> None:
-        ids.setflags(write=False)
-        self.classes, self.ids, self._rows = classes, ids, rows
+            number[ids[i]] = c
+        self.classes, self.ids, self._rows = tuple(classes), number[ids], {}
+        self.ids.setflags(write=False)
 
     @classmethod
     def of(cls, supports) -> NullSupports:
@@ -158,17 +151,20 @@ class NullSupports(Sequence):
     def take(self, indices) -> NullSupports:
         """The supports of the hypotheses ``indices``, in that order, sharing
         this study's classes and lambda rows."""
-        view = object.__new__(NullSupports)
-        view._share(self.classes, self.ids[indices], self._rows)
+        view = copy.copy(self)
+        view.ids = self.ids[indices]
+        view.ids.setflags(write=False)
         return view
 
-    def _lambda_rows(self, taus: np.ndarray) -> list:
-        """``_lambda_row`` of every class at the guiding values ``taus``,
-        built on the first call with these values and kept for the study."""
+    def _lambda_rows(self, taus: np.ndarray) -> np.ndarray:
+        """The k x |taus| matrix of ``_lambda_row`` of every class, built on
+        the first call with these guiding values and kept for the study."""
         key = taus.tobytes()
         if key not in self._rows:
             self._rows.clear()  # a study keeps the rows of one grid
-            self._rows[key] = [_lambda_row(s, taus) for s in self.classes]
+            rows = self._rows[key] = np.empty((len(self.classes), taus.size))
+            for row, s in zip(rows, self.classes):
+                row[:] = _lambda_row(s, taus)
         return self._rows[key]
 
     def __len__(self) -> int:
@@ -183,25 +179,31 @@ class NullSupports(Sequence):
         return map(self.classes.__getitem__, self.ids.tolist())
 
 
+def _checked_study(pvalues, supports) -> tuple[np.ndarray, NullSupports]:
+    """``pvalues`` checked to lie in (0, 1], and ``supports`` as a
+    ``NullSupports``; their lengths must agree."""
+    pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
+    supports = NullSupports.of(supports)
+    if len(supports) != pvalues.size:
+        raise InvalidConfigError("pvalues and supports must have equal length")
+    return pvalues, supports
+
+
 def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
     """Trial estimates at the ascending guiding values; one pass per class.
 
     Within a null class each hypothesis has the same lambda at each guiding
     value, so the class contributes (number of its p-values above lambda) /
-    (1 - lambda), counted by binary search in its sorted p-values, or its
-    size where no point lies below the guiding value.  The classes present
-    are summed in order of their first hypothesis here.
+    (1 - lambda), counted by binary search in its sorted p-values: its size
+    where no point lies below the guiding value and lambda is 0.  The
+    classes present are summed in order of their first hypothesis here.
     """
-    pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
-    supports = NullSupports.of(supports)
+    pvalues, supports = _checked_study(pvalues, supports)
     m = pvalues.size
     if m == 0:
         raise EmptyStudyError("no hypotheses")
-    if len(supports) != m:
-        raise InvalidConfigError("pvalues and supports must have equal length")
-    rows = supports._lambda_rows(taus)
-    ids = supports.ids
-    k = len(rows)
+    lams, ids = supports._lambda_rows(taus), supports.ids
+    k = len(lams)
     # the hypotheses of each class together, in index order; numpy's stable
     # sort of 16-bit integers is a radix sort
     order = np.argsort(ids.astype(np.uint16) if k <= 1 << 16 else ids, kind="stable")
@@ -209,17 +211,13 @@ def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
     ends = np.cumsum(sizes)
     present = np.flatnonzero(sizes)
     present = present[np.argsort(order[(ends - sizes)[present]])]
+    if np.any(lams[present, -1] >= 1.0):  # the largest lambda of each class
+        raise InvalidConfigError("a guiding value reached a support point of 1")
     total = np.zeros(taus.size)
     for c in present.tolist():
-        below, lam, one_minus_lam, runs = rows[c]
-        size = sizes[c]
-        total[:below] += float(size)
-        if lam.size:
-            if lam[-1] >= 1.0:
-                raise InvalidConfigError("a guiding value reached a support point of 1")
-            p_class = np.sort(pvalues[order[ends[c] - size:ends[c]]])
-            above = size - np.searchsorted(p_class, lam, side="right")
-            total[below:] += np.repeat(above / one_minus_lam, runs)
+        lam, size = lams[c], sizes[c]
+        p_class = np.sort(pvalues[order[ends[c] - size:ends[c]]])
+        total += (size - np.searchsorted(p_class, lam, "right")) / (1.0 - lam)
     return total / m
 
 
@@ -251,10 +249,7 @@ def groupwise_pi0(
     The supports are checked once for the study, and an invalid one is
     reported by its first hypothesis's index in the study.
     """
-    pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
-    supports = NullSupports.of(supports)
-    if len(supports) != pvalues.size:
-        raise InvalidConfigError("pvalues and supports must have equal length")
+    pvalues, supports = _checked_study(pvalues, supports)
     if partition.m != pvalues.size:
         raise InvalidConfigError("partition does not cover the study")
     return [estimate_pi0(pvalues[g], supports.take(g), cfg) for g in partition.groups]

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidConfigError, check_array, check_count, check_scalar
 from .exact_tests import Sidedness
 from .io import score_input
-from .proportion import BINOMIAL_PI0_CONFIG, FET_PI0_CONFIG, Pi0Config, estimate_pi0
+from .proportion import _PI0_CONFIGS, Pi0Config, estimate_pi0
 from .wfdr import WfdrConfig, bh_reject, weight_study
 
 WORKERS_ENV_VAR = "DISCRETE_FDR_WORKERS"
@@ -76,9 +76,7 @@ class ScenarioConfig:
             check_count("l_star", l_star, 1)
 
     def resolved_pi0_config(self) -> Pi0Config:
-        if self.family is Family.POISSON_BINOMIAL:
-            return BINOMIAL_PI0_CONFIG
-        return FET_PI0_CONFIG
+        return _PI0_CONFIGS["fet" if self.family is Family.BINOMIAL_FET else "binomial"]
 
 
 @dataclass(frozen=True)

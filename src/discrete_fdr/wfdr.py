@@ -38,9 +38,9 @@ from .grouping import (
 )
 from .proportion import (
     BINOMIAL_PI0_CONFIG,
-    NullSupports,
     Pi0Config,
     Pi0Estimate,
+    _checked_study,
     groupwise_pi0,
     overall_pi0,
 )
@@ -244,13 +244,10 @@ def weight_study(
     than hypotheses, or for statistics that are not finite numbers or all
     margins.
     """
-    pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
-    supports = NullSupports.of(supports)
+    pvalues, supports = _checked_study(pvalues, supports)
     stats = check_sequence("conditioning_stats", conditioning_stats)
-    if not (pvalues.size == len(supports) == len(stats)):
-        raise InvalidConfigError(
-            "pvalues, supports and conditioning_stats must have equal lengths"
-        )
+    if len(stats) != pvalues.size:
+        raise InvalidConfigError("pvalues and conditioning_stats must have equal length")
     if cfg.l_star > pvalues.size:
         raise InvalidConfigError(f"l_star = {cfg.l_star} exceeds m = {pvalues.size}")
 

@@ -26,6 +26,8 @@ from discrete_fdr import (
     binomial_pvalue,
     fet_null_distribution,
     fet_pvalue,
+    group_by_statistic_quantiles,
+    marginal_distance,
 )
 from discrete_fdr import exact_tests
 from discrete_fdr.exact_tests import (
@@ -1025,3 +1027,40 @@ class TestFloatExactLimit:
         # the total 2^53 - 1 is refused for its window only
         with pytest.raises(DegenerateDataError, match=f"the binomial total {2**53 - 1} needs"):
             binomial_null_distribution(2**53 - 1, sided)
+
+
+# An integer of more than 4,300 digits is more than Python prints; 10**5000
+# has 16,610 bits.
+HUGE = 10**5000
+HUGE_CALLS = {
+    "binomial_null_distribution": (
+        lambda: binomial_null_distribution(HUGE, "two"), DegenerateDataError),
+    "fet_null_distribution": (
+        lambda: fet_null_distribution(MarginalVector(HUGE, HUGE, 3), "two"),
+        DegenerateDataError),
+    "binomial_pvalue": (
+        lambda: binomial_pvalue(PoissonPair(HUGE, 1), "two"), DegenerateDataError),
+    "fet_pvalue": (
+        lambda: fet_pvalue(2, MarginalVector(HUGE, 5, 3), "two"), DegenerateDataError),
+    "fet_pvalue-out-of-range": (
+        lambda: fet_pvalue(10, MarginalVector(HUGE, 5, 3), "two"), InvalidTableError),
+    "marginal_distance": (
+        lambda: marginal_distance(MarginalVector(HUGE, 1, 1), MarginalVector(1, 1, 1)),
+        InvalidConfigError),
+    "group_by_statistic_quantiles": (
+        lambda: group_by_statistic_quantiles(
+            [MarginalVector(HUGE, 1, 1), MarginalVector(1, 1, 1)], 2),
+        InvalidConfigError),
+    "MarginalVector": (lambda: MarginalVector(1, 1, HUGE), InvalidConfigError),
+    "PoissonPair": (lambda: PoissonPair(-HUGE, 1), InvalidConfigError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_CALLS))
+def test_integer_too_large_to_format_or_convert_raises_typed_error(name):
+    call, error = HUGE_CALLS[name]
+    with pytest.raises(error) as info:
+        call()
+    # the message names the integer by its bit length, or the float64
+    # range that it exceeds
+    assert "16610 bits" in str(info.value) or "float64's range" in str(info.value)

@@ -5,6 +5,7 @@ and the estimator gives bit-identical results for it, for its views and for
 plain lists of the same arrays."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,18 @@ def mixed_study(seed=5, m=400):
     return pvalues, supports, totals
 
 
+def distinct_study(seed=3, m=400):
+    """Binomial pairs of the distinct totals 1..m in random order, k = m: one
+    class each, among them {1} (total 1) and {0.5, 1} (total 2), whose first
+    point lies above every guiding value."""
+    rng = np.random.default_rng(seed)
+    totals = rng.permutation(np.arange(1, m + 1))
+    c1 = rng.binomial(totals, 0.4)
+    pvalues, supports, _ = score_input(c1, totals - c1, TWO)
+    assert len(supports.classes) == m
+    return pvalues, supports, totals
+
+
 def by_hand(totals):
     """One null-distribution call per hypothesis, each a table of its own."""
     supports = []
@@ -284,9 +297,12 @@ def test_score_input_returns_null_supports():
     assert not supports.ids.flags.writeable
 
 
-@pytest.mark.parametrize("off_support", [False, True], ids=["scored", "off-support"])
-def test_trial_grid_identical_for_every_form(off_support):
-    pvalues, supports, totals = mixed_study()
+@pytest.mark.parametrize("study, off_support", [
+    (mixed_study, False), (mixed_study, True), (distinct_study, False),
+], ids=["scored", "off-support", "one-class-each"])
+def test_trial_grid_identical_for_every_form(study, off_support):
+    # with one class each, the class-by-class reference is per hypothesis
+    pvalues, supports, totals = study()
     if off_support:  # p-values that are not points of their support
         pvalues = np.random.default_rng(9).uniform(1e-3, 1.0, size=pvalues.size)
     expected = reference_grid(pvalues, list(supports), TAUS)
@@ -389,3 +405,26 @@ def test_lambda_rows_built_once_per_grid_and_shared_with_views(monkeypatch):
     other = Pi0Config(0.3, 0.01)
     groupwise_pi0(pvalues, supports, partition, other)
     assert len(built) == 2 * len(supports.classes)
+
+
+def test_lambda_rows_are_one_matrix_built_once_per_grid():
+    # k = m, as in a methylation study: every hypothesis its own class
+    rng = np.random.default_rng(13)
+    grid = np.arange(1, 400) / 400.0
+    arrays = [np.append(np.sort(rng.choice(grid, 20, replace=False)), 1.0)
+              for _ in range(2000)]
+    supports = NullSupports(arrays, np.arange(len(arrays)))
+    tracemalloc.start()
+    rows = supports._lambda_rows(TAUS)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert type(rows) is np.ndarray and rows.dtype == np.float64
+    assert rows.shape == (len(supports.classes), TAUS.size)
+    # the matrix and one row's temporaries, never a second copy of it
+    assert peak <= rows.nbytes + 64 * 1024
+    assert supports._lambda_rows(TAUS) is rows
+    assert supports.take(np.arange(10, 0, -1))._lambda_rows(TAUS) is rows
+    # each class's largest point at or below each guiding value, or 0
+    expected = [[max((x for x in s if x <= tau), default=0.0) for tau in TAUS]
+                for s in arrays[:50]]
+    assert np.array_equal(rows[:50], expected)
