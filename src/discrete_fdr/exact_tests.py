@@ -132,8 +132,10 @@ class PoissonPair:
     c2: int
 
     def __post_init__(self):
-        check_count("c1", self.c1)
-        check_count("c2", self.c2)
+        c1, c2 = self.c1, self.c2
+        if not (type(c1) is int and c1 >= 0 and type(c2) is int and c2 >= 0):
+            check_count("c1", c1)
+            check_count("c2", c2)
 
     @property
     def total(self) -> int:
@@ -154,12 +156,15 @@ class MarginalVector:
     m_obs: int
 
     def __post_init__(self):
-        check_count("n1", self.n1)
-        check_count("n2", self.n2)
-        check_count("m_obs", self.m_obs)
-        if self.m_obs > self.n1 + self.n2:
+        n1, n2, m_obs = self.n1, self.n2, self.m_obs
+        if not (type(n1) is type(n2) is type(m_obs) is int
+                and n1 >= 0 and n2 >= 0 and m_obs >= 0):
+            check_count("n1", n1)
+            check_count("n2", n2)
+            check_count("m_obs", m_obs)
+        if m_obs > n1 + n2:
             raise InvalidConfigError("m_obs={} exceeds n1+n2={}".format(
-                *map(_shown, (self.m_obs, self.n1 + self.n2))))
+                *map(_shown, (m_obs, n1 + n2))))
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (int(self.n1), int(self.n2), int(self.m_obs))
@@ -438,7 +443,8 @@ def _canonical_pvalue(table, outcome: int) -> float:
     """The p-value of ``outcome`` in a ``_null_table``; an outcome outside
     the kept span takes the nearest kept outcome's."""
     _, first, canonical = table
-    p = float(canonical[min(max(outcome - first, 0), canonical.size - 1)])
+    i = outcome - first
+    p = canonical.item(i if 0 <= i < canonical.size else 0 if i < 0 else -1)
     if p != p:  # NaN: a zero PMF inside the span, which concavity rules out
         raise DegenerateDataError(
             f"null probability of the outcome {outcome} underflows double precision"
@@ -448,7 +454,7 @@ def _canonical_pvalue(table, outcome: int) -> float:
 
 def _fet_range(n1: int, n2: int, m_obs: int) -> tuple[int, int]:
     """Outcome range of the upper-left cell given the margins."""
-    return max(0, m_obs - n2), min(n1, m_obs)
+    return (m_obs - n2 if m_obs > n2 else 0), (n1 if n1 < m_obs else m_obs)
 
 
 def _table_bytes(table) -> int:
@@ -467,12 +473,13 @@ class _TableMemo:
         self.nbytes = 0
 
     def __call__(self, test):
+        name, tables = test.__name__, self.tables  # bound once, for the hits
         @functools.wraps(test)
         def memoised(*args):
-            key = (test.__name__, *args)
-            table = self.tables.get(key)
+            key = (name, *args)
+            table = tables.get(key)
             if table is None:
-                table = self.tables[key] = test(*args)
+                table = tables[key] = test(*args)
                 self.nbytes += _table_bytes(table)
                 while self.nbytes > MEMO_BYTES and len(self.tables) > 1:
                     oldest = next(iter(self.tables))
@@ -547,7 +554,8 @@ def binomial_pvalue(pair: PoissonPair, sided: Sidedness) -> float:
     value is always an element of ``binomial_null_distribution``'s support;
     a ``c1`` whose null probability underflows takes the nearest kept one's.
     """
-    return _canonical_pvalue(_binomial_test(pair.total, _sidedness(sided)), pair.c1)
+    c1 = pair.c1
+    return _canonical_pvalue(_binomial_test(int(c1) + int(pair.c2), _sidedness(sided)), c1)
 
 
 def fet_null_distribution(margins: MarginalVector, sided: Sidedness) -> DiscreteCDF:
@@ -569,7 +577,8 @@ def fet_pvalue(c1: int, margins: MarginalVector, sided: Sidedness) -> float:
     whose null probability underflows; the result lies in the support of
     ``fet_null_distribution``.
     """
-    c1 = int(check_count("c1", c1, None))
+    if type(c1) is not int:
+        c1 = int(check_count("c1", c1, None))
     n1, n2, m_obs = margins.as_tuple()
     lo, hi = _fet_range(n1, n2, m_obs)
     if not lo <= c1 <= hi:

@@ -23,6 +23,7 @@ from .cdf_metric import SUPPORT_MATCH_RTOL, delta
 from .errors import (
     GroupingDidNotConvergeError,
     InvalidConfigError,
+    _shown,
     check_array,
     check_count,
     check_sequence,
@@ -61,7 +62,8 @@ class Partition:
             raise InvalidConfigError("every group must be nonempty")
         merged = np.concatenate(groups)
         m = merged.size
-        if not np.array_equal(np.sort(merged), np.arange(m)):
+        if not (0 <= merged.min() and merged.max() < m
+                and (np.bincount(merged, minlength=m) == 1).all()):
             raise InvalidConfigError("groups must form a disjoint cover of 0..m-1")
         for g in groups:
             g.setflags(write=False)
@@ -82,6 +84,9 @@ class Partition:
             out[g] = j
         return out
 
+
+# The most quantile groups requested: their bins fit uint16 labels.
+MAX_QUANTILE_GROUPS = 1 << 16
 
 # The largest distance matrix metric grouping builds: m x m float64 entries,
 # so m <= 11,585.  A larger study is refused before anything is allocated.
@@ -321,9 +326,13 @@ def group_by_statistic_quantiles(stats, l_star: int) -> Partition:
     if check_array("stats", stats, "be finite").size == 0:
         raise InvalidConfigError("stats must be a nonempty 1-d sequence")
     check_count("l_star", l_star, 1)
+    if l_star > MAX_QUANTILE_GROUPS:
+        raise InvalidConfigError(
+            f"l_star must be at most {MAX_QUANTILE_GROUPS}, got {_shown(l_star)}")
     inner = np.percentile(stats, 100.0 * np.arange(1, l_star) / l_star)
-    # the bin of a statistic is the number of inner percentiles at or below it
-    labels = np.searchsorted(inner, stats, side="right")
+    # the bin of a statistic is the number of inner percentiles at or below
+    # it; as uint16 the stable sort of the bins is a radix sort
+    labels = np.searchsorted(inner, stats, side="right").astype(np.uint16)
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
     return Partition(tuple(np.split(order, np.cumsum(sizes[sizes > 0])[:-1])))

@@ -236,8 +236,8 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None):
             arrays.append(np.array([1.0]))
             continue
         arrays.append(null(stat, sided).support)
-        for i in hypotheses:
-            pvalues[i] = (fet_pvalue(c1[i], stat, sided) if fet
-                          else binomial_pvalue(PoissonPair(c1[i], c2[i]), sided))
+        pvalues[hypotheses] = (
+            [fet_pvalue(c1[i], stat, sided) for i in hypotheses] if fet
+            else [binomial_pvalue(PoissonPair(c1[i], c2[i]), sided) for i in hypotheses])
     return (pvalues, NullSupports(arrays, ids),
             stats if fet else list(map(float, stats)))

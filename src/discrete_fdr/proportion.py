@@ -43,7 +43,7 @@ class Pi0Config:
 
     def __post_init__(self):
         check_scalar("lambda_max", self.lambda_max, "be in (0, 1)")
-        check_scalar("step", self.step, "be positive")
+        check_scalar("step", self.step, "be in (0, 1)")
         check_scalar("lambda_max / step", self.lambda_max / self.step, "be in (1, 1e5]")
 
     def guiding_values(self) -> np.ndarray:

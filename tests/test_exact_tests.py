@@ -19,6 +19,7 @@ from discrete_fdr import (
     InvalidTableError,
     MarginalVector,
     Partition,
+    Pi0Config,
     PoissonPair,
     Sidedness,
     StudyInput,
@@ -30,6 +31,7 @@ from discrete_fdr import (
     marginal_distance,
 )
 from discrete_fdr import exact_tests
+from discrete_fdr.errors import _shown, check_count
 from discrete_fdr.exact_tests import (
     _MEMO,
     AGGREGATION_RTOL,
@@ -1051,8 +1053,11 @@ HUGE_CALLS = {
         lambda: group_by_statistic_quantiles(
             [MarginalVector(HUGE, 1, 1), MarginalVector(1, 1, 1)], 2),
         InvalidConfigError),
+    "group_by_statistic_quantiles-l_star": (
+        lambda: group_by_statistic_quantiles([1.0, 2.0, 3.0], HUGE), InvalidConfigError),
     "MarginalVector": (lambda: MarginalVector(1, 1, HUGE), InvalidConfigError),
     "PoissonPair": (lambda: PoissonPair(-HUGE, 1), InvalidConfigError),
+    "Pi0Config": (lambda: Pi0Config(0.2, HUGE), InvalidConfigError),
 }
 
 
@@ -1064,3 +1069,117 @@ def test_integer_too_large_to_format_or_convert_raises_typed_error(name):
     # the message names the integer by its bit length, or the float64
     # range that it exceeds
     assert "16610 bits" in str(info.value) or "float64's range" in str(info.value)
+
+
+# Counts of every kind the count checks see: plain ints take the constructors'
+# inline test, every other value the shared checker.
+COUNTS = [0, 3, 12, True, False, np.int64(4), np.uint64(5), np.int32(2), 2.0, 1.5,
+          -1, np.int64(-2), None, "3", HUGE, -HUGE]
+
+
+def outcome(call):
+    """The error class and message ``call`` raises, or the value it returns."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def checked_margins(n1, n2, m_obs):
+    """The checks ``MarginalVector`` made before it tested plain ints inline."""
+    check_count("n1", n1)
+    check_count("n2", n2)
+    check_count("m_obs", m_obs)
+    if m_obs > n1 + n2:
+        raise InvalidConfigError("m_obs={} exceeds n1+n2={}".format(
+            *map(_shown, (m_obs, n1 + n2))))
+    return n1, n2, m_obs
+
+
+class TestCountFastPath:
+    """``PoissonPair`` and ``MarginalVector`` accept and refuse exactly what
+    ``check_count`` does, with its error class and message."""
+
+    def test_poisson_pair(self):
+        for c1 in COUNTS:
+            for c2 in COUNTS:
+                expected = outcome(lambda: (check_count("c1", c1), check_count("c2", c2)))
+                got = outcome(lambda: PoissonPair(c1, c2))
+                if isinstance(got, PoissonPair):
+                    assert (got.c1, got.c2) == expected
+                    assert type(got.c1) is type(c1) and type(got.c2) is type(c2)
+                else:
+                    assert got == expected
+
+    def test_marginal_vector(self):
+        for n1 in COUNTS:
+            for n2 in COUNTS:
+                for m_obs in COUNTS:
+                    expected = outcome(lambda: checked_margins(n1, n2, m_obs))
+                    got = outcome(lambda: MarginalVector(n1, n2, m_obs))
+                    if isinstance(got, MarginalVector):
+                        assert (got.n1, got.n2, got.m_obs) == expected
+                    else:
+                        assert got == expected
+
+
+def bits(p) -> bytes:
+    assert type(p) is float
+    return np.float64(p).tobytes()
+
+
+def with_numpy_ints(pairs):
+    """``pairs``, then each again as numpy integers."""
+    return [*pairs, *((np.int64(c1), np.uint64(c2)) for c1, c2 in pairs)]
+
+
+def span_pvalue(table, k: int) -> float:
+    """The p-value of outcome ``k`` read from a table by the clamp that the
+    memo-hit path replaced."""
+    _, first, canonical = table
+    return float(canonical[min(max(k - first, 0), canonical.size - 1)])
+
+
+class TestMemoHitMatchesColdCall:
+    """A p-value read from the memo is bit for bit the one a call on a cold
+    memo returns, inside the kept span and clamped outside it."""
+
+    # (c1, c2) pairs: CI's strong.csv rows, whose far tails are clamped, and
+    # outcomes across a small and a mid-sized total
+    PAIRS = ([(0, 1_100), (10, 1_200), (30, 1_500), (40, 45), (12, 30)]
+             + [(c1, 13 - c1) for c1 in range(14)]
+             + [(c1, 3_000 - c1) for c1 in range(0, 3_001, 75)])
+
+    @pytest.mark.parametrize("sided", [ONE, TWO], ids=["one", "two"])
+    def test_binomial(self, sided):
+        clamped = 0
+        for c1, c2 in with_numpy_ints(self.PAIRS):
+            _MEMO.clear()
+            cold = binomial_pvalue(PoissonPair(c1, c2), sided)
+            hit = binomial_pvalue(PoissonPair(c1, c2), sided)
+            table = _binomial_test.__wrapped__(int(c1) + int(c2), sided)
+            assert bits(hit) == bits(cold) == bits(span_pvalue(table, int(c1)))
+            _, first, canonical = table
+            clamped += not 0 <= c1 - first < canonical.size
+        assert clamped >= 4  # the strong rows lie outside the kept span
+
+    @pytest.mark.parametrize("sided", [ONE, TWO], ids=["one", "two"])
+    def test_fet(self, sided):
+        clamped = 0
+        # CI's strong-fet.csv rows with its study totals, and tables whose
+        # range is wider than the outcomes kept
+        cases = [(c1, MarginalVector(n1, 2_000_000 - n1, 20_000))
+                 for c1, n1 in ((2_000, 50_000), (120, 10_000), (90, 9_000))]
+        for n1, n2, m_obs in ((800, 800, 800), (9, 12, 8)):
+            cases += [(c1, MarginalVector(n1, n2, m_obs))
+                      for c1 in range(max(0, m_obs - n2), min(n1, m_obs) + 1, 7)]
+        cases.append((np.int64(2), MarginalVector(np.int64(9), 12, np.uint64(8))))
+        for c1, margins in cases:
+            _MEMO.clear()
+            cold = fet_pvalue(c1, margins, sided)
+            hit = fet_pvalue(c1, margins, sided)
+            table = _fet_test.__wrapped__(*margins.as_tuple(), sided)
+            assert bits(hit) == bits(cold) == bits(span_pvalue(table, int(c1)))
+            _, first, canonical = table
+            clamped += not 0 <= c1 - first < canonical.size
+        assert clamped >= 2

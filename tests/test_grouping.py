@@ -1,6 +1,7 @@
 """Tests for metric-ball and quantile grouping."""
 
 import itertools
+import re
 import time
 import tracemalloc
 
@@ -25,6 +26,7 @@ from discrete_fdr import (
     group_from_distances,
     pairwise_delta_matrix,
 )
+from discrete_fdr.errors import check_array
 
 TWO = Sidedness.TWO_SIDED
 
@@ -500,6 +502,22 @@ class TestQuantileGrouping:
             minima = [stats[g].min() for g in part.groups]
             assert all(a < b for a, b in zip(maxima, minima[1:]))
 
+    def test_more_groups_than_uint8_labels_hold(self):
+        rng = np.random.default_rng(37)
+        for m in (5, 400, 2_000):
+            stats = rng.integers(0, 3 * m, size=m).astype(float)
+            got = group_by_statistic_quantiles(stats, 300).groups
+            expected = mask_loop_quantile_groups(stats, 300)
+            assert [g.tolist() for g in got] == [g.tolist() for g in expected]
+
+    def test_group_count_limit(self):
+        limit = grouping.MAX_QUANTILE_GROUPS
+        assert limit == 1 << 16
+        # more groups than statistics are allowed up to the limit
+        assert_is_partition(group_by_statistic_quantiles([3.0, 1.0, 2.0], limit), 3)
+        with pytest.raises(InvalidConfigError, match=f"l_star must be at most {limit}"):
+            group_by_statistic_quantiles([3.0, 1.0, 2.0], limit + 1)
+
     @pytest.mark.parametrize("kind", ["integer_ties", "heavy_tailed"])
     def test_matches_mask_loop(self, kind):
         rng = np.random.default_rng(97 if kind == "integer_ties" else 98)
@@ -575,6 +593,61 @@ class TestPartitionType:
     def test_rejects_gap(self):
         with pytest.raises(ValueError):
             Partition((np.array([0]), np.array([2])))
+
+    COVER = re.escape("groups must form a disjoint cover of 0..m-1")
+
+    @pytest.mark.parametrize("groups, message", [
+        (([0, 1], [1, 2]), COVER),
+        (([0], [2]), COVER),
+        (([0, 1], [5]), COVER),
+        (([0, 2**62], [1]), COVER),
+        # 2^63 passes the integer check and casts to a negative index
+        (([0, 2**63], [1]), COVER),
+        (([0, -1], [1]),
+         r"group must be nonnegative integers; got (np\.float64\()?-1\.0\)? at index 1"),
+        (([0], []), "every group must be nonempty"),
+    ], ids=["overlap", "gap", "index-at-least-m", "index-far-beyond-m",
+            "index-2^63", "negative", "empty"])
+    def test_refusal_messages(self, groups, message):
+        with pytest.raises(InvalidConfigError) as info, np.errstate(invalid="ignore"):
+            Partition(tuple(np.array(g) for g in groups))
+        assert re.fullmatch(message, str(info.value))
+
+    def test_matches_sorted_cover_check(self):
+        # the cover check made by sorting every index, against bincount
+        def sorted_cover(groups):
+            groups = [np.sort(check_array("group", g, "be nonnegative integers")
+                              .astype(np.intp)) for g in groups]
+            if not groups or any(g.size == 0 for g in groups):
+                raise InvalidConfigError("every group must be nonempty")
+            merged = np.concatenate(groups)
+            if not np.array_equal(np.sort(merged), np.arange(merged.size)):
+                raise InvalidConfigError("groups must form a disjoint cover of 0..m-1")
+            return [g.tolist() for g in groups]
+
+        def outcome(call):
+            try:
+                return call()
+            except InvalidConfigError as exc:
+                return str(exc)
+
+        rng = np.random.default_rng(43)
+        accepted = 0
+        for _ in range(2_000):
+            m = int(rng.integers(1, 10))
+            indices = rng.permutation(m)
+            if rng.random() < 0.6:  # move, duplicate or drop one index
+                i = int(rng.integers(m))
+                indices[i] = rng.integers(-1, m + 2)
+                if rng.random() < 0.3:
+                    indices = indices[:-1] if m > 1 else indices
+            cuts = np.sort(rng.choice(np.arange(1, m + 1), size=min(m, 2), replace=False))
+            groups = [g for g in np.split(indices, cuts) if g.size or rng.random() < 0.2]
+            expected = outcome(lambda: sorted_cover(groups))
+            got = outcome(lambda: [g.tolist() for g in Partition(tuple(groups)).groups])
+            assert got == expected
+            accepted += isinstance(got, list)
+        assert 300 < accepted < 1_700
 
     def test_group_of(self):
         part = Partition((np.array([2, 0]), np.array([1, 3])))
