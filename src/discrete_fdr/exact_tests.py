@@ -156,15 +156,12 @@ class MarginalVector:
     m_obs: int
 
     def __post_init__(self):
-        n1, n2, m_obs = self.n1, self.n2, self.m_obs
-        if not (type(n1) is type(n2) is type(m_obs) is int
-                and n1 >= 0 and n2 >= 0 and m_obs >= 0):
-            check_count("n1", n1)
-            check_count("n2", n2)
-            check_count("m_obs", m_obs)
-        if m_obs > n1 + n2:
+        check_count("n1", self.n1)
+        check_count("n2", self.n2)
+        check_count("m_obs", self.m_obs)
+        if self.m_obs > self.n1 + self.n2:
             raise InvalidConfigError("m_obs={} exceeds n1+n2={}".format(
-                *map(_shown, (m_obs, n1 + n2))))
+                *map(_shown, (self.m_obs, self.n1 + self.n2))))
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (int(self.n1), int(self.n2), int(self.m_obs))
@@ -454,7 +451,7 @@ def _canonical_pvalue(table, outcome: int) -> float:
 
 def _fet_range(n1: int, n2: int, m_obs: int) -> tuple[int, int]:
     """Outcome range of the upper-left cell given the margins."""
-    return (m_obs - n2 if m_obs > n2 else 0), (n1 if n1 < m_obs else m_obs)
+    return max(0, m_obs - n2), min(n1, m_obs)
 
 
 def _table_bytes(table) -> int:
@@ -481,9 +478,9 @@ class _TableMemo:
             if table is None:
                 table = tables[key] = test(*args)
                 self.nbytes += _table_bytes(table)
-                while self.nbytes > MEMO_BYTES and len(self.tables) > 1:
-                    oldest = next(iter(self.tables))
-                    self.nbytes -= _table_bytes(self.tables.pop(oldest))
+                while self.nbytes > MEMO_BYTES and len(tables) > 1:
+                    oldest = next(iter(tables))
+                    self.nbytes -= _table_bytes(tables.pop(oldest))
             return table
 
         return memoised
@@ -554,8 +551,7 @@ def binomial_pvalue(pair: PoissonPair, sided: Sidedness) -> float:
     value is always an element of ``binomial_null_distribution``'s support;
     a ``c1`` whose null probability underflows takes the nearest kept one's.
     """
-    c1 = pair.c1
-    return _canonical_pvalue(_binomial_test(int(c1) + int(pair.c2), _sidedness(sided)), c1)
+    return _canonical_pvalue(_binomial_test(pair.total, _sidedness(sided)), pair.c1)
 
 
 def fet_null_distribution(margins: MarginalVector, sided: Sidedness) -> DiscreteCDF:
@@ -577,8 +573,7 @@ def fet_pvalue(c1: int, margins: MarginalVector, sided: Sidedness) -> float:
     whose null probability underflows; the result lies in the support of
     ``fet_null_distribution``.
     """
-    if type(c1) is not int:
-        c1 = int(check_count("c1", c1, None))
+    c1 = int(check_count("c1", c1, None))
     n1, n2, m_obs = margins.as_tuple()
     lo, hi = _fet_range(n1, n2, m_obs)
     if not lo <= c1 <= hi:

@@ -85,7 +85,8 @@ class Partition:
         return out
 
 
-# The most quantile groups requested: their bins fit uint16 labels.
+# More quantile groups than this are refused when they also outnumber the
+# statistics, so a huge l_star never allocates that many percentiles.
 MAX_QUANTILE_GROUPS = 1 << 16
 
 # The largest distance matrix metric grouping builds: m x m float64 entries,
@@ -326,13 +327,15 @@ def group_by_statistic_quantiles(stats, l_star: int) -> Partition:
     if check_array("stats", stats, "be finite").size == 0:
         raise InvalidConfigError("stats must be a nonempty 1-d sequence")
     check_count("l_star", l_star, 1)
-    if l_star > MAX_QUANTILE_GROUPS:
-        raise InvalidConfigError(
-            f"l_star must be at most {MAX_QUANTILE_GROUPS}, got {_shown(l_star)}")
+    if l_star > max(stats.size, MAX_QUANTILE_GROUPS):
+        raise InvalidConfigError("l_star must be at most max(m, {}), got {}".format(
+            MAX_QUANTILE_GROUPS, _shown(l_star)))
     inner = np.percentile(stats, 100.0 * np.arange(1, l_star) / l_star)
     # the bin of a statistic is the number of inner percentiles at or below
-    # it; as uint16 the stable sort of the bins is a radix sort
-    labels = np.searchsorted(inner, stats, side="right").astype(np.uint16)
+    # it; in the smallest unsigned type, up to 16 bits, the stable sort of
+    # the bins is a radix sort
+    labels = np.searchsorted(inner, stats, side="right").astype(
+        np.min_scalar_type(l_star - 1))
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
     return Partition(tuple(np.split(order, np.cumsum(sizes[sizes > 0])[:-1])))

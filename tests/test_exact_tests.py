@@ -31,7 +31,7 @@ from discrete_fdr import (
     marginal_distance,
 )
 from discrete_fdr import exact_tests
-from discrete_fdr.errors import _shown, check_count
+from discrete_fdr.errors import check_count
 from discrete_fdr.exact_tests import (
     _MEMO,
     AGGREGATION_RTOL,
@@ -1071,7 +1071,7 @@ def test_integer_too_large_to_format_or_convert_raises_typed_error(name):
     assert "16610 bits" in str(info.value) or "float64's range" in str(info.value)
 
 
-# Counts of every kind the count checks see: plain ints take the constructors'
+# Counts of every kind the count checks see: plain ints take PoissonPair's
 # inline test, every other value the shared checker.
 COUNTS = [0, 3, 12, True, False, np.int64(4), np.uint64(5), np.int32(2), 2.0, 1.5,
           -1, np.int64(-2), None, "3", HUGE, -HUGE]
@@ -1085,20 +1085,9 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-def checked_margins(n1, n2, m_obs):
-    """The checks ``MarginalVector`` made before it tested plain ints inline."""
-    check_count("n1", n1)
-    check_count("n2", n2)
-    check_count("m_obs", m_obs)
-    if m_obs > n1 + n2:
-        raise InvalidConfigError("m_obs={} exceeds n1+n2={}".format(
-            *map(_shown, (m_obs, n1 + n2))))
-    return n1, n2, m_obs
-
-
 class TestCountFastPath:
-    """``PoissonPair`` and ``MarginalVector`` accept and refuse exactly what
-    ``check_count`` does, with its error class and message."""
+    """``PoissonPair`` accepts and refuses exactly what ``check_count``
+    does, with its error class and message."""
 
     def test_poisson_pair(self):
         for c1 in COUNTS:
@@ -1110,17 +1099,6 @@ class TestCountFastPath:
                     assert type(got.c1) is type(c1) and type(got.c2) is type(c2)
                 else:
                     assert got == expected
-
-    def test_marginal_vector(self):
-        for n1 in COUNTS:
-            for n2 in COUNTS:
-                for m_obs in COUNTS:
-                    expected = outcome(lambda: checked_margins(n1, n2, m_obs))
-                    got = outcome(lambda: MarginalVector(n1, n2, m_obs))
-                    if isinstance(got, MarginalVector):
-                        assert (got.n1, got.n2, got.m_obs) == expected
-                    else:
-                        assert got == expected
 
 
 def bits(p) -> bytes:

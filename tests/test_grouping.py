@@ -515,8 +515,20 @@ class TestQuantileGrouping:
         assert limit == 1 << 16
         # more groups than statistics are allowed up to the limit
         assert_is_partition(group_by_statistic_quantiles([3.0, 1.0, 2.0], limit), 3)
-        with pytest.raises(InvalidConfigError, match=f"l_star must be at most {limit}"):
+        with pytest.raises(InvalidConfigError,
+                           match=rf"l_star must be at most max\(m, {limit}\), got {limit + 1}"):
             group_by_statistic_quantiles([3.0, 1.0, 2.0], limit + 1)
+
+    def test_more_groups_than_uint16_labels_hold(self):
+        # up to m groups are allowed beyond the limit; distinct statistics
+        # 0..m-1 at l* = m fall one to a group, in the order of their values
+        m = grouping.MAX_QUANTILE_GROUPS + 4_464
+        stats = np.random.default_rng(41).permutation(m)
+        groups = group_by_statistic_quantiles(stats.astype(float), m).groups
+        assert [g.tolist() for g in groups] == [[i] for i in np.argsort(stats)]
+        assert len(group_by_statistic_quantiles(stats.astype(float), m - 5).groups) == m - 5
+        with pytest.raises(InvalidConfigError, match=rf"at most max\(m, {1 << 16}\)"):
+            group_by_statistic_quantiles(stats.astype(float), m + 1)
 
     @pytest.mark.parametrize("kind", ["integer_ties", "heavy_tailed"])
     def test_matches_mask_loop(self, kind):
