@@ -2,10 +2,12 @@
 
 The metric adds two components: the number of support points the two CDFs do
 not share (counting measure of the symmetric difference) and the sup-norm gap
-between the CDFs.  For null distributions of binomial-test or Fisher's-exact-
-test p-values the expensive CDF metric can be replaced by the max-absolute
-difference between the conditioning statistics (total counts or margins),
-which is what ``marginal_distance`` computes.
+between the CDFs.  Metric grouping uses a cheap surrogate instead: the
+max-absolute difference between the conditioning statistics (total counts
+or margins), which ``marginal_distance`` computes.  The two do not order
+pairs alike: over the 61-63 two-sided binomial null classes of 1,500
+Pareto(7, 7) Poisson pairs, the Spearman correlation of ``delta`` with
+``marginal_distance`` was 0.13-0.27 on three seeds.
 """
 
 from __future__ import annotations

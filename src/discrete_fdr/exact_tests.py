@@ -32,20 +32,20 @@ total beyond about 10^10) is refused with a ``DegenerateDataError`` before
 anything is allocated for it.
 
 A table keeps three arrays: its support, its masses and the canonical
-p-value of each kept outcome, built in one sorted pass with few
-temporaries.  One buffer holds the log weights, then the weights, then the
-PMF.  The p-values come out in ascending order with the outcome of each:
-one-sided they are sorted already, and two-sided the rule sorts the PMF,
-searches only for the outcomes tied with their successor, and puts each run
-of equal p-values in outcome order.  The aggregation takes them as they
-are, walks only the chains of close p-values that span more than the
-tolerance, and sums and repeats atoms only when one holds more than one
-value: rare in drug-safety Fisher tables, while each pair k, total - k of a
-two-sided binomial table is one atom.  That is 16-17 bytes per kept
-outcome in binomial tables, and up to 24 when every outcome is an atom of
-its own.  While a table builds, its arrays peak at no more than 80 bytes
-per kept outcome (tracemalloc; the bound the tests check at a binomial
-total of 10^8).
+p-value of each kept outcome, built with few temporaries.  One buffer
+holds the log weights, then the weights, then the PMF.  The p-values come
+out in ascending order with the outcome of each: one-sided they are sorted
+already.  Two-sided, the rule sorts the PMF and searches only for the
+outcomes tied with their successor; a table with two equal p-values is then
+lexsorted a second time, so each run of them is in outcome order.  The
+aggregation takes them as they are, walks only the chains of close
+p-values that span more than the tolerance, and sums and repeats atoms only
+when one holds more than one value: rare in drug-safety Fisher tables,
+while each pair k, total - k of a two-sided binomial table is one atom.
+That is 16-17 bytes per kept outcome in binomial tables, and up to 24 when
+every outcome is an atom of its own.  While a table builds, its arrays peak
+at no more than 80 bytes per kept outcome (tracemalloc; the bound the tests
+check at a binomial total of 10^8).
 
 Both tests memoise their tables in one memo, as simulations repeat totals
 from study to study; no result depends on it.  The memo is bounded by the
@@ -235,19 +235,8 @@ def _outcome_pvalues(pmf: np.ndarray, sided: Sidedness) -> tuple[np.ndarray, np.
     np.cumsum(p, out=p)
     p[tied] = p[last]
     np.minimum(p, 1.0, out=p)
-    # p is non-decreasing; a stable order puts each run of equal ones in
-    # outcome order
-    is_start = np.ones(p.size + 1, dtype=bool)
-    np.not_equal(p[1:], p[:-1], out=is_start[1:-1])
-    starts = np.flatnonzero(is_start)
-    if starts.size < is_start.size:  # some run holds more than one p-value
-        sizes = np.diff(starts)
-        starts = starts[:-1]
-        for size in np.unique(sizes[sizes > 1]):
-            runs = starts[sizes == size, None] + np.arange(size)
-            block = order[runs]
-            block.sort(axis=1)
-            order[runs] = block
+    if (p[1:] == p[:-1]).any():  # p is non-decreasing: order each run by outcome
+        order = order[np.lexsort((order, p))]
     return p, order
 
 
@@ -260,21 +249,14 @@ def _atom_starts(values: np.ndarray) -> np.ndarray:
     than the tolerance is walked from atom to atom.
     """
     scaled = values * (1.0 + AGGREGATION_RTOL)
-    # whether each value starts a chain of close neighbours; the extra last
-    # entry closes the last chain
-    is_start = np.ones(values.size + 1, dtype=bool)
-    np.greater(values[1:], scaled[:-1], out=is_start[1:-1])
-    chain_starts = np.flatnonzero(is_start[:-1])
+    # the first value of every chain of close neighbours
+    chain_starts = np.flatnonzero(np.concatenate(([True], values[1:] > scaled[:-1])))
     if chain_starts.size == values.size:  # every value is an atom of its own
         return chain_starts
-    # the first and the last value of every chain of more than one value
-    first = np.flatnonzero(is_start[:-2] > is_start[1:-1])
-    last = np.flatnonzero(is_start[1:-1] < is_start[2:]) + 1
-    wide = values[last] > scaled[first]
-    if not wide.any():
-        return chain_starts
+    ends = np.concatenate((chain_starts[1:], [values.size]))
+    wide = values[ends - 1] > scaled[chain_starts]
     starts = [chain_starts]
-    for i, end in zip(first[wide], last[wide] + 1):
+    for i, end in zip(chain_starts[wide], ends[wide]):
         while True:
             i = int(np.searchsorted(values, scaled[i], side="right"))
             if i >= end:

@@ -54,10 +54,11 @@ class Partition:
     iterations: int = 0
 
     def __post_init__(self):
-        groups = tuple(
-            np.sort(check_array("group", g, "be nonnegative integers").astype(np.intp))
-            for g in self.groups
-        )
+        with np.errstate(invalid="ignore"):  # 2**63 casts to a negative
+            groups = tuple(
+                np.sort(check_array("group", g, "be nonnegative integers").astype(np.intp))
+                for g in self.groups
+            )
         if not groups or any(g.size == 0 for g in groups):
             raise InvalidConfigError("every group must be nonempty")
         merged = np.concatenate(groups)

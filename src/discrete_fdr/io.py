@@ -133,7 +133,7 @@ def parse_counts_csv(
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise SchemaError(f"{path}: empty file, expected header {expected}")
-        header = [h.strip() for h in reader.fieldnames]
+        reader.fieldnames = header = [h.strip() for h in reader.fieldnames]
         missing = [c for c in expected if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}, found {header}")
@@ -142,7 +142,6 @@ def parse_counts_csv(
         columns: dict[str, list[int]] = {c: [] for c in stored[1:]}
         for row in reader:
             line = reader.line_num  # the row's last file line, blank lines included
-            row = {(k or "").strip(): v for k, v in row.items()}
             row_id = (row.get("id") or "").strip()
             if not row_id:
                 raise ParseError(line, "empty id")

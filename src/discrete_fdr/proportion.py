@@ -114,8 +114,9 @@ class NullSupports(Sequence):
 
     def __init__(self, arrays, ids):
         arrays = check_sequence("support arrays", arrays)
-        ids = check_array("class ids", ids, "be nonnegative integers").astype(np.intp)
-        if ids.size and ids.max() >= len(arrays):
+        with np.errstate(invalid="ignore"):  # 2**63 casts to a negative
+            ids = check_array("class ids", ids, "be nonnegative integers").astype(np.intp)
+        if ids.size and not 0 <= ids.min() <= ids.max() < len(arrays):
             raise InvalidConfigError(
                 f"class ids must be below the {len(arrays)} support arrays")
         _, first = np.unique(ids, return_index=True)  # each array's first hypothesis
@@ -205,8 +206,8 @@ def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
     lams, ids = supports._lambda_rows(taus), supports.ids
     k = len(lams)
     # the hypotheses of each class together, in index order; numpy's stable
-    # sort of 16-bit integers is a radix sort
-    order = np.argsort(ids.astype(np.uint16) if k <= 1 << 16 else ids, kind="stable")
+    # sort of 8- and 16-bit integers is a radix sort
+    order = np.argsort(ids.astype(np.min_scalar_type(k - 1)), kind="stable")
     sizes = np.bincount(ids, minlength=k)
     ends = np.cumsum(sizes)
     present = np.flatnonzero(sizes)

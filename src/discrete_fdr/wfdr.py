@@ -100,11 +100,8 @@ def group_weights(groupwise_estimates) -> np.ndarray:
         groupwise_estimates = [getattr(e, "value", e) for e in groupwise_estimates]
     pi = check_array("group estimates", groupwise_estimates, "be in [0, 1]",
                      error=InvalidEstimateError)
-    out = np.empty_like(pi)
-    at_one = pi == 1.0
-    out[at_one] = np.inf
-    out[~at_one] = pi[~at_one] / (1.0 - pi[~at_one])
-    return out
+    with np.errstate(divide="ignore"):  # 1/0 is inf
+        return pi / (1.0 - pi)
 
 
 def weighted_pvalues(pvalues, partition: Partition, weights) -> np.ndarray:

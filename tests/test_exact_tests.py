@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
@@ -835,6 +835,47 @@ class TestSingletonAndTiePaths:
         for got, expected in zip(aggregate(pvals, pmf),
                                  reference_aggregate(pvals, pmf)):
             assert got.tobytes() == expected.tobytes()
+
+    def test_runs_clamped_at_one_in_outcome_order(self):
+        # masses summing above 1: in PMF order the p-values of outcomes 4, 2
+        # and 0 exceed 1 and clamp to one run, which must read 0, 2, 4
+        pmf = np.array([0.9, 0.2, 0.8, 0.3, 0.7])
+        ascending, order = _outcome_pvalues(pmf, TWO)
+        assert ascending.tolist() == [0.2, 0.5, 1.0, 1.0, 1.0]
+        assert order.tolist() == [1, 3, 0, 2, 4]
+
+    @staticmethod
+    def greedy_atom_starts(values):
+        """Each value starts an atom when it lies beyond the tolerance of the
+        current atom's first value."""
+        starts = [0]
+        for i in range(1, values.size):
+            if values[i] > values[starts[-1]] * (1.0 + AGGREGATION_RTOL):
+                starts.append(i)
+        return starts
+
+    @staticmethod
+    def chains(segments):
+        """Ascending values: each segment a first value, then steps of the
+        given multiples of the tolerance."""
+        values = []
+        for first, steps in segments:
+            values.append(first)
+            for step in steps:
+                values.append(values[-1] * (1.0 + step * AGGREGATION_RTOL))
+        return np.sort(np.array(values))
+
+    @given(st.lists(st.tuples(
+        st.floats(1e-6, 1.0),
+        st.lists(st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.5]), max_size=12)),
+        min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    # several wide chains, the last of them ending at the last value
+    @example([(0.1, [0.6] * 5), (0.2, [0.3, 0.9, 0.0, 0.9]), (0.4, [0.0]),
+              (0.7, [0.9] * 8)])
+    def test_atom_starts_match_the_greedy_walk(self, segments):
+        values = self.chains(segments)
+        assert _atom_starts(values).tolist() == self.greedy_atom_starts(values)
 
     def test_close_pairs_without_a_wide_chain(self):
         # two atoms of two values each; no chain spans more than the tolerance

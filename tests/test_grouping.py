@@ -621,7 +621,7 @@ class TestPartitionType:
     ], ids=["overlap", "gap", "index-at-least-m", "index-far-beyond-m",
             "index-2^63", "negative", "empty"])
     def test_refusal_messages(self, groups, message):
-        with pytest.raises(InvalidConfigError) as info, np.errstate(invalid="ignore"):
+        with pytest.raises(InvalidConfigError) as info:
             Partition(tuple(np.array(g) for g in groups))
         assert re.fullmatch(message, str(info.value))
 

@@ -6,6 +6,7 @@ plain lists of the same arrays."""
 
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +391,23 @@ def test_invalid_class_array_refused_once_naming_its_first_hypothesis(monkeypatc
 def test_class_ids_must_name_an_array(ids):
     with pytest.raises(InvalidConfigError, match="class ids"):
         NullSupports([np.array([1.0]), np.array([0.5, 1.0])], ids)
+
+
+@pytest.mark.parametrize("indices", [
+    [2**63], np.array([2.0**63]), np.array([2**63], dtype=np.uint64),
+    np.array([2**64 - 1], dtype=np.uint64)], ids=["int", "float", "uint64", "uint64-max"])
+@pytest.mark.parametrize("construct, message", [
+    (lambda ids: NullSupports([np.array([1.0])], ids),
+     "class ids must be (below|nonnegative integers)"),
+    (lambda ids: Partition((ids, np.array([0]))),
+     "group(s must form a disjoint cover| must be nonnegative integers)"),
+], ids=["class-ids", "partition"])
+def test_indices_from_2_63_refused_without_a_cast_warning(construct, message, indices):
+    # 2^63 itself passes the integer check, and an int64 cast makes it
+    # negative; larger values fail the check
+    with warnings.catch_warnings(), pytest.raises(InvalidConfigError, match=message):
+        warnings.simplefilter("error")
+        construct(indices)
 
 
 def test_lambda_rows_built_once_per_grid_and_shared_with_views(monkeypatch):

@@ -44,7 +44,9 @@ class TestGroupWeights:
         assert group_weights([0.8])[0] == pytest.approx(4.0)
 
     def test_one_is_infinite(self):
-        assert np.isinf(group_weights([1.0])[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 1/0 divides to inf without a warning
+            assert group_weights([1.0, 0.0, 0.5]).tolist() == [np.inf, 0.0, 1.0]
 
     def test_invalid_estimate(self):
         with pytest.raises(InvalidEstimateError):
