@@ -130,10 +130,11 @@ def _analyze(args) -> int:
     if study.m == 0:
         raise SchemaError("no rows left to analyze after filtering")
 
-    pvalues, supports, stats = score_input(
-        study.c1, study.c2, Sidedness(args.sided), study.n1, study.n2
-    )
     pi0_cfg = _pi0_config(args)
+    # scored on the grid, so that each support is dropped once its lambda row is taken
+    pvalues, supports, stats = score_input(
+        study.c1, study.c2, Sidedness(args.sided), study.n1, study.n2, pi0=pi0_cfg
+    )
     cfg = WfdrConfig(l_star=args.groups, grouping=args.grouping, pi0=pi0_cfg)
     weighted = weight_study(pvalues, supports, stats, cfg)
     pi0_g = estimate_pi0(pvalues, supports, pi0_cfg)

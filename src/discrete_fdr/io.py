@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .exact_tests import (
     fet_null_distribution,
     fet_pvalue,
 )
-from .proportion import NullSupports
+from .proportion import NullSupports, Pi0Config
 
 BINOMIAL_COLUMNS = ("id", "c1", "c2")
 FET_COLUMNS = ("id", "c1", "n1", "c2", "n2")
@@ -199,7 +200,19 @@ def apply_filter(study: StudyInput, rule: FilterRule) -> StudyInput:
     )
 
 
-def score_input(c1, c2, sided: Sidedness, n1=None, n2=None):
+def _count_list(name: str, column) -> list:
+    """The argument ``name``, a 1-d sequence of numbers, as a list; the exact
+    tests check that each is a count."""
+    check_array(name, column)  # 1-d, of values that convert to floats
+    column = np.asarray(column)
+    if column.dtype.kind not in "biuf" and not all(
+            isinstance(x, Real) for x in column.tolist()):
+        raise InvalidConfigError(f"{name} must hold numbers, got {column.dtype} entries")
+    return column.tolist()
+
+
+def score_input(c1, c2, sided: Sidedness, n1=None, n2=None,
+                pi0: Pi0Config | None = None):
     """P-values, null supports and conditioning statistics of count arrays.
 
     Without row totals each pair (c1, c2) gets the binomial test given its
@@ -210,10 +223,17 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None):
     share a statistic share one support array, and statistics whose supports
     are equal, such as the totals 0 and 1, one null class: the supports are
     returned as a ``NullSupports`` that carries each hypothesis's class.
+
+    With a ``pi0`` config the ``NullSupports`` comes in its grid form: each
+    support becomes its lambda row on that grid as its table is built and is
+    then dropped, so k classes hold 8·k·|tau| bytes instead of their supports.
     """
     if (n1 is None) != (n2 is None):
         raise InvalidConfigError("row totals need both n1 and n2")
-    counts = [np.asarray(a).tolist() for a in (c1, c2, n1, n2) if a is not None]
+    if not (pi0 is None or isinstance(pi0, Pi0Config)):
+        raise InvalidConfigError(f"pi0 must be a Pi0Config or None, got {pi0!r}")
+    columns = {"c1": c1, "c2": c2, **({} if n1 is None else {"n1": n1, "n2": n2})}
+    counts = [_count_list(name, column) for name, column in columns.items()]
     if len({len(a) for a in counts}) > 1:
         raise InvalidConfigError(
             f"count arrays differ in length: {[len(a) for a in counts]}"
@@ -226,17 +246,22 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None):
     for i, stat in enumerate(stats):
         members.setdefault(stat, []).append(i)
     pvalues = np.ones(len(c1))
-    arrays = []  # the support of each statistic
     ids = np.empty(len(c1), dtype=np.intp)  # the statistic of each hypothesis
+    for j, hypotheses in enumerate(members.values()):
+        ids[hypotheses] = j
     null = fet_null_distribution if fet else binomial_null_distribution
-    for stat, hypotheses in members.items():
-        ids[hypotheses] = len(arrays)
-        if stat == 0:  # a total of 0 has no data: p = 1 with support {1}
-            arrays.append(np.array([1.0]))
-            continue
-        arrays.append(null(stat, sided).support)
-        pvalues[hypotheses] = (
-            [fet_pvalue(c1[i], stat, sided) for i in hypotheses] if fet
-            else [binomial_pvalue(PoissonPair(c1[i], c2[i]), sided) for i in hypotheses])
-    return (pvalues, NullSupports(arrays, ids),
+
+    def supports():  # each statistic's support, once its p-values are set
+        for stat, hypotheses in members.items():
+            if stat == 0:  # a total of 0 has no data: p = 1 with support {1}
+                yield np.array([1.0])
+                continue
+            support = null(stat, sided).support
+            pvalues[hypotheses] = (
+                [fet_pvalue(c1[i], stat, sided) for i in hypotheses] if fet
+                else [binomial_pvalue(PoissonPair(c1[i], c2[i]), sided)
+                      for i in hypotheses])
+            yield support
+
+    return (pvalues, NullSupports._scored(ids, supports(), pi0),
             stats if fet else list(map(float, stats)))

@@ -19,6 +19,7 @@ a view of it.
 from __future__ import annotations
 
 import copy
+import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ import numpy as np
 from .errors import (
     EmptyStudyError,
     InvalidConfigError,
+    NotApplicableError,
     check_array,
     check_scalar,
     check_sequence,
@@ -109,7 +111,13 @@ class NullSupports(Sequence):
     ``NullSupports(arrays, ids)`` gives hypothesis i the support
     ``arrays[ids[i]]``.  Each array that a hypothesis has is checked once, and
     an invalid one is refused naming its first hypothesis; arrays of equal
-    contents become one class.  The arrays must not change afterwards.
+    contents, told apart by a SHA-256 digest of their bytes, become one
+    class.  The arrays must not change afterwards.
+
+    ``io.score_input(..., pi0=cfg)`` returns the grid form, which keeps only
+    the k x |tau| lambda matrix on the grid of ``cfg``.  It serves ``ids``,
+    ``len``, ``take`` and the estimator on that grid; the supports (an item,
+    iteration, ``classes``) and other grids raise ``NotApplicableError``.
     """
 
     def __init__(self, arrays, ids):
@@ -120,21 +128,50 @@ class NullSupports(Sequence):
             raise InvalidConfigError(
                 f"class ids must be below the {len(arrays)} support arrays")
         _, first = np.unique(ids, return_index=True)  # each array's first hypothesis
-        number = np.empty(len(arrays), dtype=np.intp)  # the class of each array
-        classes: list = []
-        by_contents: dict = {}  # classes by the hash of their contents
-        for i in np.sort(first).tolist():
-            s = _checked_support(arrays[ids[i]], i)
-            # of a 1-d support, so its bytes fix its shape
-            same = by_contents.setdefault(hash(s.tobytes()), [])
-            c = next((c for c in same if np.array_equal(classes[c], s)), None)
+        first = np.sort(first)
+        self._classify(ids, first, (arrays[a] for a in ids[first].tolist()), None)
+
+    @classmethod
+    def _scored(cls, ids, arrays, pi0: Pi0Config | None) -> NullSupports:
+        """The supports of statistics ``ids``, numbered in order of first
+        occurrence, whose arrays the iterable ``arrays`` yields in that order;
+        with a ``pi0`` config, the grid form on its guiding values."""
+        supports = cls.__new__(cls)
+        supports._classify(ids, np.unique(ids, return_index=True)[1], arrays, pi0)
+        return supports
+
+    def _classify(self, ids, first, arrays, pi0: Pi0Config | None) -> None:
+        """Number the classes of ``arrays``, the arrays that the hypotheses
+        ``first`` meet first, in that order, and keep each new class's
+        support, or with a ``pi0`` config only its lambda row."""
+        number = np.empty(ids.max(initial=-1) + 1, dtype=np.intp)  # each array's class
+        classes, digests = [], {}  # the classes by the digest of their bytes
+        if pi0 is not None:  # a row per array; the classes take the first rows
+            taus = pi0.guiding_values()
+            rows = np.empty((first.size, taus.size))
+        for i, array in zip(first.tolist(), arrays):
+            s = _checked_support(array, i)
+            # of a 1-d float support, so its bytes fix its shape and contents
+            key = hashlib.sha256(np.ascontiguousarray(s)).digest()
+            c = digests.get(key)
             if c is None:
-                c = len(classes)
-                same.append(c)
-                classes.append(s)
+                c = digests[key] = len(digests)
+                if pi0 is None:
+                    classes.append(s)
+                else:
+                    rows[c] = _lambda_row(s, taus)
             number[ids[i]] = c
-        self.classes, self.ids, self._rows = tuple(classes), number[ids], {}
+        self.ids, self._pi0 = number[ids], pi0
         self.ids.setflags(write=False)
+        self._classes = tuple(classes) if pi0 is None else None
+        self._rows = {} if pi0 is None else {taus.tobytes(): rows[:len(digests)]}
+
+    @property
+    def classes(self) -> tuple:
+        if self._classes is None:
+            raise NotApplicableError(
+                f"these null supports keep only their lambda rows on the grid of {self._pi0}")
+        return self._classes
 
     @classmethod
     def of(cls, supports) -> NullSupports:
@@ -159,12 +196,14 @@ class NullSupports(Sequence):
 
     def _lambda_rows(self, taus: np.ndarray) -> np.ndarray:
         """The k x |taus| matrix of ``_lambda_row`` of every class, built on
-        the first call with these guiding values and kept for the study."""
+        the first call with these guiding values and kept for the study; the
+        grid form has the rows of its own grid only."""
         key = taus.tobytes()
         if key not in self._rows:
+            classes = self.classes
             self._rows.clear()  # a study keeps the rows of one grid
-            rows = self._rows[key] = np.empty((len(self.classes), taus.size))
-            for row, s in zip(rows, self.classes):
+            rows = self._rows[key] = np.empty((len(classes), taus.size))
+            for row, s in zip(rows, classes):
                 row[:] = _lambda_row(s, taus)
         return self._rows[key]
 

@@ -154,16 +154,17 @@ def generate_scenario(cfg: ScenarioConfig, seed) -> SimulatedStudy:
     return generate_binomial_scenario(cfg, seed)
 
 
-def score_study(study: SimulatedStudy, sided: Sidedness):
+def score_study(study: SimulatedStudy, sided: Sidedness, pi0: Pi0Config | None = None):
     """P-values, null supports and conditioning statistics of a dataset.
 
     Scores with ``io.score_input``, giving the FET scenario's tables their
-    row totals of ``FET_TRIALS`` trials each.
+    row totals of ``FET_TRIALS`` trials each; ``pi0`` is passed on, so the
+    supports come in their grid form when it is set.
     """
     trials = None
     if study.family is Family.BINOMIAL_FET:
         trials = np.full(study.m, FET_TRIALS)
-    return score_input(study.c1, study.c2, sided, n1=trials, n2=trials)
+    return score_input(study.c1, study.c2, sided, n1=trials, n2=trials, pi0=pi0)
 
 
 def _discovery_proportions(rejected: np.ndarray, is_null: np.ndarray):
@@ -186,8 +187,8 @@ def _replication_records(cfg: ScenarioConfig, rep: int) -> np.ndarray:
     """
     seed = np.random.SeedSequence([cfg.master_seed, rep])
     study = generate_scenario(cfg, seed)
-    pvalues, supports, stats = score_study(study, Sidedness.TWO_SIDED)
     pi0_cfg = cfg.resolved_pi0_config()
+    pvalues, supports, stats = score_study(study, Sidedness.TWO_SIDED, pi0=pi0_cfg)
     pi0_g = estimate_pi0(pvalues, supports, pi0_cfg).value
 
     def record(report, *estimates):

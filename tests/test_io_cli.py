@@ -224,6 +224,41 @@ class TestCountArrayLengths:
             score_input(c1, c2, Sidedness.TWO_SIDED, *totals)
 
 
+class TestScoreInputArguments:
+    """Each count argument that is not a 1-d sequence of numbers is refused
+    with a typed error naming it; negative and fractional counts keep the
+    errors of the checks that meet them."""
+
+    @pytest.mark.parametrize("args, named", [
+        ((5, 7), "c1"),
+        (([[1, 2]], [[3, 4]]), "c1"),
+        (([1, 2], [[3, 4]]), "c2"),
+        (([1, 2], ["a", 3]), "c2"),
+        (([1, 2], ["3", 3]), "c2"),
+        ((None, [1, 2]), "c1"),
+        (([1, None], [1, 2]), "c1"),
+        (([[1], [2, 3]], [1, 2]), "c1"),
+        (([1], [2], [[3]], [4]), "n1"),
+        (([1], [2], [3], "4"), "n2"),
+    ], ids=["scalars", "2-d", "2-d-c2", "string", "numeric-string", "none",
+            "none-entry", "ragged", "2-d-n1", "string-n2"])
+    def test_refused_naming_the_argument(self, args, named):
+        with pytest.raises(InvalidConfigError, match=f"^{named} must "):
+            score_input(*args[:2], Sidedness.TWO_SIDED, *args[2:])
+
+    @pytest.mark.parametrize("c1, message", [
+        ([-1], "c1 must be an integer >= 0, got -1"),
+        ([1.5], "total must be an integer, got 3.5"),
+    ], ids=["negative", "fraction"])
+    def test_count_errors_unchanged(self, c1, message):
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            score_input(c1, [2], Sidedness.TWO_SIDED)
+
+    def test_pi0_must_be_a_config(self):
+        with pytest.raises(InvalidConfigError, match="pi0 must be a Pi0Config"):
+            score_input([1], [2], Sidedness.TWO_SIDED, pi0=0.2)
+
+
 def run_cli(args):
     return main([str(a) for a in args])
 

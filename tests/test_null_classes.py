@@ -13,6 +13,7 @@ import pytest
 
 from discrete_fdr import (
     InvalidConfigError,
+    NotApplicableError,
     NullSupports,
     Partition,
     Pi0Config,
@@ -23,7 +24,7 @@ from discrete_fdr import (
     groupwise_pi0,
     weight_study,
 )
-from discrete_fdr import exact_tests, io, proportion
+from discrete_fdr import cli, exact_tests, io, proportion, simulate
 from discrete_fdr.io import score_input
 from discrete_fdr.proportion import _trial_grid
 from discrete_fdr.simulate import Family, ScenarioConfig, run_study
@@ -242,15 +243,21 @@ def reference_grid(pvalues, supports, taus):
     return total / pvalues.size
 
 
-def mixed_study(seed=5, m=400):
+def _binomial_counts(seed=5, m=400):
     """Binomial pairs whose totals 0..14 repeat, with totals 0 and 1 both
     present (both have the support {1}), in random order."""
     rng = np.random.default_rng(seed)
     totals = rng.integers(0, 15, size=m)
     totals[:4] = [3, 0, 1, 0]
     c1 = rng.binomial(totals, 0.4)
-    pvalues, supports, stats = score_input(c1, totals - c1, TWO)
-    return pvalues, supports, totals
+    return (c1, totals - c1), {}
+
+
+def mixed_study(seed=5, m=400):
+    """The scored ``_binomial_counts``, with the total of each pair."""
+    (c1, c2), _ = _binomial_counts(seed, m)
+    pvalues, supports, stats = score_input(c1, c2, TWO)
+    return pvalues, supports, c1 + c2
 
 
 def distinct_study(seed=3, m=400):
@@ -446,3 +453,125 @@ def test_lambda_rows_are_one_matrix_built_once_per_grid():
     expected = [[max((x for x in s if x <= tau), default=0.0) for tau in TAUS]
                 for s in arrays[:50]]
     assert np.array_equal(rows[:50], expected)
+
+
+# --- the grid form: only the lambda rows of one grid ----------------------
+
+def _poisson_counts(seed=2, m=3000):
+    """The Poisson scenario's means, a fifth of them shifted."""
+    rng = np.random.default_rng(seed)
+    mu = 7.0 * (1.0 + rng.pareto(7.0, m))
+    return (rng.poisson(mu), rng.poisson(mu * np.where(np.arange(m) < 2400, 1.0, 3.0))), {}
+
+
+def _fet_counts(seed=4, m=600):
+    """Tables whose row totals are uniform on 5-60, nearly one class a row."""
+    rng = np.random.default_rng(seed)
+    n1, n2 = rng.integers(5, 61, size=(2, m))
+    return (rng.binomial(n1, 0.3), rng.binomial(n2, 0.3)), {"n1": n1, "n2": n2}
+
+
+GRID_STUDIES = {
+    "binomial-totals-0-and-1": (_binomial_counts, PI0_CFG),
+    "binomial-poisson": (_poisson_counts, proportion.BINOMIAL_PI0_CONFIG),
+    "fet": (_fet_counts, proportion.FET_PI0_CONFIG),
+}
+
+
+def _both_forms(study):
+    counts, totals = GRID_STUDIES[study][0]()
+    cfg = GRID_STUDIES[study][1]
+    full = score_input(*counts, TWO, **totals)
+    grid = score_input(*counts, TWO, **totals, pi0=cfg)
+    return full, grid, cfg
+
+
+@pytest.mark.parametrize("study", sorted(GRID_STUDIES))
+def test_grid_form_gives_the_full_form_results_bit_for_bit(study):
+    (p, full, stats), (p_grid, grid, stats_grid), cfg = _both_forms(study)
+    assert p.tobytes() == p_grid.tobytes() and stats == stats_grid
+    assert np.array_equal(full.ids, grid.ids) and not grid.ids.flags.writeable
+    taus = cfg.guiding_values()
+    assert full._lambda_rows(taus).tobytes() == grid._lambda_rows(taus).tobytes()
+    if study == "binomial-totals-0-and-1":  # totals 0 and 1: one class {1}
+        assert grid.ids[1] == grid.ids[2] == grid.ids[3]
+    assert estimate_pi0(p, full, cfg) == estimate_pi0(p_grid, grid, cfg)
+    for wcfg in (WfdrConfig(l_star=1, pi0=cfg), WfdrConfig(l_star=3, pi0=cfg),
+                 WfdrConfig(l_star=3, grouping="metric", pi0=cfg)):
+        a, b = weight_study(p, full, stats, wcfg), weight_study(p_grid, grid, stats, wcfg)
+        assert [g.tolist() for g in a.partition.groups] == [
+            g.tolist() for g in b.partition.groups]
+        assert a.group_pi0 == b.group_pi0 and a.pi0_overall == b.pi0_overall
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.weighted.tobytes() == b.weighted.tobytes()
+
+
+def test_grid_form_refuses_the_supports_and_other_grids():
+    (p, full, _), (_, grid, _), cfg = _both_forms("binomial-totals-0-and-1")
+    rows = grid._lambda_rows(TAUS)
+    kept = "lambda rows on the grid of Pi0Config\\(lambda_max=0.45, step=0.005\\)"
+    refusals = {
+        "item": lambda: grid[0],
+        "iteration": lambda: iter(grid),
+        "list": lambda: list(grid),
+        "classes": lambda: grid.classes,
+        "other grid": lambda: estimate_pi0(p, grid, Pi0Config(0.3, 0.01)),
+        "other grid of a view": lambda: grid.take([0, 1])._lambda_rows(TAUS[:-1]),
+    }
+    for name, refused in refusals.items():
+        with pytest.raises(NotApplicableError, match=kept):
+            refused()
+    assert grid._lambda_rows(TAUS) is rows  # never evicted
+    assert len(grid) == p.size and len(grid[2:9]) == 7
+    partition = splitting_partition(p.size)
+    assert groupwise_pi0(p, grid, partition, cfg) == groupwise_pi0(p, full, partition, cfg)
+
+
+def test_cli_and_run_study_score_on_their_grid(tmp_path, monkeypatch):
+    grids = []
+
+    def recording(module):
+        original = module.score_input
+        monkeypatch.setattr(module, "score_input", lambda *args, **kwargs: grids.append(
+            kwargs.get("pi0")) or original(*args, **kwargs))
+
+    recording(cli)
+    recording(simulate)
+    path = tmp_path / "counts.csv"
+    path.write_text("id,c1,c2\na,3,12\nb,7,6\nc,0,9\nd,40,45\n")
+    argv = ["analyze", "--test", "binomial", "--input", str(path), "--groups", "2",
+            "--output", str(tmp_path / "out")]
+    assert cli.main(argv + ["--lambda-max", "0.3", "--step", "0.01"]) == 0
+    assert grids == [Pi0Config(0.3, 0.01)]
+    cfg = ScenarioConfig(Family.BINOMIAL_FET, m=50, pi0=0.8, alpha_grid=(0.05,),
+                         l_star_grid=(2,), replications=2, master_seed=1)
+    run_study(cfg, workers=1)
+    assert grids[1:] == [cfg.resolved_pi0_config()] * 2
+    # a bad grid is refused before any table is built
+    exact_tests._MEMO.clear()
+    assert cli.main(argv + ["--lambda-max", "1.2"]) == cli.EXIT_COMPUTE
+    assert len(grids) == 3 and not exact_tests._MEMO.tables
+
+
+def test_grid_form_holds_its_lambda_rows_not_its_supports():
+    # totals near 10^6 each have a support of about 20,000 points, 160 kB,
+    # where a lambda row on the binomial grid is 401 floats, 3.2 kB
+    cfg = proportion.BINOMIAL_PI0_CONFIG
+    totals = np.tile(1_000_000 + 997 * np.arange(8), 2)
+    c1 = totals // 2 - 3_000
+
+    def retained(pi0):
+        exact_tests._MEMO.clear()
+        tracemalloc.start()
+        try:
+            _, supports, _ = score_input(c1, totals - c1, TWO, pi0=pi0)
+            exact_tests._MEMO.clear()
+            held = tracemalloc.get_traced_memory()[0]
+            del supports
+            return held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    bound = 2 * 8 * cfg.guiding_values().size  # bytes per class
+    assert retained(cfg) <= 8 * bound
+    assert retained(None) > 10 * 8 * bound  # the measure sees kept supports
