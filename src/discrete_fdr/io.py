@@ -32,7 +32,7 @@ from .exact_tests import (
     fet_null_distribution,
     fet_pvalue,
 )
-from .proportion import NullSupports, Pi0Config
+from .proportion import _PI0_CONFIGS, NullSupports, Pi0Config
 
 BINOMIAL_COLUMNS = ("id", "c1", "c2")
 FET_COLUMNS = ("id", "c1", "n1", "c2", "n2")
@@ -219,19 +219,16 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None,
     total, which is its conditioning statistic (a float); a pair with total
     0 has no data and scores p = 1 with support {1}.  With row totals
     ``n1``, ``n2`` each row is a 2x2 table tested with Fisher's exact test
-    given its margins ``MarginalVector(n1, n2, c1 + c2)``.  Hypotheses that
-    share a statistic share one support array, and statistics whose supports
-    are equal, such as the totals 0 and 1, one null class: the supports are
-    returned as a ``NullSupports`` that carries each hypothesis's class.
+    given its margins ``MarginalVector(n1, n2, c1 + c2)``.  Statistics whose
+    supports are equal, such as the totals 0 and 1, form one null class.
 
-    With a ``pi0`` config the ``NullSupports`` comes in its grid form: each
-    support becomes its lambda row on that grid as its table is built and is
-    then dropped, so k classes hold 8·k·|tau| bytes instead of their supports.
+    The supports come as a ``NullSupports`` on the guiding values of ``pi0``,
+    by default the test's own grid, ``BINOMIAL_PI0_CONFIG`` or
+    ``FET_PI0_CONFIG``: each support becomes its class's lambda row as its
+    table is built and is then dropped, so k classes hold 8·k·|tau| bytes.
     """
     if (n1 is None) != (n2 is None):
         raise InvalidConfigError("row totals need both n1 and n2")
-    if not (pi0 is None or isinstance(pi0, Pi0Config)):
-        raise InvalidConfigError(f"pi0 must be a Pi0Config or None, got {pi0!r}")
     columns = {"c1": c1, "c2": c2, **({} if n1 is None else {"n1": n1, "n2": n2})}
     counts = [_count_list(name, column) for name, column in columns.items()]
     if len({len(a) for a in counts}) > 1:
@@ -240,6 +237,8 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None,
         )
     c1, c2 = counts[:2]
     fet = n1 is not None
+    if pi0 is None:
+        pi0 = _PI0_CONFIGS["fet" if fet else "binomial"]
     stats = ([MarginalVector(a, b, c + d) for a, b, c, d in zip(*counts[2:], c1, c2)]
              if fet else [a + b for a, b in zip(c1, c2)])
     members: dict = {}  # the hypotheses of each statistic
@@ -251,17 +250,16 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None,
         ids[hypotheses] = j
     null = fet_null_distribution if fet else binomial_null_distribution
 
-    def supports():  # each statistic's support, once its p-values are set
-        for stat, hypotheses in members.items():
-            if stat == 0:  # a total of 0 has no data: p = 1 with support {1}
-                yield np.array([1.0])
-                continue
-            support = null(stat, sided).support
-            pvalues[hypotheses] = (
-                [fet_pvalue(c1[i], stat, sided) for i in hypotheses] if fet
-                else [binomial_pvalue(PoissonPair(c1[i], c2[i]), sided)
-                      for i in hypotheses])
-            yield support
+    def support_of(first):  # the support of a statistic, once its p-values are set
+        stat = stats[first]
+        if stat == 0:  # a total of 0 has no data: p = 1 with support {1}
+            return np.array([1.0])
+        support = null(stat, sided).support  # checked as its table was built
+        hypotheses = members[stat]
+        pvalues[hypotheses] = (
+            [fet_pvalue(c1[i], stat, sided) for i in hypotheses] if fet
+            else [binomial_pvalue(PoissonPair(c1[i], c2[i]), sided) for i in hypotheses])
+        return support
 
-    return (pvalues, NullSupports._scored(ids, supports(), pi0),
+    return (pvalues, NullSupports._scored(ids, pi0, support_of),
             stats if fet else list(map(float, stats)))

@@ -8,19 +8,17 @@ is the minimum of these trial averages over the grid.  Per-group estimates
 combine into an overall estimate by a group-size weighted average.
 
 The estimator works per null class, the hypotheses whose supports are
-equal.  ``NullSupports`` carries the classes of a study: one checked array
-per class and a class id per hypothesis.  ``io.score_input`` returns one;
-a plain sequence of arrays becomes one at the boundary of each function
-here.  The lambdas of all classes are found once per study and guiding
-grid, one k x |tau| matrix kept on it, and a group of the partition reads
-a view of it.
+equal.  ``NullSupports`` carries the classes of a study on one grid: a
+class id per hypothesis and the k x |tau| matrix of the classes' lambdas,
+found once per study, of which a group of the partition reads a view.
+``io.score_input`` returns one; a plain sequence of arrays becomes one at
+the boundary of each function here, on the grid that function is given.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,98 +91,89 @@ def _checked_support(array, hypothesis: int) -> np.ndarray:
     return support
 
 
-def _lambda_row(support: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """A class's lambda at each guiding value: its largest point at or below
-    the value, or 0 where it has none, so that every p-value counts 1."""
-    idx = np.searchsorted(support, taus, side="right") - 1
-    return np.where(idx >= 0, support[idx], 0.0)
+class NullSupports:
+    """The null supports of a study, kept as its null classes' lambda rows.
 
+    A null class is the hypotheses whose supports have equal contents, and
+    ``ids`` holds the class of each hypothesis, numbered in order of first
+    occurrence.  The estimator reads only lambda, each class's largest
+    support point at or below each guiding value, so a study keeps one
+    k x |tau| matrix of them on the grid of its ``Pi0Config`` and no support.
+    ``ids``, ``len``, ``take`` and the estimator on that grid work; another
+    grid raises ``NotApplicableError`` naming the kept config.
 
-class NullSupports(Sequence):
-    """The null supports of a study, one shared array per null class.
-
-    A null class is the hypotheses whose supports have equal contents.
-    ``classes`` holds one checked support per class, in order of first
-    occurrence, and ``ids`` the class of each hypothesis, so ``supports[i]``
-    is the array that hypothesis i shares with its class.
-
-    ``NullSupports(arrays, ids)`` gives hypothesis i the support
+    ``NullSupports(arrays, ids, pi0)`` gives hypothesis i the support
     ``arrays[ids[i]]``.  Each array that a hypothesis has is checked once, and
     an invalid one is refused naming its first hypothesis; arrays of equal
     contents, told apart by a SHA-256 digest of their bytes, become one
-    class.  The arrays must not change afterwards.
-
-    ``io.score_input(..., pi0=cfg)`` returns the grid form, which keeps only
-    the k x |tau| lambda matrix on the grid of ``cfg``.  It serves ``ids``,
-    ``len``, ``take`` and the estimator on that grid; the supports (an item,
-    iteration, ``classes``) and other grids raise ``NotApplicableError``.
+    class.  ``io.score_input`` returns one.
     """
 
-    def __init__(self, arrays, ids):
+    def __init__(self, arrays, ids, pi0: Pi0Config):
         arrays = check_sequence("support arrays", arrays)
         with np.errstate(invalid="ignore"):  # 2**63 casts to a negative
             ids = check_array("class ids", ids, "be nonnegative integers").astype(np.intp)
         if ids.size and not 0 <= ids.min() <= ids.max() < len(arrays):
             raise InvalidConfigError(
                 f"class ids must be below the {len(arrays)} support arrays")
-        _, first = np.unique(ids, return_index=True)  # each array's first hypothesis
-        first = np.sort(first)
-        self._classify(ids, first, (arrays[a] for a in ids[first].tolist()), None)
+        self._classify(ids, pi0, lambda i: _checked_support(arrays[ids[i]], i))
 
     @classmethod
-    def _scored(cls, ids, arrays, pi0: Pi0Config | None) -> NullSupports:
-        """The supports of statistics ``ids``, numbered in order of first
-        occurrence, whose arrays the iterable ``arrays`` yields in that order;
-        with a ``pi0`` config, the grid form on its guiding values."""
-        supports = cls.__new__(cls)
-        supports._classify(ids, np.unique(ids, return_index=True)[1], arrays, pi0)
-        return supports
+    def _scored(cls, ids, pi0: Pi0Config, support_of) -> NullSupports:
+        """The supports of hypotheses whose arrays, or statistics, are ``ids``;
+        ``support_of(i)`` is the checked support of hypothesis i's array."""
+        scored = cls.__new__(cls)
+        scored._classify(ids, pi0, support_of)
+        return scored
 
-    def _classify(self, ids, first, arrays, pi0: Pi0Config | None) -> None:
-        """Number the classes of ``arrays``, the arrays that the hypotheses
-        ``first`` meet first, in that order, and keep each new class's
-        support, or with a ``pi0`` config only its lambda row."""
+    @classmethod
+    def _listed(cls, supports: list, pvalues: np.ndarray, pi0: Pi0Config) -> NullSupports:
+        """The supports of a plain sequence as long as ``pvalues``: its
+        distinct arrays, taken by identity, each checked once together with
+        the p-values of its hypotheses, which must be points of it."""
+        # the list keeps every support alive, so no two of them share an id
+        ids = np.fromiter(map(id, supports), dtype=np.uintp, count=len(supports))
+        ids = np.unique(ids, return_inverse=True)[1]
+        # the hypotheses of each array, in index order
+        members = np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1])
+
+        def support_of(i):
+            s, hypotheses = _checked_support(supports[i], i), members[ids[i]]
+            p = pvalues[hypotheses]
+            off = np.flatnonzero(s[np.minimum(np.searchsorted(s, p), s.size - 1)] != p)
+            if off.size:
+                raise InvalidConfigError(
+                    f"p-value of hypothesis {hypotheses[off[0]]} is not a point of its support")
+            return s
+
+        return cls._scored(ids, pi0, support_of)
+
+    def _classify(self, ids, pi0: Pi0Config, support_of) -> None:
+        """Number the classes of the hypotheses' arrays ``ids`` in order of
+        first occurrence, reading each array once as ``support_of(i)`` of its
+        first hypothesis i, and keep each class's lambda row on the grid of
+        ``pi0``."""
+        if not isinstance(pi0, Pi0Config):
+            raise InvalidConfigError(f"pi0 must be a Pi0Config, got {pi0!r}")
+        taus = pi0.guiding_values()
+        first = np.sort(np.unique(ids, return_index=True)[1])  # each array's first hypothesis
         number = np.empty(ids.max(initial=-1) + 1, dtype=np.intp)  # each array's class
-        classes, digests = [], {}  # the classes by the digest of their bytes
-        if pi0 is not None:  # a row per array; the classes take the first rows
-            taus = pi0.guiding_values()
-            rows = np.empty((first.size, taus.size))
-        for i, array in zip(first.tolist(), arrays):
-            s = _checked_support(array, i)
+        rows = np.empty((first.size, taus.size))  # a row per array; the classes take the first
+        digests = {}  # the classes by the digest of their bytes
+        for i in first.tolist():
+            s = support_of(i)
             # of a 1-d float support, so its bytes fix its shape and contents
             key = hashlib.sha256(np.ascontiguousarray(s)).digest()
             c = digests.get(key)
             if c is None:
                 c = digests[key] = len(digests)
-                if pi0 is None:
-                    classes.append(s)
-                else:
-                    rows[c] = _lambda_row(s, taus)
+                # lambda: the largest point at or below each guiding value,
+                # or 0 where there is none, so that every p-value counts 1
+                idx = np.searchsorted(s, taus, side="right") - 1
+                rows[c] = np.where(idx >= 0, s[idx], 0.0)
             number[ids[i]] = c
-        self.ids, self._pi0 = number[ids], pi0
+        self.ids, self._pi0, self._rows = number[ids], pi0, rows[:len(digests)]
         self.ids.setflags(write=False)
-        self._classes = tuple(classes) if pi0 is None else None
-        self._rows = {} if pi0 is None else {taus.tobytes(): rows[:len(digests)]}
-
-    @property
-    def classes(self) -> tuple:
-        if self._classes is None:
-            raise NotApplicableError(
-                f"these null supports keep only their lambda rows on the grid of {self._pi0}")
-        return self._classes
-
-    @classmethod
-    def of(cls, supports) -> NullSupports:
-        """``supports`` itself if it is a ``NullSupports``.  Otherwise its
-        distinct arrays, taken by identity in order of first occurrence, each
-        checked once, with equal contents merged into one class."""
-        if isinstance(supports, NullSupports):
-            return supports
-        # the list keeps every support alive, so no two of them share an id
-        supports = check_sequence("supports", supports)
-        ids = np.fromiter(map(id, supports), dtype=np.uintp, count=len(supports))
-        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-        return cls([supports[i] for i in first], inverse)
 
     def take(self, indices) -> NullSupports:
         """The supports of the hypotheses ``indices``, in that order, sharing
@@ -194,43 +183,30 @@ class NullSupports(Sequence):
         view.ids.setflags(write=False)
         return view
 
-    def _lambda_rows(self, taus: np.ndarray) -> np.ndarray:
-        """The k x |taus| matrix of ``_lambda_row`` of every class, built on
-        the first call with these guiding values and kept for the study; the
-        grid form has the rows of its own grid only."""
-        key = taus.tobytes()
-        if key not in self._rows:
-            classes = self.classes
-            self._rows.clear()  # a study keeps the rows of one grid
-            rows = self._rows[key] = np.empty((len(classes), taus.size))
-            for row, s in zip(rows, classes):
-                row[:] = _lambda_row(s, taus)
-        return self._rows[key]
-
     def __len__(self) -> int:
         return self.ids.size
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.take(i)
-        return self.classes[self.ids[i]]
 
-    def __iter__(self):
-        return map(self.classes.__getitem__, self.ids.tolist())
-
-
-def _checked_study(pvalues, supports) -> tuple[np.ndarray, NullSupports]:
+def _checked_study(pvalues, supports, pi0: Pi0Config) -> tuple[np.ndarray, NullSupports]:
     """``pvalues`` checked to lie in (0, 1], and ``supports`` as a
-    ``NullSupports``; their lengths must agree."""
+    ``NullSupports`` on the grid of ``pi0``; their lengths must agree.  A
+    plain sequence of arrays is converted, and the p-values of its
+    hypotheses must be points of their supports."""
     pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
-    supports = NullSupports.of(supports)
+    if not isinstance(supports, NullSupports):
+        supports = check_sequence("supports", supports)
+        if len(supports) == pvalues.size:
+            supports = NullSupports._listed(supports, pvalues, pi0)
+    elif supports._pi0 != pi0:
+        raise NotApplicableError(
+            f"these null supports keep only their lambda rows on the grid of {supports._pi0}")
     if len(supports) != pvalues.size:
         raise InvalidConfigError("pvalues and supports must have equal length")
     return pvalues, supports
 
 
-def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
-    """Trial estimates at the ascending guiding values; one pass per class.
+def _trial_grid(pvalues, supports, cfg: Pi0Config) -> np.ndarray:
+    """Trial estimates at the guiding values of ``cfg``; one pass per class.
 
     Within a null class each hypothesis has the same lambda at each guiding
     value, so the class contributes (number of its p-values above lambda) /
@@ -238,11 +214,11 @@ def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
     where no point lies below the guiding value and lambda is 0.  The
     classes present are summed in order of their first hypothesis here.
     """
-    pvalues, supports = _checked_study(pvalues, supports)
+    pvalues, supports = _checked_study(pvalues, supports, cfg)
     m = pvalues.size
     if m == 0:
         raise EmptyStudyError("no hypotheses")
-    lams, ids = supports._lambda_rows(taus), supports.ids
+    lams, ids = supports._rows, supports.ids
     k = len(lams)
     # the hypotheses of each class together, in index order; numpy's stable
     # sort of 8- and 16-bit integers is a radix sort
@@ -251,9 +227,7 @@ def _trial_grid(pvalues, supports, taus: np.ndarray) -> np.ndarray:
     ends = np.cumsum(sizes)
     present = np.flatnonzero(sizes)
     present = present[np.argsort(order[(ends - sizes)[present]])]
-    if np.any(lams[present, -1] >= 1.0):  # the largest lambda of each class
-        raise InvalidConfigError("a guiding value reached a support point of 1")
-    total = np.zeros(taus.size)
+    total = np.zeros(lams.shape[1])
     for c in present.tolist():
         lam, size = lams[c], sizes[c]
         p_class = np.sort(pvalues[order[ends[c] - size:ends[c]]])
@@ -266,11 +240,13 @@ def estimate_pi0(pvalues, supports, cfg: Pi0Config) -> Pi0Estimate:
 
     The raw minimum can exceed 1 on sparse data; the returned ``value`` is
     clamped to [0, 1] with the raw value kept in the estimate.  Raises
-    ``InvalidConfigError`` for a p-value outside (0, 1] or NaN, and for a
-    support that is not a nonempty, strictly increasing 1-d array in (0, 1].
+    ``InvalidConfigError`` for a p-value outside (0, 1] or NaN, for a support
+    that is not a nonempty, strictly increasing 1-d array in (0, 1], and for
+    a p-value that is not a point of the support listed with it;
+    ``NotApplicableError`` for a ``NullSupports`` kept on another grid.
     """
     taus = cfg.guiding_values()
-    betas = _trial_grid(pvalues, supports, taus)
+    betas = _trial_grid(pvalues, supports, cfg)
     raw = float(betas.min())
     value = min(raw, 1.0)
     return Pi0Estimate(
@@ -289,7 +265,7 @@ def groupwise_pi0(
     The supports are checked once for the study, and an invalid one is
     reported by its first hypothesis's index in the study.
     """
-    pvalues, supports = _checked_study(pvalues, supports)
+    pvalues, supports = _checked_study(pvalues, supports, cfg)
     if partition.m != pvalues.size:
         raise InvalidConfigError("partition does not cover the study")
     return [estimate_pi0(pvalues[g], supports.take(g), cfg) for g in partition.groups]

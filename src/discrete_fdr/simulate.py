@@ -154,17 +154,17 @@ def generate_scenario(cfg: ScenarioConfig, seed) -> SimulatedStudy:
     return generate_binomial_scenario(cfg, seed)
 
 
-def score_study(study: SimulatedStudy, sided: Sidedness, pi0: Pi0Config | None = None):
+def score_study(study: SimulatedStudy, sided: Sidedness):
     """P-values, null supports and conditioning statistics of a dataset.
 
     Scores with ``io.score_input``, giving the FET scenario's tables their
-    row totals of ``FET_TRIALS`` trials each; ``pi0`` is passed on, so the
-    supports come in their grid form when it is set.
+    row totals of ``FET_TRIALS`` trials each, so the supports are kept on
+    the scenario family's default grid, its ``resolved_pi0_config``.
     """
     trials = None
     if study.family is Family.BINOMIAL_FET:
         trials = np.full(study.m, FET_TRIALS)
-    return score_input(study.c1, study.c2, sided, n1=trials, n2=trials, pi0=pi0)
+    return score_input(study.c1, study.c2, sided, n1=trials, n2=trials)
 
 
 def _discovery_proportions(rejected: np.ndarray, is_null: np.ndarray):
@@ -188,7 +188,7 @@ def _replication_records(cfg: ScenarioConfig, rep: int) -> np.ndarray:
     seed = np.random.SeedSequence([cfg.master_seed, rep])
     study = generate_scenario(cfg, seed)
     pi0_cfg = cfg.resolved_pi0_config()
-    pvalues, supports, stats = score_study(study, Sidedness.TWO_SIDED, pi0=pi0_cfg)
+    pvalues, supports, stats = score_study(study, Sidedness.TWO_SIDED)
     pi0_g = estimate_pi0(pvalues, supports, pi0_cfg).value
 
     def record(report, *estimates):

@@ -237,11 +237,12 @@ def weight_study(
     default, metric-ball grouping on their pairwise distances when
     ``cfg.grouping == "metric"``), estimates the null proportion per group
     and weights the p-values.  Raises ``InvalidConfigError`` for a p-value
-    outside (0, 1] or NaN, for inputs of unequal lengths, for more groups
-    than hypotheses, or for statistics that are not finite numbers or all
-    margins.
+    outside (0, 1] or NaN or off the support array listed with it, for
+    inputs of unequal lengths, for more groups than hypotheses, or for
+    statistics that are not finite numbers or all margins;
+    ``NotApplicableError`` for a ``NullSupports`` off the grid of ``cfg.pi0``.
     """
-    pvalues, supports = _checked_study(pvalues, supports)
+    pvalues, supports = _checked_study(pvalues, supports, cfg.pi0)
     stats = check_sequence("conditioning_stats", conditioning_stats)
     if len(stats) != pvalues.size:
         raise InvalidConfigError("pvalues and conditioning_stats must have equal length")

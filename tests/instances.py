@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from discrete_fdr import rejection_threshold
+from discrete_fdr import Sidedness, binomial_null_distribution, rejection_threshold
 
 # p-values every entry point must reject: non-finite or outside (0, 1]
 INVALID_PVALUES = [np.nan, np.inf, -np.inf, 0.0, 1.5]
@@ -78,3 +78,16 @@ def grid_sup_rejections(ptilde, pi0_overall, alpha):
         candidates.append(float(finite.max()) * 1.5 + 1.0)
     tau = max(t for t in candidates if fdr_estimate(t) <= alpha)
     return set(np.flatnonzero(ptilde <= tau).tolist())
+
+
+def off_support_study():
+    """Four hypotheses on the two-sided binomial supports of the totals 5-8,
+    the third with p = 0.0123456, which none of them holds.
+
+    Returns (pvalues, supports, statistics, index of the off-support one).
+    """
+    supports = [binomial_null_distribution(t, Sidedness.TWO_SIDED).support
+                for t in (5, 6, 7, 8)]
+    pvalues = np.array([s[-1] for s in supports])
+    pvalues[2] = 0.0123456
+    return pvalues, supports, [5.0, 6.0, 7.0, 8.0], 2

@@ -1,10 +1,11 @@
 """Scoring by null class: every distinct conditioning statistic gets one null
-distribution, computed once, and all its hypotheses share one support array,
-whatever the exact-test memo holds.  The supports come as a ``NullSupports``,
-and the estimator gives bit-identical results for it, for its views and for
-plain lists of the same arrays."""
+distribution, computed once, and all its hypotheses share one class, whatever
+the exact-test memo holds.  The supports come as a ``NullSupports`` that keeps
+the classes' lambda rows on one grid, and the estimator gives bit-identical
+results for it, for its views and for plain lists of the full supports."""
 
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 from discrete_fdr import (
+    BINOMIAL_PI0_CONFIG,
+    FET_PI0_CONFIG,
     InvalidConfigError,
     NotApplicableError,
     NullSupports,
@@ -21,12 +24,15 @@ from discrete_fdr import (
     WfdrConfig,
     binomial_null_distribution,
     estimate_pi0,
+    fet_null_distribution,
     groupwise_pi0,
     weight_study,
+    wfdr_reject,
 )
-from discrete_fdr import cli, exact_tests, io, proportion, simulate
+from discrete_fdr import cli, errors, exact_tests, io, proportion, simulate
 from discrete_fdr.io import score_input
-from discrete_fdr.proportion import _trial_grid
+from discrete_fdr.proportion import _checked_study, _trial_grid
+from instances import off_support_study
 from discrete_fdr.simulate import Family, ScenarioConfig, run_study
 
 TWO = Sidedness.TWO_SIDED
@@ -62,6 +68,19 @@ def distinct_count(stats):
 
 
 @pytest.mark.parametrize("family", sorted(STUDIES))
+def test_score_input_checks_each_support_once(family, monkeypatch):
+    # the table's constructor applies the support rule once; the class layer
+    # takes its support as it is, and the {1} of a zero total as a constant
+    rule = "lie in (0, 1], strictly increasing"
+    applied = []
+    original = errors.RULES[rule]
+    monkeypatch.setitem(errors.RULES, rule, lambda x: applied.append(x.size) or original(x))
+    counts, totals = STUDIES[family]()
+    _, supports, stats = score_input(*counts, TWO, **totals)
+    assert len(applied) == distinct_count(stats) == len(supports._rows) - (0 in stats)
+
+
+@pytest.mark.parametrize("family", sorted(STUDIES))
 def test_null_distribution_once_per_statistic(family, monkeypatch):
     calls = []
     for name in ("binomial_null_distribution", "fet_null_distribution"):
@@ -88,10 +107,7 @@ def test_interleaved_totals_above_the_bound_build_once(monkeypatch):
     c1 = totals // 3
     _, supports, stats = score_input(c1, totals - c1, TWO)
     assert len(built) == n
-    by_total = {}
-    for stat, support in zip(stats, supports):
-        assert by_total.setdefault(stat, support) is support
-    assert len({id(s) for s in supports}) == n
+    assert supports.ids.tolist() == [*range(n)] * 2  # one class per total
     newest = [*exact_tests._MEMO.tables.values()][-1]
     assert exact_tests._MEMO.nbytes <= exact_tests.MEMO_BYTES + exact_tests._table_bytes(newest)
 
@@ -117,8 +133,8 @@ def _evicting(monkeypatch):
 def _score_and_weigh(family):
     counts, totals = STUDIES[family]()
     pvalues, supports, stats = score_input(*counts, TWO, **totals)
-    study = weight_study(pvalues, supports, stats, WfdrConfig(l_star=2))
-    return pvalues, supports, stats, study
+    cfg = WfdrConfig(l_star=2, pi0=proportion._PI0_CONFIGS[family])
+    return pvalues, supports, stats, weight_study(pvalues, supports, stats, cfg)
 
 
 @pytest.mark.parametrize("family", sorted(STUDIES))
@@ -129,27 +145,30 @@ def test_results_do_not_depend_on_the_memo(family, memo, monkeypatch):
         _evicting(monkeypatch)
     pvalues, supports, stats, study = _score_and_weigh(family)
     assert pvalues.tobytes() == cold[0].tobytes()
-    assert [s.tobytes() for s in supports] == [s.tobytes() for s in cold[1]]
+    assert supports.ids.tobytes() == cold[1].ids.tobytes()
+    assert supports._rows.tobytes() == cold[1]._rows.tobytes()
     assert study.pi0_overall == cold[3].pi0_overall
     assert [e.raw_value for e in study.group_pi0] == [
         e.raw_value for e in cold[3].group_pi0
     ]
     by_stat = {}
-    for stat, support in zip(stats, supports):
-        assert by_stat.setdefault(stat, support) is support
+    for stat, c in zip(stats, supports.ids.tolist()):
+        assert by_stat.setdefault(stat, c) == c
 
 
 def test_supports_built_by_hand_form_one_class_per_statistic():
     # one table built per hypothesis, totals 1..600 interleaved three times:
     # the memo drops tables between repeats, so equal supports arrive as
-    # distinct arrays, which must still form one class per total
+    # distinct arrays, which must still form one class per total; the
+    # scored p-values are points of them
     totals = np.tile(np.arange(1, 601), 3)
     c1 = totals // 3
     pvalues, supports, stats = score_input(c1, totals - c1, TWO)
     by_hand = [binomial_null_distribution(int(t), TWO).support for t in totals]
     assert len({id(s) for s in by_hand}) == 1_800
-    assert len({id(s) for s in supports}) == 600
     cfg = WfdrConfig(l_star=3)
+    listed = _checked_study(pvalues, by_hand, cfg.pi0)[1]
+    assert listed.ids.tolist() == supports.ids.tolist() == [*range(600)] * 3
     scored = weight_study(pvalues, supports, stats, cfg)
     built = weight_study(pvalues, by_hand, stats, cfg)
     assert built.pi0_overall == scored.pi0_overall
@@ -192,7 +211,7 @@ def test_table_above_the_budget_builds_once_per_study(monkeypatch):
     c1 = totals // 2 - np.arange(totals.size)
     _, supports, _ = score_input(c1, totals - c1, TWO)
     assert len(built) == 3  # one per distinct total, the large one included
-    assert supports[0] is supports[2] is supports[4] is supports[5]
+    assert supports.ids.tolist() == [0, 1, 0, 2, 0, 0]
     assert _memo_bytes_match_its_tables()
     assert exact_tests._table_bytes(exact_tests._binomial_test(large, TWO)) > exact_tests.MEMO_BYTES
 
@@ -212,8 +231,8 @@ def test_simulation_builds_each_total_once(monkeypatch):
 
 # --- the class form of the supports: NullSupports -------------------------
 
-TAUS = Pi0Config(0.45, 0.005).guiding_values()
 PI0_CFG = Pi0Config(0.45, 0.005)
+TAUS = PI0_CFG.guiding_values()
 
 
 def reference_grid(pvalues, supports, taus):
@@ -235,8 +254,6 @@ def reference_grid(pvalues, supports, taus):
         idx = np.searchsorted(support, taus, side="right") - 1
         contrib = np.full(taus.size, float(len(members)))
         lam = support[idx[idx >= 0]]
-        if np.any(lam >= 1.0):
-            raise InvalidConfigError("a guiding value reached a support point of 1")
         contrib[idx >= 0] = (len(members) - np.searchsorted(p_class, lam, side="right")
                              ) / (1.0 - lam)
         total += contrib
@@ -254,9 +271,9 @@ def _binomial_counts(seed=5, m=400):
 
 
 def mixed_study(seed=5, m=400):
-    """The scored ``_binomial_counts``, with the total of each pair."""
+    """The ``_binomial_counts`` scored on ``PI0_CFG``, with each pair's total."""
     (c1, c2), _ = _binomial_counts(seed, m)
-    pvalues, supports, stats = score_input(c1, c2, TWO)
+    pvalues, supports, _ = score_input(c1, c2, TWO, pi0=PI0_CFG)
     return pvalues, supports, c1 + c2
 
 
@@ -267,8 +284,8 @@ def distinct_study(seed=3, m=400):
     rng = np.random.default_rng(seed)
     totals = rng.permutation(np.arange(1, m + 1))
     c1 = rng.binomial(totals, 0.4)
-    pvalues, supports, _ = score_input(c1, totals - c1, TWO)
-    assert len(supports.classes) == m
+    pvalues, supports, _ = score_input(c1, totals - c1, TWO, pi0=PI0_CFG)
+    assert len(supports._rows) == m
     return pvalues, supports, totals
 
 
@@ -282,8 +299,14 @@ def by_hand(totals):
     return supports
 
 
+def shared(totals):
+    """One support array per total, shared by the hypotheses of that total."""
+    tables = {t: by_hand([t])[0] for t in dict.fromkeys(totals.tolist())}
+    return [tables[t] for t in totals.tolist()]
+
+
 def forms(supports, totals):
-    return {"scored": supports, "list": list(supports), "by-hand": by_hand(totals)}
+    return {"scored": supports, "shared": shared(totals), "by-hand": by_hand(totals)}
 
 
 def splitting_partition(m, seed=7):
@@ -294,14 +317,13 @@ def splitting_partition(m, seed=7):
 
 def test_score_input_returns_null_supports():
     pvalues, supports, totals = mixed_study()
-    assert isinstance(supports, NullSupports)
-    assert len(supports) == len(list(supports)) == pvalues.size
-    assert supports[1] is supports[2] is supports[3] is supports[-len(supports) + 1]
-    assert supports[1].tolist() == [1.0]  # totals 0 and 1: one class
-    assert len(supports.classes) == len(set(totals.tolist())) - 1
-    first = [int(np.flatnonzero(supports.ids == c)[0]) for c in range(len(supports.classes))]
+    assert isinstance(supports, NullSupports) and len(supports) == pvalues.size
+    assert supports.ids[1] == supports.ids[2] == supports.ids[3]  # totals 0 and 1: {1}
+    k = len(set(totals.tolist())) - 1
+    assert supports._rows.shape == (k, TAUS.size) and supports._rows.dtype == np.float64
+    assert sorted(set(supports.ids.tolist())) == [*range(k)]
+    first = [int(np.flatnonzero(supports.ids == c)[0]) for c in range(k)]
     assert first == sorted(first)  # numbered in order of first occurrence
-    assert all(s is supports.classes[c] for s, c in zip(supports, supports.ids))
     assert not supports.ids.flags.writeable
 
 
@@ -313,9 +335,14 @@ def test_trial_grid_identical_for_every_form(study, off_support):
     pvalues, supports, totals = study()
     if off_support:  # p-values that are not points of their support
         pvalues = np.random.default_rng(9).uniform(1e-3, 1.0, size=pvalues.size)
-    expected = reference_grid(pvalues, list(supports), TAUS)
+    expected = reference_grid(pvalues, by_hand(totals), TAUS)
     for name, form in forms(supports, totals).items():
-        assert np.array_equal(_trial_grid(pvalues, form, TAUS), expected), name
+        if off_support and name != "scored":  # a listed support checks its p-values
+            with pytest.raises(InvalidConfigError,
+                               match="p-value of hypothesis 0 is not a point of its support"):
+                _trial_grid(pvalues, form, PI0_CFG)
+        else:  # the scored classes take their p-values as they come
+            assert np.array_equal(_trial_grid(pvalues, form, PI0_CFG), expected), name
 
 
 def test_estimates_identical_for_every_form():
@@ -324,23 +351,23 @@ def test_estimates_identical_for_every_form():
     results = {name: (estimate_pi0(pvalues, form, PI0_CFG),
                       groupwise_pi0(pvalues, form, partition, PI0_CFG))
                for name, form in forms(supports, totals).items()}
-    assert results["list"] == results["scored"] == results["by-hand"]
-    members = list(supports)
+    assert results["shared"] == results["scored"] == results["by-hand"]
+    members = by_hand(totals)
     assert results["scored"][1] == [
         estimate_pi0(pvalues[g], [members[i] for i in g], PI0_CFG) for g in partition.groups]
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["ascending", "reversed"])
 def test_view_identical_to_the_list_of_its_members(reverse):
-    pvalues, supports, _ = mixed_study()
-    members = list(supports)
+    pvalues, supports, totals = mixed_study()
+    members = by_hand(totals)
     for g in splitting_partition(pvalues.size).groups:
         g = g[::-1] if reverse else g
         view = supports.take(g)
         listed = [members[i] for i in g]
-        assert [s is t for s, t in zip(view, listed)] == [True] * g.size
-        got = _trial_grid(pvalues[g], view, TAUS)
-        assert np.array_equal(got, _trial_grid(pvalues[g], listed, TAUS))
+        assert view.ids.tolist() == supports.ids[g].tolist() and view._rows is supports._rows
+        got = _trial_grid(pvalues[g], view, PI0_CFG)
+        assert np.array_equal(got, _trial_grid(pvalues[g], listed, PI0_CFG))
         assert np.array_equal(got, reference_grid(pvalues[g], listed, TAUS))
         assert estimate_pi0(pvalues[g], view, PI0_CFG) == estimate_pi0(
             pvalues[g], listed, PI0_CFG)
@@ -353,39 +380,24 @@ def test_view_sums_its_classes_in_its_own_order():
     arrays = [np.append(np.sort(rng.choice(np.arange(1, 200) / 400.0, 30, replace=False)),
                         1.0) for _ in range(12)]
     ids = np.concatenate([np.arange(12), rng.integers(0, 12, size=500)])
-    supports = NullSupports(arrays, ids)
+    supports = NullSupports(arrays, ids, PI0_CFG)
     pvalues = rng.uniform(1e-3, 1.0, size=ids.size)
     g = np.concatenate([np.arange(12, ids.size), np.arange(12)[::-1]])
-    got = _trial_grid(pvalues[g], supports.take(g), TAUS)
+    got = _trial_grid(pvalues[g], supports.take(g), PI0_CFG)
     assert np.array_equal(got, reference_grid(pvalues[g], [arrays[c] for c in ids[g]], TAUS))
-
-
-def test_support_point_of_one_only_where_a_class_reaches_it():
-    supports = NullSupports([np.array([0.3, 0.6]), np.array([0.5, 1.0])], [0, 1, 0, 1])
-    pvalues = np.array([0.6, 1.0, 0.3, 0.5])
-    taus = np.array([0.4, 1.0])
-    for form in (supports, list(supports)):
-        with pytest.raises(InvalidConfigError, match="support point of 1"):
-            _trial_grid(pvalues, form, taus)
-    # the view holds only the class whose points stay below 1
-    view = supports.take([2, 0])
-    assert np.array_equal(_trial_grid(pvalues[[2, 0]], view, taus),
-                          reference_grid(pvalues[[2, 0]], list(view), taus))
-    with pytest.raises(InvalidConfigError, match="support point of 1"):
-        _trial_grid(pvalues[[0, 1]], supports.take([0, 1]), taus)
 
 
 def test_invalid_class_array_refused_once_naming_its_first_hypothesis(monkeypatch):
     good, bad = np.array([0.5, 1.0]), np.array([0.5, 0.25, 1.0])
     with pytest.raises(InvalidConfigError, match="support of hypothesis 2 "):
-        NullSupports([good, bad], [0, 0, 1, 0, 1])
+        NullSupports([good, bad], [0, 0, 1, 0, 1], PI0_CFG)
     checked = []
     original = proportion._checked_support
     monkeypatch.setattr(proportion, "_checked_support",
                         lambda array, i: checked.append(i) or original(array, i))
-    supports = NullSupports([good, good.copy(), np.array([0.2, 1.0])], [1, 0, 2, 0])
+    supports = NullSupports([good, good.copy(), np.array([0.2, 1.0])], [1, 0, 2, 0], PI0_CFG)
     assert checked == [0, 1, 2]  # each array once, by its first hypothesis
-    assert len(supports.classes) == 2 and supports.ids.tolist() == [0, 0, 1, 0]
+    assert len(supports._rows) == 2 and supports.ids.tolist() == [0, 0, 1, 0]
     pvalues = np.array([0.5, 1.0, 0.2, 1.0])
     estimate_pi0(pvalues, supports, PI0_CFG)
     groupwise_pi0(pvalues, supports, Partition((np.array([0, 2]), np.array([1, 3]))),
@@ -397,14 +409,19 @@ def test_invalid_class_array_refused_once_naming_its_first_hypothesis(monkeypatc
                                                                  "fraction"])
 def test_class_ids_must_name_an_array(ids):
     with pytest.raises(InvalidConfigError, match="class ids"):
-        NullSupports([np.array([1.0]), np.array([0.5, 1.0])], ids)
+        NullSupports([np.array([1.0]), np.array([0.5, 1.0])], ids, PI0_CFG)
+
+
+def test_grid_must_be_a_config():
+    with pytest.raises(InvalidConfigError, match="pi0 must be a Pi0Config, got 0.2"):
+        NullSupports([np.array([1.0])], [0], 0.2)
 
 
 @pytest.mark.parametrize("indices", [
     [2**63], np.array([2.0**63]), np.array([2**63], dtype=np.uint64),
     np.array([2**64 - 1], dtype=np.uint64)], ids=["int", "float", "uint64", "uint64-max"])
 @pytest.mark.parametrize("construct, message", [
-    (lambda ids: NullSupports([np.array([1.0])], ids),
+    (lambda ids: NullSupports([np.array([1.0])], ids, PI0_CFG),
      "class ids must be (below|nonnegative integers)"),
     (lambda ids: Partition((ids, np.array([0]))),
      "group(s must form a disjoint cover| must be nonnegative integers)"),
@@ -418,18 +435,18 @@ def test_indices_from_2_63_refused_without_a_cast_warning(construct, message, in
 
 
 def test_lambda_rows_built_once_per_grid_and_shared_with_views(monkeypatch):
-    pvalues, supports, _ = mixed_study()
+    pvalues, supports, totals = mixed_study()
     built = []
-    original = proportion._lambda_row
-    monkeypatch.setattr(proportion, "_lambda_row",
-                        lambda s, taus: built.append(taus.size) or original(s, taus))
+    original = NullSupports._classify
+    monkeypatch.setattr(NullSupports, "_classify",
+                        lambda self, *args: built.append(self) or original(self, *args))
     partition = splitting_partition(pvalues.size)
     estimate_pi0(pvalues, supports, PI0_CFG)
     groupwise_pi0(pvalues, supports, partition, PI0_CFG)
-    assert built == [TAUS.size] * len(supports.classes)
-    other = Pi0Config(0.3, 0.01)
-    groupwise_pi0(pvalues, supports, partition, other)
-    assert len(built) == 2 * len(supports.classes)
+    assert built == []  # the scored rows serve the study and every group
+    assert all(supports.take(g)._rows is supports._rows for g in partition.groups)
+    groupwise_pi0(pvalues, by_hand(totals), partition, PI0_CFG)
+    assert len(built) == 1  # a list becomes classes once per study, not per group
 
 
 def test_lambda_rows_are_one_matrix_built_once_per_grid():
@@ -438,24 +455,24 @@ def test_lambda_rows_are_one_matrix_built_once_per_grid():
     grid = np.arange(1, 400) / 400.0
     arrays = [np.append(np.sort(rng.choice(grid, 20, replace=False)), 1.0)
               for _ in range(2000)]
-    supports = NullSupports(arrays, np.arange(len(arrays)))
     tracemalloc.start()
-    rows = supports._lambda_rows(TAUS)
-    peak = tracemalloc.get_traced_memory()[1]
+    supports = NullSupports(arrays, np.arange(len(arrays)), PI0_CFG)
+    held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
+    rows = supports._rows
     assert type(rows) is np.ndarray and rows.dtype == np.float64
-    assert rows.shape == (len(supports.classes), TAUS.size)
-    # the matrix and one row's temporaries, never a second copy of it
-    assert peak <= rows.nbytes + 64 * 1024
-    assert supports._lambda_rows(TAUS) is rows
-    assert supports.take(np.arange(10, 0, -1))._lambda_rows(TAUS) is rows
+    assert rows.shape == (len(arrays), TAUS.size)
+    # the matrix is written in place: the build's temporaries, the digests
+    # among them, never reach a second copy of it
+    assert rows.nbytes <= held and peak - held <= rows.nbytes // 2
+    assert supports.take(np.arange(10, 0, -1))._rows is rows
     # each class's largest point at or below each guiding value, or 0
     expected = [[max((x for x in s if x <= tau), default=0.0) for tau in TAUS]
                 for s in arrays[:50]]
     assert np.array_equal(rows[:50], expected)
 
 
-# --- the grid form: only the lambda rows of one grid ----------------------
+# --- scored supports against supports built by hand ------------------------
 
 def _poisson_counts(seed=2, m=3000):
     """The Poisson scenario's means, a fifth of them shifted."""
@@ -473,32 +490,37 @@ def _fet_counts(seed=4, m=600):
 
 GRID_STUDIES = {
     "binomial-totals-0-and-1": (_binomial_counts, PI0_CFG),
-    "binomial-poisson": (_poisson_counts, proportion.BINOMIAL_PI0_CONFIG),
-    "fet": (_fet_counts, proportion.FET_PI0_CONFIG),
+    "binomial-poisson": (_poisson_counts, BINOMIAL_PI0_CONFIG),
+    "fet": (_fet_counts, FET_PI0_CONFIG),
 }
 
 
-def _both_forms(study):
+def _scored_and_by_hand(study):
+    """The study scored on its grid, and the full support of each hypothesis
+    from one ``*_null_distribution`` call per statistic."""
     counts, totals = GRID_STUDIES[study][0]()
     cfg = GRID_STUDIES[study][1]
-    full = score_input(*counts, TWO, **totals)
-    grid = score_input(*counts, TWO, **totals, pi0=cfg)
-    return full, grid, cfg
+    pvalues, supports, stats = score_input(*counts, TWO, **totals, pi0=cfg)
+    null = fet_null_distribution if totals else binomial_null_distribution
+    tables = {s: np.array([1.0]) if s == 0 else null(s if totals else int(s), TWO).support
+              for s in dict.fromkeys(stats)}
+    return pvalues, supports, stats, [tables[s] for s in stats], cfg
 
 
 @pytest.mark.parametrize("study", sorted(GRID_STUDIES))
 def test_grid_form_gives_the_full_form_results_bit_for_bit(study):
-    (p, full, stats), (p_grid, grid, stats_grid), cfg = _both_forms(study)
-    assert p.tobytes() == p_grid.tobytes() and stats == stats_grid
-    assert np.array_equal(full.ids, grid.ids) and not grid.ids.flags.writeable
-    taus = cfg.guiding_values()
-    assert full._lambda_rows(taus).tobytes() == grid._lambda_rows(taus).tobytes()
+    # the scored classes against the full supports listed by hand, whose
+    # points the scored p-values are
+    p, scored, stats, full, cfg = _scored_and_by_hand(study)
+    listed = _checked_study(p, full, cfg)[1]
+    assert np.array_equal(scored.ids, listed.ids) and not scored.ids.flags.writeable
+    assert scored._rows.tobytes() == listed._rows.tobytes()
     if study == "binomial-totals-0-and-1":  # totals 0 and 1: one class {1}
-        assert grid.ids[1] == grid.ids[2] == grid.ids[3]
-    assert estimate_pi0(p, full, cfg) == estimate_pi0(p_grid, grid, cfg)
+        assert scored.ids[1] == scored.ids[2] == scored.ids[3]
+    assert estimate_pi0(p, scored, cfg) == estimate_pi0(p, full, cfg)
     for wcfg in (WfdrConfig(l_star=1, pi0=cfg), WfdrConfig(l_star=3, pi0=cfg),
                  WfdrConfig(l_star=3, grouping="metric", pi0=cfg)):
-        a, b = weight_study(p, full, stats, wcfg), weight_study(p_grid, grid, stats, wcfg)
+        a, b = weight_study(p, full, stats, wcfg), weight_study(p, scored, stats, wcfg)
         assert [g.tolist() for g in a.partition.groups] == [
             g.tolist() for g in b.partition.groups]
         assert a.group_pi0 == b.group_pi0 and a.pi0_overall == b.pi0_overall
@@ -507,24 +529,55 @@ def test_grid_form_gives_the_full_form_results_bit_for_bit(study):
 
 
 def test_grid_form_refuses_the_supports_and_other_grids():
-    (p, full, _), (_, grid, _), cfg = _both_forms("binomial-totals-0-and-1")
-    rows = grid._lambda_rows(TAUS)
+    p, scored, stats, full, cfg = _scored_and_by_hand("binomial-totals-0-and-1")
+    rows = scored._rows
+    partition = splitting_partition(p.size)
+    other = Pi0Config(0.3, 0.01)
     kept = "lambda rows on the grid of Pi0Config\\(lambda_max=0.45, step=0.005\\)"
     refusals = {
-        "item": lambda: grid[0],
-        "iteration": lambda: iter(grid),
-        "list": lambda: list(grid),
-        "classes": lambda: grid.classes,
-        "other grid": lambda: estimate_pi0(p, grid, Pi0Config(0.3, 0.01)),
-        "other grid of a view": lambda: grid.take([0, 1])._lambda_rows(TAUS[:-1]),
+        "estimate": lambda: estimate_pi0(p, scored, other),
+        "view": lambda: estimate_pi0(p[:2], scored.take([0, 1]), other),
+        "groupwise": lambda: groupwise_pi0(p, scored, partition, other),
+        "default grid": lambda: weight_study(p, scored, stats, WfdrConfig(l_star=2)),
     }
     for name, refused in refusals.items():
         with pytest.raises(NotApplicableError, match=kept):
             refused()
-    assert grid._lambda_rows(TAUS) is rows  # never evicted
-    assert len(grid) == p.size and len(grid[2:9]) == 7
-    partition = splitting_partition(p.size)
-    assert groupwise_pi0(p, grid, partition, cfg) == groupwise_pi0(p, full, partition, cfg)
+    assert scored._rows is rows  # never evicted
+    assert len(scored) == p.size and len(scored.take(np.arange(2, 9))) == 7
+    assert groupwise_pi0(p, scored, partition, cfg) == groupwise_pi0(p, full, partition, cfg)
+
+
+@pytest.mark.parametrize("family, default, other", [
+    ("binomial", BINOMIAL_PI0_CONFIG, FET_PI0_CONFIG),
+    ("fet", FET_PI0_CONFIG, BINOMIAL_PI0_CONFIG),
+])
+def test_score_input_defaults_to_the_tests_grid(family, default, other):
+    counts, totals = STUDIES[family]()
+    p, supports, _ = score_input(*counts, TWO, **totals)
+    _, explicit, _ = score_input(*counts, TWO, **totals, pi0=default)
+    assert supports.ids.tolist() == explicit.ids.tolist()
+    assert supports._rows.shape[1] == default.guiding_values().size
+    assert supports._rows.tobytes() == explicit._rows.tobytes()
+    assert estimate_pi0(p, supports, default) == estimate_pi0(p, explicit, default)
+    with pytest.raises(NotApplicableError, match=re.escape(f"grid of {default}")):
+        estimate_pi0(p, supports, other)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, s, stats, cfg: estimate_pi0(p, s, cfg.pi0),
+    lambda p, s, stats, cfg: groupwise_pi0(p, s, Partition((np.arange(p.size),)), cfg.pi0),
+    lambda p, s, stats, cfg: weight_study(p, s, stats, cfg),
+    lambda p, s, stats, cfg: wfdr_reject(p, s, stats, 0.05, cfg),
+], ids=["estimate_pi0", "groupwise_pi0", "weight_study", "wfdr_reject"])
+def test_off_support_pvalue_refused_naming_its_hypothesis(call):
+    pvalues, supports, stats, index = off_support_study()
+    cfg = WfdrConfig(l_star=1)
+    with pytest.raises(InvalidConfigError,
+                       match=f"p-value of hypothesis {index} is not a point of its support"):
+        call(pvalues, supports, stats, cfg)
+    pvalues[index] = supports[index][0]  # its support's smallest point
+    call(pvalues, supports, stats, cfg)
 
 
 def test_cli_and_run_study_score_on_their_grid(tmp_path, monkeypatch):
@@ -532,8 +585,13 @@ def test_cli_and_run_study_score_on_their_grid(tmp_path, monkeypatch):
 
     def recording(module):
         original = module.score_input
-        monkeypatch.setattr(module, "score_input", lambda *args, **kwargs: grids.append(
-            kwargs.get("pi0")) or original(*args, **kwargs))
+
+        def scored(*args, **kwargs):
+            result = original(*args, **kwargs)
+            grids.append(result[1]._pi0)
+            return result
+
+        monkeypatch.setattr(module, "score_input", scored)
 
     recording(cli)
     recording(simulate)
@@ -546,7 +604,7 @@ def test_cli_and_run_study_score_on_their_grid(tmp_path, monkeypatch):
     cfg = ScenarioConfig(Family.BINOMIAL_FET, m=50, pi0=0.8, alpha_grid=(0.05,),
                          l_star_grid=(2,), replications=2, master_seed=1)
     run_study(cfg, workers=1)
-    assert grids[1:] == [cfg.resolved_pi0_config()] * 2
+    assert grids[1:] == [cfg.resolved_pi0_config()] * 2 == [FET_PI0_CONFIG] * 2
     # a bad grid is refused before any table is built
     exact_tests._MEMO.clear()
     assert cli.main(argv + ["--lambda-max", "1.2"]) == cli.EXIT_COMPUTE
@@ -556,22 +614,24 @@ def test_cli_and_run_study_score_on_their_grid(tmp_path, monkeypatch):
 def test_grid_form_holds_its_lambda_rows_not_its_supports():
     # totals near 10^6 each have a support of about 20,000 points, 160 kB,
     # where a lambda row on the binomial grid is 401 floats, 3.2 kB
-    cfg = proportion.BINOMIAL_PI0_CONFIG
+    cfg = BINOMIAL_PI0_CONFIG
     totals = np.tile(1_000_000 + 997 * np.arange(8), 2)
     c1 = totals // 2 - 3_000
 
-    def retained(pi0):
+    def retained(build):
         exact_tests._MEMO.clear()
         tracemalloc.start()
         try:
-            _, supports, _ = score_input(c1, totals - c1, TWO, pi0=pi0)
+            kept = build()
             exact_tests._MEMO.clear()
             held = tracemalloc.get_traced_memory()[0]
-            del supports
+            del kept
             return held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
 
     bound = 2 * 8 * cfg.guiding_values().size  # bytes per class
-    assert retained(cfg) <= 8 * bound
-    assert retained(None) > 10 * 8 * bound  # the measure sees kept supports
+    assert retained(lambda: score_input(c1, totals - c1, TWO, pi0=cfg)[1]) <= 8 * bound
+    # the measure sees supports that are kept
+    assert retained(lambda: [binomial_null_distribution(int(t), TWO).support
+                             for t in totals[:8]]) > 10 * 8 * bound

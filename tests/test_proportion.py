@@ -78,8 +78,8 @@ def random_class_instance(rng, max_m=300):
 
 
 def trial_estimate(pvalues, supports, tau):
-    """The trial estimate at the single guiding value ``tau``."""
-    return float(_trial_grid(pvalues, supports, np.array([tau]))[0])
+    """The trial estimate at the guiding value ``tau``, the last of its grid."""
+    return float(_trial_grid(pvalues, supports, Pi0Config(tau, tau / 2))[-1])
 
 
 class TestTrialEstimate:
@@ -101,11 +101,12 @@ class TestTrialEstimate:
 
 
 class TestTrialGridAgainstReference:
-    TAUS = Pi0Config(0.5, 0.01).guiding_values()
+    CFG = Pi0Config(0.5, 0.01)
+    TAUS = CFG.guiding_values()
 
     def assert_matches_reference(self, pvalues, supports):
         expected = reference_trial_grid(pvalues, supports, self.TAUS)
-        got = _trial_grid(pvalues, supports, self.TAUS)
+        got = _trial_grid(pvalues, supports, self.CFG)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_seeded_instances(self):
@@ -131,7 +132,8 @@ class TestTrialGridAgainstReference:
         st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=3),
-                st.floats(min_value=1e-6, max_value=1.0),
+                st.one_of(st.floats(min_value=1e-6, max_value=1.0),
+                          st.sampled_from([0.05, 0.2, 0.5, 0.6, 1.0])),
             ),
             min_size=1,
             max_size=40,
@@ -139,11 +141,23 @@ class TestTrialGridAgainstReference:
     )
     @settings(max_examples=100, deadline=None)
     def test_generated_pvalues_off_support(self, rows):
-        # arbitrary p-values, not only support points, on shared objects
+        # arbitrary p-values on shared objects: unless each is a point of its
+        # own support, the study is refused naming the first off-support
+        # hypothesis of the first array, in order of first occurrence, that
+        # has one; the p-values moved to their supports match the reference
         shared = [np.array([1.0]), TWO_POINT, np.array([0.05, 0.2, 1.0]),
                   np.array([0.6, 1.0])]
+        supports = [shared[k] for k, _ in rows]
         pvalues = [p for _, p in rows]
-        self.assert_matches_reference(pvalues, [shared[k] for k, _ in rows])
+        off = [i for i, (k, p) in enumerate(rows) if p not in shared[k]]
+        if off:
+            first = next(i for k in dict.fromkeys(k for k, _ in rows)
+                         for i in off if rows[i][0] == k)
+            with pytest.raises(InvalidConfigError,
+                               match=f"p-value of hypothesis {first} is not a point"):
+                _trial_grid(pvalues, supports, self.CFG)
+        on = [s[min(np.searchsorted(s, p), s.size - 1)] for s, p in zip(supports, pvalues)]
+        self.assert_matches_reference(on, supports)
 
     def test_equal_but_distinct_arrays(self):
         p = np.array([0.2, 1.0, 0.05, 0.2, 1.0, 0.05])
@@ -155,33 +169,28 @@ class TestTrialGridAgainstReference:
 
     def test_no_support_point_below_tau_counts_class_size(self):
         support = np.array([0.6, 1.0])
-        got = _trial_grid([0.6, 1.0, 1.0], [support] * 3, self.TAUS)
+        got = _trial_grid([0.6, 1.0, 1.0], [support] * 3, self.CFG)
         # every guiding value is below 0.6, so each hypothesis counts 1
         assert got.tolist() == [1.0] * self.TAUS.size
         self.assert_matches_reference([0.6, 1.0, 1.0], [support] * 3)
 
     def test_single_atom_support(self):
         self.assert_matches_reference([1.0] * 5, [np.array([1.0])] * 5)
-        assert _trial_grid([1.0], [np.array([1.0])], self.TAUS).tolist() == (
+        assert _trial_grid([1.0], [np.array([1.0])], self.CFG).tolist() == (
             [1.0] * self.TAUS.size
         )
 
-    def test_support_point_of_one_error(self):
-        taus = np.array([0.5, 1.0])
-        for grid in (reference_trial_grid, _trial_grid):
-            with pytest.raises(InvalidConfigError, match="support point of 1"):
-                grid([0.5, 1.0], [TWO_POINT, TWO_POINT], taus)
-
     def test_length_and_empty_errors(self):
         with pytest.raises(InvalidConfigError, match="equal length"):
-            _trial_grid([0.5, 1.0], [TWO_POINT], self.TAUS)
+            _trial_grid([0.5, 1.0], [TWO_POINT], self.CFG)
         with pytest.raises(EmptyStudyError):
-            _trial_grid([], [], self.TAUS)
+            _trial_grid([], [], self.CFG)
 
     def test_exact_rational_binomial_supports(self):
         # dyadic supports of small totals are exact in double precision, so
         # only the division and summation are rounded
-        taus = Pi0Config(0.45, 0.015).guiding_values()
+        cfg = Pi0Config(0.45, 0.015)
+        taus = cfg.guiding_values()
         rng = np.random.default_rng(31)
         exact = {t: null_distribution_exact(binomial_pmf_exact(t), "two")[0]
                  for t in range(1, 9)}
@@ -190,7 +199,7 @@ class TestTrialGridAgainstReference:
         picks = [int(rng.integers(0, len(exact[t]))) for t in totals]
         p_exact = [exact[t][j] for t, j in zip(totals, picks)]
         got = _trial_grid([float(x) for x in p_exact],
-                          [floats[t] for t in totals], taus)
+                          [floats[t] for t in totals], cfg)
         for tau, beta in zip(taus, got):
             total = Fraction(0)
             for t, p in zip(totals, p_exact):
@@ -214,7 +223,7 @@ class TestTrialGridAgainstReference:
 
         cls = rng.integers(0, 6, size=300)
         cls[:6] = np.arange(6)
-        p = rng.uniform(0.01, 1.0, size=300)
+        p = np.array([rng.choice(values[c]) for c in cls])  # points of their supports
         cfg = Pi0Config(0.5, 0.01)
         traces = []
         for descending in (False, True):
@@ -309,8 +318,8 @@ class TestEstimatePi0:
     def test_beta_at_zero_is_one(self):
         # supports live in (0, 1], so tau = 0 never finds a support point
         rng = np.random.default_rng(3)
-        p = rng.uniform(0.01, 1.0, 50)
         supports = [np.sort(rng.uniform(0.01, 1.0, 4)) for _ in range(50)]
+        p = np.array([rng.choice(s) for s in supports])
         est = estimate_pi0(p, supports, Pi0Config(0.5, 0.1))
         assert est.trial_values[0] == (0.0, 1.0)
         assert est.raw_value <= 1.0
@@ -332,9 +341,9 @@ class TestEstimatePi0:
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
-        p = rng.uniform(0.01, 1.0, 30)
         supports = [np.sort(rng.choice(np.arange(1, 21) / 20.0, 3, replace=False))
                     for _ in range(30)]
+        p = np.array([rng.choice(s) for s in supports])
         cfg = Pi0Config(0.4, 0.05)
         base = estimate_pi0(p, supports, cfg).value
         perm = rng.permutation(30)
@@ -345,7 +354,7 @@ class TestEstimatePi0:
 class TestGroupwiseAndOverall:
     def test_single_group_equals_global(self):
         rng = np.random.default_rng(19)
-        p = rng.uniform(0.01, 1.0, 20)
+        p = rng.choice(TWO_POINT, 20)
         supports = [TWO_POINT] * 20
         cfg = Pi0Config(0.6, 0.1)
         part = Partition((np.arange(20),))

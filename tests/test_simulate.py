@@ -125,7 +125,8 @@ class TestScoreStudy:
         )
         p, supports, stats = score_study(study, Sidedness.TWO_SIDED)
         assert p[0] == 1.0
-        assert supports[0].tolist() == [1.0]
+        # {1} has no point below any guiding value, so its lambdas are all 0
+        assert not supports._rows[supports.ids[0]].any()
         assert stats[0] == 0.0
 
 

@@ -358,9 +358,10 @@ class TestWfdrReject:
             assert values.max() - values.min() < 50
 
     def test_alpha_validation(self):
-        # one group, so the one-hypothesis study fails on alpha alone
+        # one group, and p = 0.5 a point of its support, so the
+        # one-hypothesis study fails on alpha alone
         with pytest.raises(InvalidConfigError, match="alpha"):
-            wfdr_reject([0.5], [np.array([1.0])], [1.0], 1.5, WfdrConfig(l_star=1))
+            wfdr_reject([0.5], [np.array([0.5, 1.0])], [1.0], 1.5, WfdrConfig(l_star=1))
 
     @pytest.mark.parametrize("grouping", ["quantile", "metric"])
     def test_group_count_up_to_m(self, grouping):
