@@ -89,9 +89,10 @@ def marginal_distance(s, t) -> float:
 
     Both arguments must be of the same kind: scalar total counts (binomial
     test) or ``MarginalVector`` margins (Fisher's exact test); the result is
-    a Python ``float``.  Each margin is converted to float before the
-    subtraction, so margins above 2**53 give the same value as float64
-    arrays of the margins would.  Metric grouping calls this once per pair
+    a Python ``float``.  Each total or margin is converted to float before
+    the subtraction, so statistics above 2**53 give the same value as
+    float64 arrays of them would, and statistics of equal floats are at
+    the same distance from every other.  Metric grouping calls this once per pair
     of hypotheses, so the kinds are tested cheapest first: Python float
     totals (what the scorer produces), then margins, then any other real
     scalar, numpy floats among them.  A statistic or difference beyond
@@ -107,7 +108,7 @@ def marginal_distance(s, t) -> float:
                 abs(float(s.m_obs) - float(t.m_obs)),
             )
         if isinstance(s, Real) and isinstance(t, Real):
-            return float(abs(s - t))
+            return abs(float(s) - float(t))
     except OverflowError:
         raise InvalidConfigError(
             "conditioning statistics must lie within float64's range") from None

@@ -76,6 +76,7 @@ RULES = {
     "not be NaN": lambda x: ~np.isnan(x),
     "be finite and nonnegative": lambda x: (x >= 0.0) & (x < np.inf),
     "be nonnegative integers": lambda x: (x >= 0.0) & (x <= 2.0**63) & (np.floor(x) == x),
+    "be positive integers": lambda x: (x >= 1.0) & (x <= 2.0**63) & (np.floor(x) == x),
     # each point above its predecessor, the first above 0, and none above 1
     "lie in (0, 1], strictly increasing":
         lambda x: (x > np.concatenate(([0.0], x[:-1]))) & (x <= 1.0),

@@ -1,14 +1,13 @@
 """Partition hypotheses by the similarity of their null p-value distributions.
 
 Two strategies are provided.  The metric grouping extracts greedy metric
-balls of adaptive radius from the pairwise distance matrix until the target
-number of groups with the requested minimal size is reached.  Hypotheses
-whose rows and columns of the matrix are equal, such as copies of one
-conditioning statistic, form a class, and every ball is a union of classes;
-so the balls are extracted over the k classes, counted in hypotheses, and no
-temporary approaches the size of the m x m matrix.  The matrix itself still
-takes m(m-1)/2 distance calls, and one of more than ``MAX_DISTANCE_BYTES`` is
-refused.  The quantile grouping bins the conditioning statistics (total
+balls of adaptive radius from a pairwise distance matrix until the target
+number of groups with the requested minimal size is reached.  A row of the
+matrix may stand for several hypotheses, such as the copies of one
+conditioning statistic, which are at distance 0 and so fall in the same
+balls; the balls are then counted in hypotheses.  Building an m x m matrix
+takes m(m-1)/2 distance calls, and one of more than ``MAX_DISTANCE_BYTES``
+is refused.  The quantile grouping bins the conditioning statistics (total
 counts, or one varying margin) at equally spaced percentiles, which is the
 cheap equivalent for binomial-test and Fisher's-exact-test studies.
 """
@@ -94,15 +93,6 @@ MAX_QUANTILE_GROUPS = 1 << 16
 # so m <= 11,585.  A larger study is refused before anything is allocated.
 MAX_DISTANCE_BYTES = 1 << 30
 
-# Bytes of float64 entries compared or gathered at once when the distance
-# matrix is read a block of rows at a time; at most 128 rows.
-_BLOCK_BYTES = 1 << 16
-
-
-def _rows_per_block(ncols: int) -> int:
-    return max(1, min(128, _BLOCK_BYTES // (8 * max(ncols, 1))))
-
-
 def pairwise_distances(items, distance) -> np.ndarray:
     """Symmetric matrix of ``distance(a, b)`` over all pairs of ``items``.
 
@@ -141,84 +131,22 @@ def pairwise_delta_matrix(
     return pairwise_distances(cdfs, lambda f, g: delta(f, g, rtol=rtol).total)
 
 
-def _split_unequal(rep: np.ndarray, equal) -> np.ndarray:
-    """Make each point that is not ``equal(point, rep[point])`` to the
-    representative of its candidate class ``rep`` a class of its own."""
-    pending = np.flatnonzero(rep != np.arange(rep.size))
-    bad = pending[~equal(pending, rep[pending])]
-    rep[bad] = bad
-    return rep
+def _attempt(within: np.ndarray, sizes: np.ndarray, l_star: int, g_star: int):
+    """One pass of greedy ball extraction on the ball matrix ``within`` of a
+    fixed radius, whose row i stands for ``sizes[i]`` hypotheses.
 
-
-def _rows_equal(dmat: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(a.size, dtype=bool)
-    step = _rows_per_block(dmat.shape[1])
-    for s in range(0, a.size, step):
-        out[s:s + step] = (dmat[a[s:s + step]] == dmat[b[s:s + step]]).all(axis=1)
-    return out
-
-
-def _columns_equal(dmat: np.ndarray, rows: np.ndarray, a: np.ndarray,
-                   b: np.ndarray) -> np.ndarray:
-    out = np.ones(a.size, dtype=bool)
-    step = _rows_per_block(a.size)
-    for s in range(0, rows.size, step):
-        r = rows[s:s + step, None]
-        out &= (dmat[r, a] == dmat[r, b]).all(axis=0)
-    return out
-
-
-def _classes(dmat: np.ndarray) -> np.ndarray:
-    """The lowest index of each point's class: the points whose rows and
-    whose columns of ``dmat`` both equal its own.
-
-    Candidates share a key, the sum of a row's bit patterns times distinct
-    odd weights modulo 2**64, which no entry's magnitude can swamp.  Each
-    candidate's row is then compared with its representative's, and once
-    the rows are classed, its column on one row of each row class.  A point
-    that fails is put in a class of its own: classes finer than needed give
-    the same balls, so a key collision, or the columns of a non-symmetric
-    matrix differing within a row class, costs time (at most that of k = m),
-    never a wrong partition.  So do entries equal as numbers but not as bits,
-    0.0 and -0.0.
+    A row's count is the number of hypotheses in no ball yet within the
+    radius of it; the ball of the first row with the largest count is taken,
+    so ties go to the lowest index.  Returns ("done", groups of row indices)
+    on success, or ("halve" | "grow", None) when the radius must be adapted
+    and the pass restarted from scratch.
     """
-    m = dmat.shape[0]
-    weights = np.arange(1, 2 * m, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    keys = np.einsum("ij,j->i", dmat.view(np.uint64), weights)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rep = _split_unequal(first[inverse], lambda a, b: _rows_equal(dmat, a, b))
-    rows = np.flatnonzero(rep == np.arange(m))
-    return _split_unequal(rep, lambda a, b: _columns_equal(dmat, rows, a, b))
-
-
-def _ball_matrix(dmat: np.ndarray, reps: np.ndarray, sigma: float) -> np.ndarray:
-    """``dmat <= sigma`` between the classes led by ``reps``, gathered a
-    block of rows at a time."""
-    within = np.empty((reps.size, reps.size), dtype=bool)
-    step = _rows_per_block(dmat.shape[1])
-    for s in range(0, reps.size, step):
-        np.less_equal(dmat[reps[s:s + step]].take(reps, axis=1), sigma,
-                      out=within[s:s + step])
-    return within
-
-
-def _attempt(dmat: np.ndarray, reps, sizes: np.ndarray, sigma: float,
-             l_star: int, g_star: int):
-    """One pass of greedy ball extraction over the classes at a fixed radius.
-
-    A class's count is the number of hypotheses in no ball yet within the
-    radius of it; the ball of the first such class with the largest count is
-    taken, so ties go to the lowest first index.  Returns ("done", groups of
-    class indices) on success, or ("halve" | "grow", None) when the radius
-    must be adapted and the pass restarted from scratch.
-    """
-    within = _ball_matrix(dmat, reps, sigma)
-    alive = sizes.copy()  # the hypotheses of each class in no ball yet
+    alive = sizes.copy()  # the hypotheses of each row in no ball yet
     left = int(sizes.sum())
     groups: list[np.ndarray] = []
     for stage in range(1, l_star + 1):
         counts = np.einsum("ij,j->i", within, alive)
-        counts[alive == 0.0] = -1.0  # a class in a ball is no centre
+        counts[alive == 0.0] = -1.0  # a row in a ball is no centre
         center = int(np.argmax(counts))
         ball = np.flatnonzero(within[center] & (alive > 0.0))
         groups.append(ball)
@@ -244,7 +172,8 @@ def _attempt(dmat: np.ndarray, reps, sizes: np.ndarray, sigma: float,
     raise AssertionError("unreachable")
 
 
-def group_from_distances(dmat: np.ndarray, cfg: GroupingConfig) -> Partition:
+def group_from_distances(dmat: np.ndarray, cfg: GroupingConfig, *,
+                         sizes=None) -> Partition:
     """Greedy metric-ball grouping from a precomputed distance matrix.
 
     The initial radius is max distance / (2 * l_star).  The radius is halved
@@ -253,11 +182,11 @@ def group_from_distances(dmat: np.ndarray, cfg: GroupingConfig) -> Partition:
     the extraction.  If all pairwise distances vanish a single group is
     formed immediately.
 
-    Points whose rows and columns are equal are at the same distance from
-    everything, so every ball holds all of a class or none of it.  The
-    balls are extracted over the classes, counted in hypotheses, and then
-    expanded to their hypotheses: the partition is the one the extraction
-    over every point gives.
+    Row i stands for ``sizes[i]`` hypotheses, one each by default: copies
+    of one conditioning statistic, at distance 0 from each other and alike
+    from every other, so that each ball holds all of them or none.  Balls
+    are counted, and the group sizes checked, in hypotheses; the partition
+    is of the rows.  ``sizes`` must hold one positive integer per row.
     """
     dmat = check_array("distance matrix", dmat, ndim=2)
     delta_star = float(dmat.max(initial=0.0))
@@ -267,25 +196,23 @@ def group_from_distances(dmat: np.ndarray, cfg: GroupingConfig) -> Partition:
     m = dmat.shape[0]
     if dmat.shape != (m, m):
         raise InvalidConfigError("distance matrix must be square")
-    if cfg.l_star * cfg.g_star > m:
+    sizes = np.ones(m) if sizes is None else check_array("sizes", sizes, "be positive integers")
+    if sizes.size != m:
+        raise InvalidConfigError(f"sizes must hold one count per row, got {sizes.size} "
+                                 f"for {m} rows")
+    if cfg.l_star * cfg.g_star > sizes.sum():
         raise InvalidConfigError(
-            f"l_star * g_star = {cfg.l_star * cfg.g_star} exceeds m = {m}"
+            f"l_star * g_star = {cfg.l_star * cfg.g_star} exceeds m = {int(sizes.sum())}"
         )
     if cfg.l_star == 1 or delta_star == 0.0:
         return Partition((np.arange(m),), radius_final=0.0, iterations=0)
 
-    rep = _classes(dmat)
-    reps = np.flatnonzero(rep == np.arange(m))
-    label = np.searchsorted(reps, rep)
-    sizes = np.bincount(label).astype(float)
     sigma = delta_star / (2.0 * cfg.l_star)
     restarts = 0
     trace: list[tuple[float, str]] = []
     while True:
-        outcome, groups = _attempt(dmat, reps, sizes, sigma, cfg.l_star,
-                                   cfg.g_star)
+        outcome, groups = _attempt(dmat <= sigma, sizes, cfg.l_star, cfg.g_star)
         if outcome == "done":
-            groups = (np.flatnonzero(np.isin(label, g)) for g in groups)
             return Partition(tuple(groups), radius_final=sigma, iterations=restarts)
         trace.append((sigma, outcome))
         restarts += 1

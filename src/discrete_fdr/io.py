@@ -261,5 +261,5 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None,
             else [binomial_pvalue(PoissonPair(c1[i], c2[i]), sided) for i in hypotheses])
         return support
 
-    return (pvalues, NullSupports._scored(ids, pi0, support_of),
+    return (pvalues, NullSupports(ids, pi0, support_of),
             stats if fet else list(map(float, stats)))

@@ -102,57 +102,19 @@ class NullSupports:
     ``ids``, ``len``, ``take`` and the estimator on that grid work; another
     grid raises ``NotApplicableError`` naming the kept config.
 
-    ``NullSupports(arrays, ids, pi0)`` gives hypothesis i the support
-    ``arrays[ids[i]]``.  Each array that a hypothesis has is checked once, and
-    an invalid one is refused naming its first hypothesis; arrays of equal
-    contents, told apart by a SHA-256 digest of their bytes, become one
-    class.  ``io.score_input`` returns one.
+    ``io.score_input`` returns one, and a plain sequence of arrays becomes
+    one at the boundary of each function that takes supports.  Arrays of
+    equal contents, told apart by a SHA-256 digest of their bytes, form one
+    class.
     """
 
-    def __init__(self, arrays, ids, pi0: Pi0Config):
-        arrays = check_sequence("support arrays", arrays)
-        with np.errstate(invalid="ignore"):  # 2**63 casts to a negative
-            ids = check_array("class ids", ids, "be nonnegative integers").astype(np.intp)
-        if ids.size and not 0 <= ids.min() <= ids.max() < len(arrays):
-            raise InvalidConfigError(
-                f"class ids must be below the {len(arrays)} support arrays")
-        self._classify(ids, pi0, lambda i: _checked_support(arrays[ids[i]], i))
-
-    @classmethod
-    def _scored(cls, ids, pi0: Pi0Config, support_of) -> NullSupports:
-        """The supports of hypotheses whose arrays, or statistics, are ``ids``;
-        ``support_of(i)`` is the checked support of hypothesis i's array."""
-        scored = cls.__new__(cls)
-        scored._classify(ids, pi0, support_of)
-        return scored
-
-    @classmethod
-    def _listed(cls, supports: list, pvalues: np.ndarray, pi0: Pi0Config) -> NullSupports:
-        """The supports of a plain sequence as long as ``pvalues``: its
-        distinct arrays, taken by identity, each checked once together with
-        the p-values of its hypotheses, which must be points of it."""
-        # the list keeps every support alive, so no two of them share an id
-        ids = np.fromiter(map(id, supports), dtype=np.uintp, count=len(supports))
-        ids = np.unique(ids, return_inverse=True)[1]
-        # the hypotheses of each array, in index order
-        members = np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1])
-
-        def support_of(i):
-            s, hypotheses = _checked_support(supports[i], i), members[ids[i]]
-            p = pvalues[hypotheses]
-            off = np.flatnonzero(s[np.minimum(np.searchsorted(s, p), s.size - 1)] != p)
-            if off.size:
-                raise InvalidConfigError(
-                    f"p-value of hypothesis {hypotheses[off[0]]} is not a point of its support")
-            return s
-
-        return cls._scored(ids, pi0, support_of)
-
-    def _classify(self, ids, pi0: Pi0Config, support_of) -> None:
-        """Number the classes of the hypotheses' arrays ``ids`` in order of
-        first occurrence, reading each array once as ``support_of(i)`` of its
-        first hypothesis i, and keep each class's lambda row on the grid of
-        ``pi0``."""
+    def __init__(self, ids, pi0: Pi0Config, support_of):
+        """The supports of hypotheses whose arrays, or statistics, are
+        ``ids``: the classes are numbered in order of first occurrence, each
+        array read once as ``support_of(i)``, the checked support of its
+        first hypothesis i, and each class keeps its lambda row on the grid
+        of ``pi0``.  Not for callers: ``score_input`` and plain sequences
+        build one."""
         if not isinstance(pi0, Pi0Config):
             raise InvalidConfigError(f"pi0 must be a Pi0Config, got {pi0!r}")
         taus = pi0.guiding_values()
@@ -174,6 +136,28 @@ class NullSupports:
             number[ids[i]] = c
         self.ids, self._pi0, self._rows = number[ids], pi0, rows[:len(digests)]
         self.ids.setflags(write=False)
+
+    @classmethod
+    def _listed(cls, supports: list, pvalues: np.ndarray, pi0: Pi0Config) -> NullSupports:
+        """The supports of a plain sequence as long as ``pvalues``: its
+        distinct arrays, taken by identity, each checked once together with
+        the p-values of its hypotheses, which must be points of it."""
+        # the list keeps every support alive, so no two of them share an id
+        ids = np.fromiter(map(id, supports), dtype=np.uintp, count=len(supports))
+        ids = np.unique(ids, return_inverse=True)[1]
+        # the hypotheses of each array, in index order
+        members = np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1])
+
+        def support_of(i):
+            s, hypotheses = _checked_support(supports[i], i), members[ids[i]]
+            p = pvalues[hypotheses]
+            off = np.flatnonzero(s[np.minimum(np.searchsorted(s, p), s.size - 1)] != p)
+            if off.size:
+                raise InvalidConfigError(
+                    f"p-value of hypothesis {hypotheses[off[0]]} is not a point of its support")
+            return s
+
+        return cls(ids, pi0, support_of)
 
     def take(self, indices) -> NullSupports:
         """The supports of the hypotheses ``indices``, in that order, sharing

@@ -29,6 +29,7 @@ from .errors import (
     check_scalar,
     check_sequence,
 )
+from .exact_tests import MarginalVector
 from .grouping import (
     GroupingConfig,
     Partition,
@@ -187,9 +188,23 @@ def _metric_partition(stats: list, cfg: WfdrConfig) -> Partition:
     # margins are finite by construction; two kinds fail to compare below
     check_array("stats", [s for s in stats if isinstance(s, Real)], "be finite")
     dmat = pairwise_distances(stats, marginal_distance)
+    # statistics equal as the floats that marginal_distance compares are at
+    # distance 0 from each other and alike from the rest: one row each, in
+    # order of first occurrence, standing for all their hypotheses
+    values = check_array("stats", [s.as_tuple() if isinstance(s, MarginalVector) else s
+                                   for s in stats], ndim=None)
+    _, first, inverse = np.unique(values, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    label = np.argsort(order)[inverse]  # the row of each hypothesis
+    first, k = first[order], first.size
+    # their k x k distances, gathered into the matrix's top-left corner: row
+    # first[i] >= i moves up to row i, onto no row still to be read, so no
+    # second matrix is made
+    for i, r in enumerate(first.tolist()):
+        dmat[i, :k] = dmat[r, first]
     grouping_cfg = GroupingConfig(l_star=cfg.l_star, g_star=cfg.g_star)
     try:
-        return group_from_distances(dmat, grouping_cfg)
+        part = group_from_distances(dmat[:k, :k], grouping_cfg, sizes=np.bincount(label))
     except GroupingDidNotConvergeError:
         warnings.warn(
             "metric grouping did not converge; falling back to quantile grouping",
@@ -197,6 +212,8 @@ def _metric_partition(stats: list, cfg: WfdrConfig) -> Partition:
             stacklevel=3,
         )
         return group_by_statistic_quantiles(stats, cfg.l_star)
+    return Partition(tuple(np.flatnonzero(np.isin(label, g)) for g in part.groups),
+                     radius_final=part.radius_final, iterations=part.iterations)
 
 
 @dataclass(frozen=True)

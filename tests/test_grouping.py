@@ -2,7 +2,6 @@
 
 import itertools
 import re
-import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from discrete_fdr import grouping
+from discrete_fdr import grouping, wfdr
 from discrete_fdr import (
     DiscreteCDF,
     GroupingConfig,
@@ -19,6 +18,7 @@ from discrete_fdr import (
     MarginalVector,
     Partition,
     Sidedness,
+    WfdrConfig,
     binomial_null_distribution,
     delta,
     group_by_metric,
@@ -319,6 +319,53 @@ class TestBallMatrixDifferential:
         cfg = GroupingConfig(l_star, g_star, data.draw(st.integers(0, 6)))
         assert_matches_reference(class_dmat(table, label, kind), cfg)
 
+    def test_rows_standing_for_their_copies_seeded(self):
+        # a symmetric zero-diagonal matrix over k points, each row standing
+        # for its copies among the hypotheses
+        seen = set()
+        for seed in range(200):
+            rng = np.random.default_rng([7, seed])
+            label = by_first_copy(rng.integers(0, int(rng.integers(1, 8)),
+                                               int(rng.integers(2, 40))))
+            k = int(label.max()) + 1
+            upper = np.triu(rng.integers(0, 6, (k, k)).astype(float), 1)
+            l_star, g_star = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            if l_star * g_star > label.size:
+                continue
+            for max_restarts in (0, 2, 64):
+                cfg = GroupingConfig(l_star, g_star, max_restarts)
+                seen.add(assert_sizes_match_dense(upper + upper.T, label, cfg))
+        assert seen == {"error", "restarted", "first pass"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rows_standing_for_their_copies_hypothesis(self, data):
+        k = data.draw(st.integers(1, 5))
+        label = by_first_copy(np.array(data.draw(
+            st.lists(st.integers(0, k - 1), min_size=2, max_size=16))))
+        k = int(label.max()) + 1
+        values = data.draw(st.lists(st.integers(0, 5), min_size=k * k, max_size=k * k))
+        upper = np.triu(np.array(values, dtype=float).reshape(k, k), 1)
+        l_star, g_star = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        assume(l_star * g_star <= label.size)
+        cfg = GroupingConfig(l_star, g_star, data.draw(st.integers(0, 6)))
+        assert_sizes_match_dense(upper + upper.T, label, cfg)
+
+    @pytest.mark.parametrize("sizes", [
+        [1, 1], [1, 1, 1, 1], [[1, 1, 1]], [1, 0, 2], [1, -1, 1], [1, 1.5, 1],
+        [1, np.nan, 1], [1, np.inf, 1], [1, 2.0**64, 1], "abc", [1, "x", 1],
+    ])
+    def test_malformed_sizes_refused(self, sizes):
+        dmat = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 3.0], [4.0, 3.0, 0.0]])
+        with pytest.raises(InvalidConfigError, match="sizes must"):
+            group_from_distances(dmat, GroupingConfig(l_star=2), sizes=sizes)
+
+    def test_group_sizes_checked_in_hypotheses(self):
+        # two rows of three hypotheses each: six, too few for four groups of two
+        dmat = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(InvalidConfigError, match="l_star \\* g_star = 8 exceeds m = 6"):
+            group_from_distances(dmat, GroupingConfig(l_star=4, g_star=2), sizes=[3, 3])
+
     @pytest.mark.parametrize("positions, first_ball", [
         # three classes tie at 3 hypotheses within the radius 2.5: the one
         # at 10 (sizes 3), the one at 0 (2, plus 1 at distance 1) and the
@@ -337,61 +384,57 @@ class TestBallMatrixDifferential:
         assert part.groups[0].tolist() == first_ball
 
 
-class TestGroupingMemory:
-    """No temporary of ``group_from_distances`` comes near its input."""
+def by_first_copy(label: np.ndarray) -> np.ndarray:
+    """``label`` renumbered 0, 1, ... in order of each point's first copy."""
+    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
-    @pytest.mark.parametrize("distinct, bound", [(61, 0.5e6), (1500, 4.5e6)])
-    def test_peak_beyond_input(self, distinct, bound):
+
+def assert_sizes_match_dense(dk: np.ndarray, label: np.ndarray, cfg: GroupingConfig) -> str:
+    """Extraction over the rows of ``dk``, row j standing for the copies
+    ``label == j``, against the reference and the dense extraction over the
+    copies: groups, radius, restarts, or the trace of the failure."""
+    dmat = dk[np.ix_(label, label)]
+    sizes = np.bincount(label)
+    expected = reference_group_from_distances(dmat, cfg)
+    if expected[0] == "error":
+        for matrix, sized in ((dmat, {}), (dk, {"sizes": sizes})):
+            with pytest.raises(GroupingDidNotConvergeError) as exc_info:
+                group_from_distances(matrix, cfg, **sized)
+            assert exc_info.value.trace == expected[1]
+        return "error"
+    _, groups, radius, restarts = expected
+    dense = group_from_distances(dmat, cfg)
+    part = group_from_distances(dk, cfg, sizes=sizes)
+    expanded = [np.flatnonzero(np.isin(label, g)).tolist() for g in part.groups]
+    assert expanded == [g.tolist() for g in dense.groups] == [
+        np.sort(g).tolist() for g in groups]
+    assert part.radius_final == dense.radius_final == radius
+    assert part.iterations == dense.iterations == restarts
+    return "restarted" if restarts else "first pass"
+
+
+class TestGroupingMemory:
+    """No temporary of metric grouping comes near its distance matrix."""
+
+    @pytest.mark.parametrize("distinct, bound", [(61, 0.5e6), (1499, 4.5e6), (1500, 4.5e6)])
+    def test_peak_beyond_input(self, distinct, bound, monkeypatch):
         rng = np.random.default_rng(61)
         values = rng.permutation(np.resize(rng.random(distinct) * 100.0, 1500))
         assert np.unique(values).size == distinct
         dmat = np.abs(values[:, None] - values[None, :])
-        cfg = GroupingConfig(l_star=3)
-        expected = group_from_distances(dmat, cfg)
+        # the matrix of the distance calls, built before the measurement
+        monkeypatch.setattr(wfdr, "pairwise_distances", lambda stats, distance: dmat)
+        stats, cfg = values.tolist(), WfdrConfig(l_star=3, grouping="metric")
+        expected = group_from_distances(dmat, GroupingConfig(l_star=3))
         tracemalloc.start()
         try:
-            part = group_from_distances(dmat, cfg)
+            part = wfdr._metric_partition(stats, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= bound
         assert [g.tolist() for g in part.groups] == [g.tolist() for g in expected.groups]
-
-
-class TestClassingCost:
-    """Classing compares each point with its class leader once, by rows and
-    by columns, whatever the magnitudes or the symmetry of the matrix."""
-
-    @pytest.mark.parametrize("kind", ["outlier", "equal-rows-other-columns"])
-    def test_one_comparison_pass(self, kind, monkeypatch):
-        rng = np.random.default_rng(1500)
-        m = 1500
-        if kind == "outlier":
-            # a point at 1e30 from all others would swamp any sum over a row
-            x = rng.random(m) * 100.0
-            x[0] = 1e30
-            dmat = np.abs(x[:, None] - x[None, :])
-        else:
-            # half the rows are one row, but every column is its own
-            dmat = rng.integers(0, 6, (m, m)).astype(float)
-            dmat[: m // 2] = dmat[0]
-        calls = []
-        for name in ("_rows_equal", "_columns_equal"):
-            def counted(*args, _f=getattr(grouping, name), _name=name):
-                calls.append(_name)
-                return _f(*args)
-            monkeypatch.setattr(grouping, name, counted)
-        cfg = GroupingConfig(l_star=2, max_restarts=2)
-        start = time.perf_counter()
-        try:
-            group_from_distances(dmat, cfg)
-        except GroupingDidNotConvergeError:
-            pass
-        elapsed = time.perf_counter() - start
-        assert calls.count("_rows_equal") <= 1
-        assert calls.count("_columns_equal") <= 1
-        assert elapsed < 2.0
-        assert_matches_reference(dmat, cfg)
 
 
 class TestPairwiseDeltaMatrix:

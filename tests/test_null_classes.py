@@ -380,52 +380,48 @@ def test_view_sums_its_classes_in_its_own_order():
     arrays = [np.append(np.sort(rng.choice(np.arange(1, 200) / 400.0, 30, replace=False)),
                         1.0) for _ in range(12)]
     ids = np.concatenate([np.arange(12), rng.integers(0, 12, size=500)])
-    supports = NullSupports(arrays, ids, PI0_CFG)
-    pvalues = rng.uniform(1e-3, 1.0, size=ids.size)
+    listed = [arrays[c] for c in ids]
+    pvalues = np.array([rng.choice(s) for s in listed])
+    supports = _checked_study(pvalues, listed, PI0_CFG)[1]
+    assert supports.ids.tolist() == ids.tolist()
     g = np.concatenate([np.arange(12, ids.size), np.arange(12)[::-1]])
     got = _trial_grid(pvalues[g], supports.take(g), PI0_CFG)
-    assert np.array_equal(got, reference_grid(pvalues[g], [arrays[c] for c in ids[g]], TAUS))
+    assert np.array_equal(got, reference_grid(pvalues[g], [listed[i] for i in g], TAUS))
 
 
 def test_invalid_class_array_refused_once_naming_its_first_hypothesis(monkeypatch):
     good, bad = np.array([0.5, 1.0]), np.array([0.5, 0.25, 1.0])
     with pytest.raises(InvalidConfigError, match="support of hypothesis 2 "):
-        NullSupports([good, bad], [0, 0, 1, 0, 1], PI0_CFG)
+        _checked_study(np.full(5, 0.5), [good, good, bad, good, bad], PI0_CFG)
     checked = []
     original = proportion._checked_support
     monkeypatch.setattr(proportion, "_checked_support",
                         lambda array, i: checked.append(i) or original(array, i))
-    supports = NullSupports([good, good.copy(), np.array([0.2, 1.0])], [1, 0, 2, 0], PI0_CFG)
+    pvalues = np.array([0.5, 1.0, 0.2, 1.0])
+    supports = _checked_study(pvalues, [good.copy(), good, np.array([0.2, 1.0]), good],
+                              PI0_CFG)[1]
     assert checked == [0, 1, 2]  # each array once, by its first hypothesis
     assert len(supports._rows) == 2 and supports.ids.tolist() == [0, 0, 1, 0]
-    pvalues = np.array([0.5, 1.0, 0.2, 1.0])
     estimate_pi0(pvalues, supports, PI0_CFG)
     groupwise_pi0(pvalues, supports, Partition((np.array([0, 2]), np.array([1, 3]))),
                   PI0_CFG)
     assert checked == [0, 1, 2]  # not checked again
 
 
-@pytest.mark.parametrize("ids", [[0, 2], [0, -1], [0.5, 1]], ids=["too-large", "negative",
-                                                                 "fraction"])
-def test_class_ids_must_name_an_array(ids):
-    with pytest.raises(InvalidConfigError, match="class ids"):
-        NullSupports([np.array([1.0]), np.array([0.5, 1.0])], ids, PI0_CFG)
-
-
 def test_grid_must_be_a_config():
     with pytest.raises(InvalidConfigError, match="pi0 must be a Pi0Config, got 0.2"):
-        NullSupports([np.array([1.0])], [0], 0.2)
+        score_input([1], [2], TWO, pi0=0.2)
+    with pytest.raises(InvalidConfigError, match="pi0 must be a Pi0Config, got 0.2"):
+        _checked_study([1.0], [np.array([1.0])], 0.2)
 
 
 @pytest.mark.parametrize("indices", [
     [2**63], np.array([2.0**63]), np.array([2**63], dtype=np.uint64),
     np.array([2**64 - 1], dtype=np.uint64)], ids=["int", "float", "uint64", "uint64-max"])
 @pytest.mark.parametrize("construct, message", [
-    (lambda ids: NullSupports([np.array([1.0])], ids, PI0_CFG),
-     "class ids must be (below|nonnegative integers)"),
     (lambda ids: Partition((ids, np.array([0]))),
      "group(s must form a disjoint cover| must be nonnegative integers)"),
-], ids=["class-ids", "partition"])
+], ids=["partition"])
 def test_indices_from_2_63_refused_without_a_cast_warning(construct, message, indices):
     # 2^63 itself passes the integer check, and an int64 cast makes it
     # negative; larger values fail the check
@@ -437,8 +433,8 @@ def test_indices_from_2_63_refused_without_a_cast_warning(construct, message, in
 def test_lambda_rows_built_once_per_grid_and_shared_with_views(monkeypatch):
     pvalues, supports, totals = mixed_study()
     built = []
-    original = NullSupports._classify
-    monkeypatch.setattr(NullSupports, "_classify",
+    original = NullSupports.__init__
+    monkeypatch.setattr(NullSupports, "__init__",
                         lambda self, *args: built.append(self) or original(self, *args))
     partition = splitting_partition(pvalues.size)
     estimate_pi0(pvalues, supports, PI0_CFG)
@@ -455,8 +451,9 @@ def test_lambda_rows_are_one_matrix_built_once_per_grid():
     grid = np.arange(1, 400) / 400.0
     arrays = [np.append(np.sort(rng.choice(grid, 20, replace=False)), 1.0)
               for _ in range(2000)]
+    pvalues = np.ones(len(arrays))
     tracemalloc.start()
-    supports = NullSupports(arrays, np.arange(len(arrays)), PI0_CFG)
+    supports = _checked_study(pvalues, arrays, PI0_CFG)[1]
     held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     rows = supports._rows

@@ -22,8 +22,7 @@ from discrete_fdr import (
     groupwise_pi0,
     overall_pi0,
 )
-from discrete_fdr import proportion
-from discrete_fdr.proportion import _trial_grid
+from discrete_fdr.proportion import _checked_study, _trial_grid
 from discrete_fdr.simulate import score_study
 from instances import INVALID_PVALUES
 from rational_oracles import binomial_pmf_exact, null_distribution_exact
@@ -114,12 +113,22 @@ class TestTrialGridAgainstReference:
         for _ in range(50):
             self.assert_matches_reference(*random_class_instance(rng))
 
-    def test_supports_with_equal_hashes_stay_apart_unless_equal(self, monkeypatch):
-        # every support hashes alike, so only the contents tell classes apart
-        monkeypatch.setattr(proportion, "hash", lambda key: 0, raising=False)
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            self.assert_matches_reference(*random_class_instance(rng))
+    def test_supports_share_a_class_iff_contents_equal(self):
+        # classes are told apart by a digest of each support's bytes: a copy
+        # and a strided view of equal points share one, and a support one ulp
+        # apart at any single point keeps its own
+        base = np.array([0.1, 0.25, 0.5, 1.0])
+        view = np.array([0.1, 0.9, 0.25, 0.9, 0.5, 0.9, 1.0])[::2]
+        assert not view.flags.c_contiguous and np.array_equal(view, base)
+        apart = []
+        for j in range(base.size):
+            apart.append(base.copy())
+            apart[-1][j] = np.nextafter(base[j], 0.0)
+        supports = [base, base.copy(), view, *apart, view.copy(), base]
+        pvalues = np.array([support[1] for support in supports])
+        assert _checked_study(pvalues, supports, self.CFG)[1].ids.tolist() == [
+            0, 0, 0, 1, 2, 3, 4, 0, 0]
+        self.assert_matches_reference(pvalues, supports)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)

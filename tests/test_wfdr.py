@@ -4,10 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from discrete_fdr import (
+    GroupingConfig,
+    GroupingDidNotConvergeError,
     InvalidConfigError,
     InvalidEstimateError,
     NotApplicableError,
@@ -18,7 +20,10 @@ from discrete_fdr import (
     bh_reject,
     binomial_null_distribution,
     binomial_pvalue,
+    group_by_statistic_quantiles,
+    group_from_distances,
     group_weights,
+    marginal_distance,
     rejection_threshold,
     theorem1_compare,
     weight_study,
@@ -27,6 +32,7 @@ from discrete_fdr import (
 )
 from discrete_fdr import wfdr
 from discrete_fdr.exact_tests import MarginalVector, PoissonPair
+from discrete_fdr.grouping import pairwise_distances
 from instances import (
     INVALID_PVALUES,
     MARGIN_VALUES,
@@ -408,15 +414,15 @@ class TestWfdrReject:
 
 
 def metric_partition_dmat(monkeypatch, stats) -> np.ndarray:
-    """The distance matrix ``_metric_partition`` hands to the grouping."""
+    """The distance matrix that ``_metric_partition``'s distance calls fill."""
     seen = []
 
-    def record(dmat, cfg):
-        seen.append(dmat.copy())
-        return real(dmat, cfg)
+    def record(items, distance):
+        seen.append(real(items, distance))
+        return seen[-1].copy()
 
-    real = wfdr.group_from_distances
-    monkeypatch.setattr(wfdr, "group_from_distances", record)
+    real = wfdr.pairwise_distances
+    monkeypatch.setattr(wfdr, "pairwise_distances", record)
     wfdr._metric_partition(stats, WfdrConfig(l_star=1, grouping="metric"))
     assert len(seen) == 1
     return seen[0]
@@ -477,6 +483,74 @@ class TestMetricPartitionDistances:
         with pytest.MonkeyPatch.context() as monkeypatch:
             dmat = metric_partition_dmat(monkeypatch, margins)
         assert np.array_equal(dmat, margins_reference_dmat(margins))
+
+
+def assert_metric_partition_matches_dense(stats, l_star, g_star=1) -> str:
+    """``_metric_partition`` against the extraction over every hypothesis's
+    row of the full matrix, and its fallback to quantile grouping; returns
+    how the dense path ended."""
+    cfg = WfdrConfig(l_star=l_star, g_star=g_star, grouping="metric")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        part = wfdr._metric_partition(stats, cfg)
+    try:
+        expected = group_from_distances(pairwise_distances(stats, marginal_distance),
+                                        GroupingConfig(l_star, g_star))
+        ended = "restarted" if expected.iterations else "first pass"
+    except GroupingDidNotConvergeError:
+        expected, ended = group_by_statistic_quantiles(stats, l_star), "fallback"
+    assert [g.tolist() for g in part.groups] == [g.tolist() for g in expected.groups]
+    assert part.radius_final == expected.radius_final
+    assert part.iterations == expected.iterations
+    assert [str(w.message) for w in caught] == (
+        ["metric grouping did not converge; falling back to quantile grouping"]
+        if ended == "fallback" else [])
+    return ended
+
+
+class TestMetricPartitionAgainstDense:
+    """Grouping the distinct statistics, each standing for its copies, gives
+    the partition of the extraction over every hypothesis."""
+
+    def test_repeated_totals_seeded(self):
+        seen = set()
+        for seed in range(150):
+            rng = np.random.default_rng([29, seed])
+            m = int(rng.integers(2, 60))
+            totals = rng.integers(0, int(rng.integers(1, 30)), m).astype(float)
+            l_star, g_star = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            if l_star * g_star <= m:
+                seen.add(assert_metric_partition_matches_dense(list(totals), l_star, g_star))
+        assert seen == {"fallback", "restarted", "first pass"}
+
+    def test_repeated_margins_seeded(self):
+        seen = set()
+        for seed in range(100):
+            rng = np.random.default_rng([31, seed])
+            distinct = random_margins(rng, int(rng.integers(1, 8)), 12)
+            margins = [distinct[i] for i in rng.integers(0, len(distinct), 40)]
+            l_star, g_star = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            seen.add(assert_metric_partition_matches_dense(margins, l_star, g_star))
+        assert seen == {"fallback", "restarted", "first pass"}
+
+    def test_statistics_above_2_53_whose_floats_merge(self):
+        big = 2**53
+        # 2**53 and 2**53 + 1 are one float64, so one statistic
+        margins = [MarginalVector(big + d, 3, 1) for d in (0, 1, 2, 3, 5, 0, 1, 64, 65)]
+        margins += [MarginalVector(np.int64(big + 7), np.int64(big - 1), 4), margins[2]]
+        totals = [big + d for d in (0, 1, 2, 3, 5, 0, 1, 64, 65)] + [np.int64(big + 7), 7]
+        for stats in (margins, totals):
+            for l_star in (1, 2, 3):
+                assert assert_metric_partition_matches_dense(stats, l_star) != "fallback"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=2, max_size=30),
+           st.lists(st.floats(min_value=0.0, max_value=1e18), min_size=1, max_size=7),
+           st.integers(1, 4), st.integers(1, 3))
+    def test_repeated_totals_hypothesis(self, picks, distinct, l_star, g_star):
+        totals = [distinct[i % len(distinct)] for i in picks]
+        assume(l_star * g_star <= len(totals))
+        assert_metric_partition_matches_dense(totals, l_star, g_star)
 
 
 def test_metric_partition_refuses_large_matrix_before_any_distance(monkeypatch):
