@@ -10,6 +10,7 @@ takes m(m-1)/2 distance calls, and one of more than ``MAX_DISTANCE_BYTES``
 is refused.  The quantile grouping bins the conditioning statistics (total
 counts, or one varying margin) at equally spaced percentiles, which is the
 cheap equivalent for binomial-test and Fisher's-exact-test studies.
+The package's classes come from ``_classes`` and ``_members`` here.
 """
 
 from __future__ import annotations
@@ -83,6 +84,19 @@ class Partition:
         for j, g in enumerate(self.groups):
             out[g] = j
         return out
+
+
+def _classes(keys) -> tuple[np.ndarray, int]:
+    """Equal keys, or equal rows of a 2-d array, numbered 0..k-1 by first occurrence; and k."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse.reshape(-1)], first.size
+
+
+def _members(labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, bounds)``, label c's indices in index order being
+    ``order[bounds[c]:bounds[c + 1]]``; up to k = 2^16 the sort is a radix sort."""
+    order = np.argsort(labels.astype(np.min_scalar_type(max(k - 1, 0))), kind="stable")
+    return order, np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
 
 
 # More quantile groups than this are refused when they also outnumber the
@@ -260,10 +274,6 @@ def group_by_statistic_quantiles(stats, l_star: int) -> Partition:
             MAX_QUANTILE_GROUPS, _shown(l_star)))
     inner = np.percentile(stats, 100.0 * np.arange(1, l_star) / l_star)
     # the bin of a statistic is the number of inner percentiles at or below
-    # it; in the smallest unsigned type, up to 16 bits, the stable sort of
-    # the bins is a radix sort
-    labels = np.searchsorted(inner, stats, side="right").astype(
-        np.min_scalar_type(l_star - 1))
-    sizes = np.bincount(labels)
-    order = np.argsort(labels, kind="stable")
-    return Partition(tuple(np.split(order, np.cumsum(sizes[sizes > 0])[:-1])))
+    # it; an empty bin adds no bound of its own
+    order, bounds = _members(np.searchsorted(inner, stats, side="right"), l_star)
+    return Partition(tuple(np.split(order, np.unique(bounds)[1:-1])))

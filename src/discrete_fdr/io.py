@@ -32,6 +32,7 @@ from .exact_tests import (
     fet_null_distribution,
     fet_pvalue,
 )
+from .grouping import _members
 from .proportion import _PI0_CONFIGS, NullSupports, Pi0Config
 
 BINOMIAL_COLUMNS = ("id", "c1", "c2")
@@ -220,7 +221,8 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None,
     0 has no data and scores p = 1 with support {1}.  With row totals
     ``n1``, ``n2`` each row is a 2x2 table tested with Fisher's exact test
     given its margins ``MarginalVector(n1, n2, c1 + c2)``.  Statistics whose
-    supports are equal, such as the totals 0 and 1, form one null class.
+    supports are equal form one null class: the totals 0 and 1 two-sided
+    (both {1}), not one-sided ({1} and {0.5, 1}).
 
     The supports come as a ``NullSupports`` on the guiding values of ``pi0``,
     by default the test's own grid, ``BINOMIAL_PI0_CONFIG`` or
@@ -241,24 +243,21 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None,
         pi0 = _PI0_CONFIGS["fet" if fet else "binomial"]
     stats = ([MarginalVector(a, b, c + d) for a, b, c, d in zip(*counts[2:], c1, c2)]
              if fet else [a + b for a, b in zip(c1, c2)])
-    members: dict = {}  # the hypotheses of each statistic
-    for i, stat in enumerate(stats):
-        members.setdefault(stat, []).append(i)
+    number: dict = {}  # each statistic's class, in order of first occurrence
+    ids = np.array([number.setdefault(stat, len(number)) for stat in stats], dtype=np.intp)
+    order, bounds = _members(ids, len(number))
     pvalues = np.ones(len(c1))
-    ids = np.empty(len(c1), dtype=np.intp)  # the statistic of each hypothesis
-    for j, hypotheses in enumerate(members.values()):
-        ids[hypotheses] = j
     null = fet_null_distribution if fet else binomial_null_distribution
 
-    def support_of(first):  # the support of a statistic, once its p-values are set
-        stat = stats[first]
+    def support_of(a):  # the support of class a, once its p-values are set
+        hypotheses = order[bounds[a]:bounds[a + 1]]
+        stat = stats[hypotheses[0]]
         if stat == 0:  # a total of 0 has no data: p = 1 with support {1}
             return np.array([1.0])
         support = null(stat, sided).support  # checked as its table was built
-        hypotheses = members[stat]
-        pvalues[hypotheses] = (
-            [fet_pvalue(c1[i], stat, sided) for i in hypotheses] if fet
-            else [binomial_pvalue(PoissonPair(c1[i], c2[i]), sided) for i in hypotheses])
+        pvalues[hypotheses] = [fet_pvalue(c1[i], stat, sided) if fet
+                               else binomial_pvalue(PoissonPair(c1[i], c2[i]), sided)
+                               for i in hypotheses.tolist()]
         return support
 
     return (pvalues, NullSupports(ids, pi0, support_of),

@@ -11,8 +11,8 @@ The estimator works per null class, the hypotheses whose supports are
 equal.  ``NullSupports`` carries the classes of a study on one grid: a
 class id per hypothesis and the k x |tau| matrix of the classes' lambdas,
 found once per study, of which a group of the partition reads a view.
-``io.score_input`` returns one; a plain sequence of arrays becomes one at
-the boundary of each function here, on the grid that function is given.
+``io.score_input`` returns one; each function here converts a plain
+sequence on its own grid, telling its arrays apart by ``grouping._classes``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     check_scalar,
     check_sequence,
 )
-from .grouping import Partition
+from .grouping import Partition, _classes, _members
 
 
 @dataclass(frozen=True)
@@ -110,20 +110,17 @@ class NullSupports:
 
     def __init__(self, ids, pi0: Pi0Config, support_of):
         """The supports of hypotheses whose arrays, or statistics, are
-        ``ids``: the classes are numbered in order of first occurrence, each
-        array read once as ``support_of(i)``, the checked support of its
-        first hypothesis i, and each class keeps its lambda row on the grid
-        of ``pi0``.  Not for callers: ``score_input`` and plain sequences
-        build one."""
+        ``ids``, numbered 0..k-1 by first occurrence: array a is read once as
+        ``support_of(a)``, and each class of equal supports keeps its lambda
+        row on the grid of ``pi0``.  Built by ``score_input`` and ``_listed``."""
         if not isinstance(pi0, Pi0Config):
             raise InvalidConfigError(f"pi0 must be a Pi0Config, got {pi0!r}")
         taus = pi0.guiding_values()
-        first = np.sort(np.unique(ids, return_index=True)[1])  # each array's first hypothesis
         number = np.empty(ids.max(initial=-1) + 1, dtype=np.intp)  # each array's class
-        rows = np.empty((first.size, taus.size))  # a row per array; the classes take the first
+        rows = np.empty((number.size, taus.size))  # a row per array; the classes take the first
         digests = {}  # the classes by the digest of their bytes
-        for i in first.tolist():
-            s = support_of(i)
+        for a in range(number.size):
+            s = support_of(a)
             # of a 1-d float support, so its bytes fix its shape and contents
             key = hashlib.sha256(np.ascontiguousarray(s)).digest()
             c = digests.get(key)
@@ -133,7 +130,7 @@ class NullSupports:
                 # or 0 where there is none, so that every p-value counts 1
                 idx = np.searchsorted(s, taus, side="right") - 1
                 rows[c] = np.where(idx >= 0, s[idx], 0.0)
-            number[ids[i]] = c
+            number[a] = c
         self.ids, self._pi0, self._rows = number[ids], pi0, rows[:len(digests)]
         self.ids.setflags(write=False)
 
@@ -143,14 +140,12 @@ class NullSupports:
         distinct arrays, taken by identity, each checked once together with
         the p-values of its hypotheses, which must be points of it."""
         # the list keeps every support alive, so no two of them share an id
-        ids = np.fromiter(map(id, supports), dtype=np.uintp, count=len(supports))
-        ids = np.unique(ids, return_inverse=True)[1]
-        # the hypotheses of each array, in index order
-        members = np.split(np.argsort(ids, kind="stable"), np.cumsum(np.bincount(ids))[:-1])
+        ids, k = _classes(np.fromiter(map(id, supports), dtype=np.uintp, count=len(supports)))
+        order, bounds = _members(ids, k)
 
-        def support_of(i):
-            s, hypotheses = _checked_support(supports[i], i), members[ids[i]]
-            p = pvalues[hypotheses]
+        def support_of(a):
+            hypotheses = order[bounds[a]:bounds[a + 1]]
+            s, p = _checked_support(supports[hypotheses[0]], hypotheses[0]), pvalues[hypotheses]
             off = np.flatnonzero(s[np.minimum(np.searchsorted(s, p), s.size - 1)] != p)
             if off.size:
                 raise InvalidConfigError(
@@ -203,19 +198,12 @@ def _trial_grid(pvalues, supports, cfg: Pi0Config) -> np.ndarray:
     if m == 0:
         raise EmptyStudyError("no hypotheses")
     lams, ids = supports._rows, supports.ids
-    k = len(lams)
-    # the hypotheses of each class together, in index order; numpy's stable
-    # sort of 8- and 16-bit integers is a radix sort
-    order = np.argsort(ids.astype(np.min_scalar_type(k - 1)), kind="stable")
-    sizes = np.bincount(ids, minlength=k)
-    ends = np.cumsum(sizes)
-    present = np.flatnonzero(sizes)
-    present = present[np.argsort(order[(ends - sizes)[present]])]
+    order, bounds = _members(ids, len(lams))
+    starts = bounds[:-1][np.diff(bounds) > 0]  # of the classes present
     total = np.zeros(lams.shape[1])
-    for c in present.tolist():
-        lam, size = lams[c], sizes[c]
-        p_class = np.sort(pvalues[order[ends[c] - size:ends[c]]])
-        total += (size - np.searchsorted(p_class, lam, "right")) / (1.0 - lam)
+    for c in ids[np.sort(order[starts])].tolist():
+        lam, p_class = lams[c], np.sort(pvalues[order[bounds[c]:bounds[c + 1]]])
+        total += (p_class.size - np.searchsorted(p_class, lam, "right")) / (1.0 - lam)
     return total / m
 
 

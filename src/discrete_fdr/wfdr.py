@@ -33,6 +33,8 @@ from .exact_tests import MarginalVector
 from .grouping import (
     GroupingConfig,
     Partition,
+    _classes,
+    _members,
     group_by_statistic_quantiles,
     group_from_distances,
     pairwise_distances,
@@ -193,10 +195,9 @@ def _metric_partition(stats: list, cfg: WfdrConfig) -> Partition:
     # order of first occurrence, standing for all their hypotheses
     values = check_array("stats", [s.as_tuple() if isinstance(s, MarginalVector) else s
                                    for s in stats], ndim=None)
-    _, first, inverse = np.unique(values, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    label = np.argsort(order)[inverse]  # the row of each hypothesis
-    first, k = first[order], first.size
+    label, k = _classes(values)  # the row of each hypothesis
+    order, bounds = _members(label, k)
+    first = order[bounds[:-1]]
     # their k x k distances, gathered into the matrix's top-left corner: row
     # first[i] >= i moves up to row i, onto no row still to be read, so no
     # second matrix is made
@@ -204,7 +205,7 @@ def _metric_partition(stats: list, cfg: WfdrConfig) -> Partition:
         dmat[i, :k] = dmat[r, first]
     grouping_cfg = GroupingConfig(l_star=cfg.l_star, g_star=cfg.g_star)
     try:
-        part = group_from_distances(dmat[:k, :k], grouping_cfg, sizes=np.bincount(label))
+        part = group_from_distances(dmat[:k, :k], grouping_cfg, sizes=np.diff(bounds))
     except GroupingDidNotConvergeError:
         warnings.warn(
             "metric grouping did not converge; falling back to quantile grouping",
@@ -212,7 +213,8 @@ def _metric_partition(stats: list, cfg: WfdrConfig) -> Partition:
             stacklevel=3,
         )
         return group_by_statistic_quantiles(stats, cfg.l_star)
-    return Partition(tuple(np.flatnonzero(np.isin(label, g)) for g in part.groups),
+    order, bounds = _members(part.group_of()[label], len(part.groups))  # by group
+    return Partition(tuple(order[a:b] for a, b in zip(bounds[:-1], bounds[1:])),
                      radius_final=part.radius_final, iterations=part.iterations)
 
 

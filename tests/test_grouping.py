@@ -414,6 +414,86 @@ def assert_sizes_match_dense(dk: np.ndarray, label: np.ndarray, cfg: GroupingCon
     return "restarted" if restarts else "first pass"
 
 
+def reference_classes(keys: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """Each key's class, numbered by first occurrence in a dict of the keys
+    as Python values (a row as a tuple), and each class's members."""
+    number: dict = {}
+    labels: list[int] = []
+    members: list[list[int]] = []
+    for i, key in enumerate(keys.tolist()):
+        c = number.setdefault(tuple(key) if isinstance(key, list) else key, len(number))
+        if c == len(members):
+            members.append([])
+        members[c].append(i)
+        labels.append(c)
+    return labels, members
+
+
+def assert_classes_match_reference(keys: np.ndarray):
+    labels, k = grouping._classes(keys)
+    expected, members = reference_classes(keys)
+    assert labels.tolist() == expected and k == len(members)
+    order, bounds = grouping._members(labels, k)
+    assert bounds[0] == 0 and bounds[-1] == len(keys)
+    assert [order[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])] == members
+
+
+BIG = 2**53  # float64 holds no odd integer above it
+
+
+class TestClassHelpers:
+    """``_classes`` and ``_members`` against a dict of the keys."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-4, 4), max_size=40))
+    def test_ints(self, keys):
+        assert_classes_match_reference(np.array(keys, dtype=np.int64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 2)] * 3), max_size=40))
+    def test_rows(self, rows):
+        assert_classes_match_reference(np.array(rows, dtype=np.int64).reshape(-1, 3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_floats_and_float_rows(self, data):
+        # 0.0 and -0.0 are one key, and so are BIG and BIG + 1 as floats
+        values = st.sampled_from([0.0, -0.0, 1.5, float(BIG), float(BIG + 1), float(BIG + 2)])
+        keys = np.array(data.draw(st.lists(values, max_size=30)))
+        assert_classes_match_reference(keys)
+        rows = np.array(data.draw(st.lists(st.tuples(values, values, values), max_size=30)))
+        assert_classes_match_reference(rows.reshape(-1, 3))
+
+    def test_ints_above_2_53_stay_apart_and_their_floats_merge(self):
+        keys = np.array([BIG + 1, BIG, BIG + 1, BIG + 2, BIG], dtype=np.int64)
+        assert grouping._classes(keys)[0].tolist() == [0, 1, 0, 2, 1]
+        assert grouping._classes(keys.astype(float))[0].tolist() == [0, 0, 0, 1, 0]
+        assert grouping._classes(np.array([[0.0, 1.0, BIG], [-0.0, 1.0, BIG + 1]]))[1] == 1
+        for array in (keys, keys.astype(float), np.column_stack([keys, keys, -keys])):
+            assert_classes_match_reference(array)
+
+    def test_more_labels_than_a_radix_sort_takes(self):
+        keys = np.random.default_rng(5).integers(0, 150_000, size=200_000)
+        assert grouping._classes(keys)[1] > 2**16  # sorted as uint32, not radix
+        assert_classes_match_reference(keys)
+
+    @pytest.mark.parametrize("keys", [np.empty(0, dtype=np.int64), np.empty((0, 3))])
+    def test_no_keys(self, keys):
+        labels, k = grouping._classes(keys)
+        assert labels.size == k == 0
+        order, bounds = grouping._members(labels, k)
+        assert order.size == 0 and bounds.tolist() == [0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 300), st.lists(st.integers(0, 299), max_size=40))
+    def test_members_of_labels_left_empty(self, k, labels):
+        # quantile grouping's bins: any labels below k, some of them unused
+        labels = np.array([label % k for label in labels], dtype=np.intp)
+        order, bounds = grouping._members(labels, k)
+        assert [order[bounds[c]:bounds[c + 1]].tolist() for c in range(k)] == [
+            np.flatnonzero(labels == c).tolist() for c in range(k)]
+
+
 class TestGroupingMemory:
     """No temporary of metric grouping comes near its distance matrix."""
 
