@@ -135,9 +135,9 @@ def _analyze(args) -> int:
     pvalues, supports, stats = score_input(
         study.c1, study.c2, Sidedness(args.sided), study.n1, study.n2, pi0=pi0_cfg
     )
-    cfg = WfdrConfig(l_star=args.groups, grouping=args.grouping, pi0=pi0_cfg)
+    cfg = WfdrConfig(l_star=args.groups, grouping=args.grouping)
     weighted = weight_study(pvalues, supports, stats, cfg)
-    pi0_g = estimate_pi0(pvalues, supports, pi0_cfg)
+    pi0_g = estimate_pi0(pvalues, supports)
 
     summary = {
         "command": "analyze",

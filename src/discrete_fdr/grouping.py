@@ -86,6 +86,16 @@ class Partition:
         return out
 
 
+def _checked_partition(partition, m: int | None = None) -> Partition:
+    """``partition``, if it is a ``Partition`` of ``m`` hypotheses (of any number if None)."""
+    if not isinstance(partition, Partition):
+        raise InvalidConfigError(
+            f"partition must be a Partition, got {type(partition).__name__}")
+    if m not in (None, partition.m):
+        raise InvalidConfigError("partition does not cover the study")
+    return partition
+
+
 def _classes(keys) -> tuple[np.ndarray, int]:
     """Equal keys, or equal rows of a 2-d array, numbered 0..k-1 by first occurrence; and k."""
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)

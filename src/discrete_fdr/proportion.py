@@ -11,8 +11,9 @@ The estimator works per null class, the hypotheses whose supports are
 equal.  ``NullSupports`` carries the classes of a study on one grid: a
 class id per hypothesis and the k x |tau| matrix of the classes' lambdas,
 found once per study, of which a group of the partition reads a view.
-``io.score_input`` returns one; each function here converts a plain
-sequence on its own grid, telling its arrays apart by ``grouping._classes``.
+``io.score_input`` returns one, and the functions here read its grid from
+it; they convert a plain sequence on the grid given them, or on
+``BINOMIAL_PI0_CONFIG``, telling its arrays apart by ``grouping._classes``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     check_scalar,
     check_sequence,
 )
-from .grouping import Partition, _classes, _members
+from .grouping import Partition, _checked_partition, _classes, _members
 
 
 @dataclass(frozen=True)
@@ -166,17 +167,20 @@ class NullSupports:
         return self.ids.size
 
 
-def _checked_study(pvalues, supports, pi0: Pi0Config) -> tuple[np.ndarray, NullSupports]:
+def _checked_study(pvalues, supports, pi0: Pi0Config | None = None) -> tuple[np.ndarray, NullSupports]:
     """``pvalues`` checked to lie in (0, 1], and ``supports`` as a
-    ``NullSupports`` on the grid of ``pi0``; their lengths must agree.  A
-    plain sequence of arrays is converted, and the p-values of its
-    hypotheses must be points of their supports."""
+    ``NullSupports`` on its own grid, which ``pi0``, if given, must be; their
+    lengths must agree.  A plain sequence of arrays is converted on ``pi0``
+    or ``BINOMIAL_PI0_CONFIG``, and the p-values of its hypotheses must be
+    points of their supports."""
+    if not isinstance(pi0, (Pi0Config, type(None))):
+        raise InvalidConfigError(f"pi0 must be a Pi0Config, got {pi0!r}")
     pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
     if not isinstance(supports, NullSupports):
         supports = check_sequence("supports", supports)
         if len(supports) == pvalues.size:
-            supports = NullSupports._listed(supports, pvalues, pi0)
-    elif supports._pi0 != pi0:
+            supports = NullSupports._listed(supports, pvalues, pi0 or BINOMIAL_PI0_CONFIG)
+    elif pi0 not in (None, supports._pi0):
         raise NotApplicableError(
             f"these null supports keep only their lambda rows on the grid of {supports._pi0}")
     if len(supports) != pvalues.size:
@@ -184,8 +188,8 @@ def _checked_study(pvalues, supports, pi0: Pi0Config) -> tuple[np.ndarray, NullS
     return pvalues, supports
 
 
-def _trial_grid(pvalues, supports, cfg: Pi0Config) -> np.ndarray:
-    """Trial estimates at the guiding values of ``cfg``; one pass per class.
+def _trial_grid(pvalues, supports, cfg: Pi0Config | None = None) -> np.ndarray:
+    """Trial estimates at the guiding values of the supports; one pass per class.
 
     Within a null class each hypothesis has the same lambda at each guiding
     value, so the class contributes (number of its p-values above lambda) /
@@ -207,49 +211,42 @@ def _trial_grid(pvalues, supports, cfg: Pi0Config) -> np.ndarray:
     return total / m
 
 
-def estimate_pi0(pvalues, supports, cfg: Pi0Config) -> Pi0Estimate:
+def estimate_pi0(pvalues, supports, cfg: Pi0Config | None = None) -> Pi0Estimate:
     """Null-proportion estimate: minimum trial estimate over the grid.
 
-    The raw minimum can exceed 1 on sparse data; the returned ``value`` is
-    clamped to [0, 1] with the raw value kept in the estimate.  Raises
-    ``InvalidConfigError`` for a p-value outside (0, 1] or NaN, for a support
-    that is not a nonempty, strictly increasing 1-d array in (0, 1], and for
-    a p-value that is not a point of the support listed with it;
-    ``NotApplicableError`` for a ``NullSupports`` kept on another grid.
+    The grid is the one a ``NullSupports`` carries; a plain sequence's is
+    ``cfg`` or ``BINOMIAL_PI0_CONFIG``.  The raw minimum can exceed 1 on
+    sparse data; the returned ``value`` is clamped to [0, 1] with the raw
+    value kept in the estimate.  Raises ``InvalidConfigError`` for a ``cfg``
+    that is not a ``Pi0Config``, a p-value outside (0, 1] or NaN, a support
+    that is not a nonempty, strictly increasing 1-d array in (0, 1], and a
+    p-value that is not a point of the support listed with it;
+    ``NotApplicableError`` for a ``cfg`` other than a ``NullSupports``' grid.
     """
-    taus = cfg.guiding_values()
-    betas = _trial_grid(pvalues, supports, cfg)
+    pvalues, supports = _checked_study(pvalues, supports, cfg)
+    taus, betas = supports._pi0.guiding_values(), _trial_grid(pvalues, supports)
     raw = float(betas.min())
-    value = min(raw, 1.0)
-    return Pi0Estimate(
-        value=value,
-        raw_value=raw,
-        clamped=raw > 1.0,
-        trial_values=tuple(zip(taus.tolist(), betas.tolist())),
-    )
+    return Pi0Estimate(value=min(raw, 1.0), raw_value=raw, clamped=raw > 1.0,
+                       trial_values=tuple(zip(taus.tolist(), betas.tolist())))
 
 
-def groupwise_pi0(
-    pvalues, supports, partition: Partition, cfg: Pi0Config
-) -> list[Pi0Estimate]:
+def groupwise_pi0(pvalues, supports, partition: Partition,
+                  cfg: Pi0Config | None = None) -> list[Pi0Estimate]:
     """Apply ``estimate_pi0`` to each group of the partition.
 
     The supports are checked once for the study, and an invalid one is
     reported by its first hypothesis's index in the study.
     """
     pvalues, supports = _checked_study(pvalues, supports, cfg)
-    if partition.m != pvalues.size:
-        raise InvalidConfigError("partition does not cover the study")
-    return [estimate_pi0(pvalues[g], supports.take(g), cfg) for g in partition.groups]
+    _checked_partition(partition, pvalues.size)
+    return [estimate_pi0(pvalues[g], supports.take(g)) for g in partition.groups]
 
 
 def overall_pi0(partition: Partition, groupwise: list[Pi0Estimate]) -> float:
     """Size-weighted average of the clamped per-group estimates."""
-    if len(groupwise) != len(partition.groups):
-        raise InvalidConfigError(
-            "one estimate per group required: "
-            f"{len(groupwise)} estimates for {len(partition.groups)} groups"
-        )
+    if len(groupwise) != len(_checked_partition(partition).groups):
+        raise InvalidConfigError(f"one estimate per group required: {len(groupwise)} "
+                                 f"estimates for {len(partition.groups)} groups")
     try:
         values = np.array([e.value for e in groupwise])
     except AttributeError:

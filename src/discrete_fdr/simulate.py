@@ -158,8 +158,8 @@ def score_study(study: SimulatedStudy, sided: Sidedness):
     """P-values, null supports and conditioning statistics of a dataset.
 
     Scores with ``io.score_input``, giving the FET scenario's tables their
-    row totals of ``FET_TRIALS`` trials each, so the supports are kept on
-    the scenario family's default grid, its ``resolved_pi0_config``.
+    row totals of ``FET_TRIALS`` trials each.  The supports carry the
+    family's default grid, ``resolved_pi0_config``, and the estimator reads it.
     """
     trials = None
     if study.family is Family.BINOMIAL_FET:
@@ -187,9 +187,8 @@ def _replication_records(cfg: ScenarioConfig, rep: int) -> np.ndarray:
     """
     seed = np.random.SeedSequence([cfg.master_seed, rep])
     study = generate_scenario(cfg, seed)
-    pi0_cfg = cfg.resolved_pi0_config()
     pvalues, supports, stats = score_study(study, Sidedness.TWO_SIDED)
-    pi0_g = estimate_pi0(pvalues, supports, pi0_cfg).value
+    pi0_g = estimate_pi0(pvalues, supports).value
 
     def record(report, *estimates):
         fdp, tdp = _discovery_proportions(report.rejected, study.is_null)
@@ -203,9 +202,7 @@ def _replication_records(cfg: ScenarioConfig, rep: int) -> np.ndarray:
     for j, alpha in enumerate(cfg.alpha_grid):
         out[:, j, bh, :3] = record(bh_reject(pvalues, alpha))
     for i, l_star in enumerate(cfg.l_star_grid):
-        weighted = weight_study(
-            pvalues, supports, stats, WfdrConfig(l_star=l_star, pi0=pi0_cfg)
-        )
+        weighted = weight_study(pvalues, supports, stats, WfdrConfig(l_star=l_star))
         for j, alpha in enumerate(cfg.alpha_grid):
             report = weighted.reject(alpha)
             out[i, j, wfdr] = record(report, weighted.pi0_overall, pi0_g)

@@ -14,7 +14,7 @@ the overall estimate is 1 the procedure rejects nothing.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
@@ -33,6 +33,7 @@ from .exact_tests import MarginalVector
 from .grouping import (
     GroupingConfig,
     Partition,
+    _checked_partition,
     _classes,
     _members,
     group_by_statistic_quantiles,
@@ -40,7 +41,6 @@ from .grouping import (
     pairwise_distances,
 )
 from .proportion import (
-    BINOMIAL_PI0_CONFIG,
     Pi0Config,
     Pi0Estimate,
     _checked_study,
@@ -51,12 +51,13 @@ from .proportion import (
 
 @dataclass(frozen=True)
 class WfdrConfig:
-    """Grouping and null-proportion settings for the weighted procedure."""
+    """Grouping and null-proportion settings for the weighted procedure; ``pi0``
+    None means the supports' own grid, ``BINOMIAL_PI0_CONFIG`` for a plain sequence."""
 
     l_star: int = 3
     g_star: int = 1
     grouping: str = "quantile"  # "quantile" or "metric"
-    pi0: Pi0Config = field(default_factory=lambda: BINOMIAL_PI0_CONFIG)
+    pi0: Pi0Config | None = None
 
     def __post_init__(self):
         if self.grouping not in ("quantile", "metric"):
@@ -112,10 +113,8 @@ def weighted_pvalues(pvalues, partition: Partition, weights) -> np.ndarray:
     raises ``InvalidConfigError`` for a p-value outside (0, 1] or NaN."""
     pvalues = check_array("p-values", pvalues, "lie in (0, 1]")
     weights = check_array("weights", weights, "be nonnegative")
-    if len(weights) != len(partition.groups):
+    if len(weights) != len(_checked_partition(partition, pvalues.size).groups):
         raise InvalidConfigError("one weight per group required")
-    if partition.m != pvalues.size:
-        raise InvalidConfigError("partition does not cover the study")
     return pvalues * weights[partition.group_of()]
 
 
@@ -247,9 +246,7 @@ class WeightedStudy:
         return RejectionReport(procedure="wfdr", rejected=rejected, threshold=threshold)
 
 
-def weight_study(
-    pvalues, supports, conditioning_stats, cfg: WfdrConfig
-) -> WeightedStudy:
+def weight_study(pvalues, supports, conditioning_stats, cfg: WfdrConfig) -> WeightedStudy:
     """The steps of the weighted procedure that do not depend on alpha.
 
     Groups the hypotheses (quantile binning of the conditioning statistics by
@@ -259,8 +256,10 @@ def weight_study(
     outside (0, 1] or NaN or off the support array listed with it, for
     inputs of unequal lengths, for more groups than hypotheses, or for
     statistics that are not finite numbers or all margins;
-    ``NotApplicableError`` for a ``NullSupports`` off the grid of ``cfg.pi0``.
+    ``NotApplicableError`` for a ``cfg.pi0`` other than a ``NullSupports``' grid.
     """
+    if not isinstance(cfg, WfdrConfig):
+        raise InvalidConfigError(f"cfg must be a WfdrConfig, got {cfg!r}")
     pvalues, supports = _checked_study(pvalues, supports, cfg.pi0)
     stats = check_sequence("conditioning_stats", conditioning_stats)
     if len(stats) != pvalues.size:
@@ -273,7 +272,7 @@ def weight_study(
     else:
         partition = group_by_statistic_quantiles(stats, cfg.l_star)
 
-    estimates = tuple(groupwise_pi0(pvalues, supports, partition, cfg.pi0))
+    estimates = tuple(groupwise_pi0(pvalues, supports, partition))
     weights = group_weights(estimates)
     return WeightedStudy(
         partition=partition,

@@ -413,6 +413,19 @@ def test_grid_must_be_a_config():
         score_input([1], [2], TWO, pi0=0.2)
     with pytest.raises(InvalidConfigError, match="pi0 must be a Pi0Config, got 0.2"):
         _checked_study([1.0], [np.array([1.0])], 0.2)
+    # a scored study's supports carry their grid: None reads it, and a value
+    # that is no grid is refused as such, not as another grid
+    p, scored, stats = score_input(*_binomial_counts(m=40)[0], TWO)
+    assert estimate_pi0(p, scored, None) == estimate_pi0(p, scored, BINOMIAL_PI0_CONFIG)
+    partition = splitting_partition(p.size)
+    for bad in (0.2, "0.2", (0.2, 0.0005)):
+        for refused in (lambda: estimate_pi0(p, scored, bad),
+                        lambda: estimate_pi0(p, by_hand(stats), bad),
+                        lambda: groupwise_pi0(p, scored, partition, bad),
+                        lambda: weight_study(p, scored, stats, WfdrConfig(pi0=bad))):
+            with pytest.raises(InvalidConfigError,
+                               match=re.escape(f"pi0 must be a Pi0Config, got {bad!r}")):
+                refused()
 
 
 @pytest.mark.parametrize("indices", [
@@ -536,13 +549,16 @@ def test_grid_form_refuses_the_supports_and_other_grids():
         "estimate": lambda: estimate_pi0(p, scored, other),
         "view": lambda: estimate_pi0(p[:2], scored.take([0, 1]), other),
         "groupwise": lambda: groupwise_pi0(p, scored, partition, other),
-        "default grid": lambda: weight_study(p, scored, stats, WfdrConfig(l_star=2)),
+        "weight_study": lambda: weight_study(p, scored, stats, WfdrConfig(l_star=2, pi0=other)),
     }
     for name, refused in refusals.items():
         with pytest.raises(NotApplicableError, match=kept):
             refused()
     assert scored._rows is rows  # never evicted
     assert len(scored) == p.size and len(scored.take(np.arange(2, 9))) == 7
+    # with no grid given, the supports' own is read
+    assert _same_weighting(weight_study(p, scored, stats, WfdrConfig(l_star=2)),
+                           weight_study(p, full, stats, WfdrConfig(l_star=2, pi0=cfg)))
     assert groupwise_pi0(p, scored, partition, cfg) == groupwise_pi0(p, full, partition, cfg)
 
 
@@ -560,6 +576,45 @@ def test_score_input_defaults_to_the_tests_grid(family, default, other):
     assert estimate_pi0(p, supports, default) == estimate_pi0(p, explicit, default)
     with pytest.raises(NotApplicableError, match=re.escape(f"grid of {default}")):
         estimate_pi0(p, supports, other)
+
+
+def _same_weighting(a, b):
+    """Whether two ``WeightedStudy`` results are equal, arrays bit for bit."""
+    return ([g.tolist() for g in a.partition.groups] == [g.tolist() for g in b.partition.groups]
+            and a.group_pi0 == b.group_pi0 and a.pi0_overall == b.pi0_overall
+            and a.weights.tobytes() == b.weights.tobytes()
+            and a.weighted.tobytes() == b.weighted.tobytes())
+
+
+@pytest.mark.parametrize("sided", list(Sidedness), ids=lambda s: s.value)
+@pytest.mark.parametrize("counts, grid", [
+    (_binomial_counts, BINOMIAL_PI0_CONFIG), (_fet_counts, FET_PI0_CONFIG),
+], ids=["binomial", "fet"])
+def test_default_call_reads_the_grid_the_supports_carry(counts, grid, sided):
+    # no grid anywhere against the test's grid named at every step
+    counts, totals = counts()
+    p, supports, stats = score_input(*counts, sided, **totals)
+    p_named, named, _ = score_input(*counts, sided, **totals, pi0=grid)
+    assert p.tobytes() == p_named.tobytes()
+    assert _same_weighting(weight_study(p, supports, stats, WfdrConfig(l_star=3)),
+                           weight_study(p, named, stats, WfdrConfig(l_star=3, pi0=grid)))
+    estimate = estimate_pi0(p, supports)
+    assert estimate == estimate_pi0(p, named, grid)
+    assert [tau for tau, _ in estimate.trial_values] == grid.guiding_values().tolist()
+
+
+def test_plain_sequence_default_grid_is_binomial():
+    # a Fisher's-test study listed by hand: with no grid given, its supports
+    # are read on the binomial grid, not on the grid of its test
+    p, _, stats, full, fet_grid = _scored_and_by_hand("fet")
+    default = weight_study(p, full, stats, WfdrConfig(l_star=3))
+    assert _same_weighting(default, weight_study(p, full, stats, WfdrConfig(
+        l_star=3, pi0=BINOMIAL_PI0_CONFIG)))
+    assert not _same_weighting(default, weight_study(p, full, stats, WfdrConfig(
+        l_star=3, pi0=fet_grid)))
+    taus = BINOMIAL_PI0_CONFIG.guiding_values().tolist()
+    assert [tau for tau, _ in estimate_pi0(p, full).trial_values] == taus
+    assert [tau for tau, _ in default.group_pi0[0].trial_values] == taus
 
 
 @pytest.mark.parametrize("call", [

@@ -411,6 +411,21 @@ class TestGroupwiseAndOverall:
         with pytest.raises(InvalidConfigError):
             overall_pi0(part, [])
 
+    @pytest.mark.parametrize("partition, named", [
+        ([np.arange(4)], "list"), ((np.arange(4),), "tuple"), (None, "NoneType"),
+    ], ids=["list", "tuple", "none"])
+    def test_partition_must_be_a_partition(self, partition, named):
+        message = f"partition must be a Partition, got {named}"
+        p, supports = np.full(4, 0.5), [TWO_POINT] * 4
+        with pytest.raises(InvalidConfigError, match=message):
+            groupwise_pi0(p, supports, partition, Pi0Config(0.6, 0.1))
+        with pytest.raises(InvalidConfigError, match=message):
+            overall_pi0(partition, [])
+
+    def test_partition_must_cover_the_study(self):
+        with pytest.raises(InvalidConfigError, match="partition does not cover the study"):
+            groupwise_pi0(np.full(4, 0.5), [TWO_POINT] * 4, Partition((np.arange(3),)))
+
 
 class TestConservativenessSmoke:
     def test_pure_null_small_study(self):

@@ -1,5 +1,6 @@
 """Tests for the weighted FDR procedure, BH baseline and step-up comparator."""
 
+import re
 import warnings
 
 import numpy as np
@@ -73,6 +74,18 @@ class TestWeightedPvalues:
         part = Partition((np.array([0, 1]), np.array([2])))
         out = weighted_pvalues([0.02, 0.5, 0.1], part, [4.0, 0.5])
         np.testing.assert_allclose(out, [0.08, 2.0, 0.05])
+
+    @pytest.mark.parametrize("partition, named", [
+        ([np.arange(4)], "list"), (None, "NoneType"),
+    ], ids=["list", "none"])
+    def test_partition_must_be_a_partition(self, partition, named):
+        with pytest.raises(InvalidConfigError,
+                           match=f"partition must be a Partition, got {named}"):
+            weighted_pvalues(np.full(4, 0.5), partition, [1.0])
+
+    def test_partition_must_cover_the_study(self):
+        with pytest.raises(InvalidConfigError, match="partition does not cover the study"):
+            weighted_pvalues(np.full(4, 0.5), Partition((np.arange(3),)), [1.0])
 
     def test_infinite_weight_never_rejectable(self):
         part = Partition((np.array([0]), np.array([1]),))
@@ -403,6 +416,16 @@ class TestWfdrReject:
         with pytest.raises(InvalidConfigError, match="support of hypothesis 2 "):
             weight_study([0.01, 1.0, 0.5, 1.0], supports, [1.0, 1.0, 5.0, 5.0],
                          WfdrConfig(l_star=2, pi0=Pi0Config(0.2, 0.1)))
+
+    @pytest.mark.parametrize("cfg", [None, 3, GroupingConfig(l_star=3)],
+                             ids=["none", "int", "grouping-config"])
+    def test_cfg_must_be_a_wfdr_config(self, cfg):
+        supports = [np.array([0.01, 1.0])] * 4
+        for call in (lambda: weight_study([0.01, 1.0, 0.01, 1.0], supports, [1.0] * 4, cfg),
+                     lambda: wfdr_reject([0.01, 1.0, 0.01, 1.0], supports, [1.0] * 4, 0.05, cfg)):
+            with pytest.raises(InvalidConfigError,
+                               match=re.escape(f"cfg must be a WfdrConfig, got {cfg!r}")):
+                call()
 
     def test_numpy_integer_group_count(self):
         supports = [np.array([0.01, 1.0])] * 4
