@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import DiscreteFdrError, InvalidConfigError, ParseError, SchemaError
+from .errors import DiscreteFdrError, InvalidConfigError, ParseError, SchemaError, check_scalar
 from .exact_tests import Sidedness
 from .io import MAX_COUNT, FilterRule, apply_filter, parse_counts_csv, score_input
 from .proportion import _PI0_CONFIGS, Pi0Config, estimate_pi0
@@ -130,12 +130,14 @@ def _analyze(args) -> int:
     if study.m == 0:
         raise SchemaError("no rows left to analyze after filtering")
 
+    # the settings are checked before any table is built
     pi0_cfg = _pi0_config(args)
+    cfg = WfdrConfig(l_star=args.groups, grouping=args.grouping)
+    check_scalar("alpha", args.alpha, "be in [0, 1]")
     # scored on the grid, so that each support is dropped once its lambda row is taken
     pvalues, supports, stats = score_input(
         study.c1, study.c2, Sidedness(args.sided), study.n1, study.n2, pi0=pi0_cfg
     )
-    cfg = WfdrConfig(l_star=args.groups, grouping=args.grouping)
     weighted = weight_study(pvalues, supports, stats, cfg)
     pi0_g = estimate_pi0(pvalues, supports)
 

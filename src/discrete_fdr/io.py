@@ -32,7 +32,6 @@ from .exact_tests import (
     fet_null_distribution,
     fet_pvalue,
 )
-from .grouping import _members
 from .proportion import _PI0_CONFIGS, NullSupports, Pi0Config
 
 BINOMIAL_COLUMNS = ("id", "c1", "c2")
@@ -245,12 +244,10 @@ def score_input(c1, c2, sided: Sidedness, n1=None, n2=None,
              if fet else [a + b for a, b in zip(c1, c2)])
     number: dict = {}  # each statistic's class, in order of first occurrence
     ids = np.array([number.setdefault(stat, len(number)) for stat in stats], dtype=np.intp)
-    order, bounds = _members(ids, len(number))
     pvalues = np.ones(len(c1))
     null = fet_null_distribution if fet else binomial_null_distribution
 
-    def support_of(a):  # the support of class a, once its p-values are set
-        hypotheses = order[bounds[a]:bounds[a + 1]]
+    def support_of(hypotheses):  # the support of a statistic, once its p-values are set
         stat = stats[hypotheses[0]]
         if stat == 0:  # a total of 0 has no data: p = 1 with support {1}
             return np.array([1.0])

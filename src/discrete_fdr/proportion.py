@@ -10,10 +10,12 @@ combine into an overall estimate by a group-size weighted average.
 The estimator works per null class, the hypotheses whose supports are
 equal.  ``NullSupports`` carries the classes of a study on one grid: a
 class id per hypothesis and the k x |tau| matrix of the classes' lambdas,
-found once per study, of which a group of the partition reads a view.
-``io.score_input`` returns one, and the functions here read its grid from
-it; they convert a plain sequence on the grid given them, or on
-``BINOMIAL_PI0_CONFIG``, telling its arrays apart by ``grouping._classes``.
+found once per study from each label's members, which it gathers itself;
+a group of the partition reads a view.  ``io.score_input`` returns one,
+and ``estimate_pi0`` checks a study once and then reads its classes.  The
+functions here read the grid from it; they convert a plain sequence on the
+grid given them, or on ``BINOMIAL_PI0_CONFIG``, telling its arrays apart
+by ``grouping._classes``.
 """
 
 from __future__ import annotations
@@ -83,12 +85,10 @@ class Pi0Estimate:
 def _checked_support(array, hypothesis: int) -> np.ndarray:
     """``array`` as a support: a nonempty, strictly increasing 1-d float
     array in (0, 1]; otherwise an error names ``hypothesis``."""
-    message = (f"support of hypothesis {hypothesis} must be a nonempty, strictly "
-               "increasing 1-d array in (0, 1]")
-    support = check_array("support", array, "lie in (0, 1], strictly increasing",
-                          error=lambda _: InvalidConfigError(message))
+    name = f"support of hypothesis {hypothesis}"
+    support = check_array(name, array, "lie in (0, 1], strictly increasing")
     if support.size == 0:
-        raise InvalidConfigError(message)
+        raise InvalidConfigError(f"{name} must be nonempty")
     return support
 
 
@@ -111,17 +111,19 @@ class NullSupports:
 
     def __init__(self, ids, pi0: Pi0Config, support_of):
         """The supports of hypotheses whose arrays, or statistics, are
-        ``ids``, numbered 0..k-1 by first occurrence: array a is read once as
-        ``support_of(a)``, and each class of equal supports keeps its lambda
-        row on the grid of ``pi0``.  Built by ``score_input`` and ``_listed``."""
+        labelled ``ids``, numbered 0..k-1: each label's members, in index
+        order, are gathered here and read once as ``support_of(members)``,
+        and each class of equal supports keeps its lambda row on the grid of
+        ``pi0``.  Built by ``score_input`` and ``_listed``."""
         if not isinstance(pi0, Pi0Config):
             raise InvalidConfigError(f"pi0 must be a Pi0Config, got {pi0!r}")
         taus = pi0.guiding_values()
-        number = np.empty(ids.max(initial=-1) + 1, dtype=np.intp)  # each array's class
-        rows = np.empty((number.size, taus.size))  # a row per array; the classes take the first
+        order, bounds = _members(ids, ids.max(initial=-1) + 1)
+        number = np.empty(bounds.size - 1, dtype=np.intp)  # each label's class
+        rows = np.empty((number.size, taus.size))  # a row per label; the classes take the first
         digests = {}  # the classes by the digest of their bytes
         for a in range(number.size):
-            s = support_of(a)
+            s = support_of(order[bounds[a]:bounds[a + 1]])
             # of a 1-d float support, so its bytes fix its shape and contents
             key = hashlib.sha256(np.ascontiguousarray(s)).digest()
             c = digests.get(key)
@@ -141,11 +143,9 @@ class NullSupports:
         distinct arrays, taken by identity, each checked once together with
         the p-values of its hypotheses, which must be points of it."""
         # the list keeps every support alive, so no two of them share an id
-        ids, k = _classes(np.fromiter(map(id, supports), dtype=np.uintp, count=len(supports)))
-        order, bounds = _members(ids, k)
+        ids = _classes(np.fromiter(map(id, supports), dtype=np.uintp, count=len(supports)))[0]
 
-        def support_of(a):
-            hypotheses = order[bounds[a]:bounds[a + 1]]
+        def support_of(hypotheses):
             s, p = _checked_support(supports[hypotheses[0]], hypotheses[0]), pvalues[hypotheses]
             off = np.flatnonzero(s[np.minimum(np.searchsorted(s, p), s.size - 1)] != p)
             if off.size:
@@ -188,18 +188,25 @@ def _checked_study(pvalues, supports, pi0: Pi0Config | None = None) -> tuple[np.
     return pvalues, supports
 
 
-def _trial_grid(pvalues, supports, cfg: Pi0Config | None = None) -> np.ndarray:
-    """Trial estimates at the guiding values of the supports; one pass per class.
+def estimate_pi0(pvalues, supports, cfg: Pi0Config | None = None) -> Pi0Estimate:
+    """Null-proportion estimate: minimum trial estimate over the grid.
 
-    Within a null class each hypothesis has the same lambda at each guiding
-    value, so the class contributes (number of its p-values above lambda) /
-    (1 - lambda), counted by binary search in its sorted p-values: its size
-    where no point lies below the guiding value and lambda is 0.  The
-    classes present are summed in order of their first hypothesis here.
+    The grid is the one a ``NullSupports`` carries; a plain sequence's is
+    ``cfg`` or ``BINOMIAL_PI0_CONFIG``.  Within a null class each hypothesis
+    has the same lambda at each guiding value, so the class contributes
+    (number of its p-values above lambda) / (1 - lambda), counted by binary
+    search in its sorted p-values; the classes present are summed in order
+    of their first hypothesis and divided by m.  The raw minimum can exceed
+    1 on sparse data; the returned ``value`` is clamped to [0, 1] with the
+    raw value kept in the estimate.  Raises ``EmptyStudyError`` for no
+    hypotheses; ``InvalidConfigError`` for a ``cfg`` that is not a
+    ``Pi0Config``, a p-value outside (0, 1] or NaN, a support that is not a
+    nonempty, strictly increasing 1-d array in (0, 1], and a p-value that is
+    not a point of the support listed with it; ``NotApplicableError`` for a
+    ``cfg`` other than a ``NullSupports``' grid.
     """
     pvalues, supports = _checked_study(pvalues, supports, cfg)
-    m = pvalues.size
-    if m == 0:
+    if pvalues.size == 0:
         raise EmptyStudyError("no hypotheses")
     lams, ids = supports._rows, supports.ids
     order, bounds = _members(ids, len(lams))
@@ -208,26 +215,11 @@ def _trial_grid(pvalues, supports, cfg: Pi0Config | None = None) -> np.ndarray:
     for c in ids[np.sort(order[starts])].tolist():
         lam, p_class = lams[c], np.sort(pvalues[order[bounds[c]:bounds[c + 1]]])
         total += (p_class.size - np.searchsorted(p_class, lam, "right")) / (1.0 - lam)
-    return total / m
-
-
-def estimate_pi0(pvalues, supports, cfg: Pi0Config | None = None) -> Pi0Estimate:
-    """Null-proportion estimate: minimum trial estimate over the grid.
-
-    The grid is the one a ``NullSupports`` carries; a plain sequence's is
-    ``cfg`` or ``BINOMIAL_PI0_CONFIG``.  The raw minimum can exceed 1 on
-    sparse data; the returned ``value`` is clamped to [0, 1] with the raw
-    value kept in the estimate.  Raises ``InvalidConfigError`` for a ``cfg``
-    that is not a ``Pi0Config``, a p-value outside (0, 1] or NaN, a support
-    that is not a nonempty, strictly increasing 1-d array in (0, 1], and a
-    p-value that is not a point of the support listed with it;
-    ``NotApplicableError`` for a ``cfg`` other than a ``NullSupports``' grid.
-    """
-    pvalues, supports = _checked_study(pvalues, supports, cfg)
-    taus, betas = supports._pi0.guiding_values(), _trial_grid(pvalues, supports)
+    betas = total / pvalues.size
     raw = float(betas.min())
     return Pi0Estimate(value=min(raw, 1.0), raw_value=raw, clamped=raw > 1.0,
-                       trial_values=tuple(zip(taus.tolist(), betas.tolist())))
+                       trial_values=tuple(zip(supports._pi0.guiding_values().tolist(),
+                                              betas.tolist())))
 
 
 def groupwise_pi0(pvalues, supports, partition: Partition,

@@ -65,6 +65,8 @@ class WfdrConfig:
                 f"grouping must be 'quantile' or 'metric', got {self.grouping!r}"
             )
         GroupingConfig(l_star=self.l_star, g_star=self.g_star)  # checks both
+        if not isinstance(self.pi0, (Pi0Config, type(None))):
+            raise InvalidConfigError(f"pi0 must be a Pi0Config, got {self.pi0!r}")
         if self.g_star != 1 and self.grouping != "metric":
             raise InvalidConfigError(
                 f"g_star applies to metric grouping only, got g_star={self.g_star} "

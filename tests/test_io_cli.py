@@ -475,6 +475,24 @@ class TestAnalyzeCommand:
              "--output", tmp_path / "out", "--groups", "2"]
         ) == EXIT_COMPUTE
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "1.5"], "alpha must be in [0, 1], got 1.5"),
+        (["--alpha", "nan"], "alpha must be in [0, 1], got nan"),
+        (["--groups", "0"], "l_star must be an integer >= 1, got 0"),
+    ])
+    def test_invalid_setting_refused_before_scoring(self, tmp_path, monkeypatch, capsys,
+                                                    flags, message):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(cli, "score_input", no_scoring)
+        assert run_cli(
+            ["analyze", "--test", "binomial", "--input", self.make_input(tmp_path),
+             "--output", tmp_path / "out", "--groups", "2", *flags]
+        ) == EXIT_COMPUTE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.report.csv").exists()
+
     def test_metric_grouping_flag(self, tmp_path):
         path = self.make_input(tmp_path)
         out = tmp_path / "out"

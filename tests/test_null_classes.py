@@ -31,11 +31,16 @@ from discrete_fdr import (
 )
 from discrete_fdr import cli, errors, exact_tests, io, proportion, simulate
 from discrete_fdr.io import score_input
-from discrete_fdr.proportion import _checked_study, _trial_grid
+from discrete_fdr.proportion import _checked_study
 from instances import off_support_study
 from discrete_fdr.simulate import Family, ScenarioConfig, run_study
 
 TWO = Sidedness.TWO_SIDED
+
+
+def trial_grid(pvalues, supports, cfg=None):
+    """The trial estimates that ``estimate_pi0`` minimises, one per guiding value."""
+    return np.array([beta for _, beta in estimate_pi0(pvalues, supports, cfg).trial_values])
 
 
 @pytest.fixture(autouse=True)
@@ -340,9 +345,9 @@ def test_trial_grid_identical_for_every_form(study, off_support):
         if off_support and name != "scored":  # a listed support checks its p-values
             with pytest.raises(InvalidConfigError,
                                match="p-value of hypothesis 0 is not a point of its support"):
-                _trial_grid(pvalues, form, PI0_CFG)
+                trial_grid(pvalues, form, PI0_CFG)
         else:  # the scored classes take their p-values as they come
-            assert np.array_equal(_trial_grid(pvalues, form, PI0_CFG), expected), name
+            assert np.array_equal(trial_grid(pvalues, form, PI0_CFG), expected), name
 
 
 def test_estimates_identical_for_every_form():
@@ -366,8 +371,8 @@ def test_view_identical_to_the_list_of_its_members(reverse):
         view = supports.take(g)
         listed = [members[i] for i in g]
         assert view.ids.tolist() == supports.ids[g].tolist() and view._rows is supports._rows
-        got = _trial_grid(pvalues[g], view, PI0_CFG)
-        assert np.array_equal(got, _trial_grid(pvalues[g], listed, PI0_CFG))
+        got = trial_grid(pvalues[g], view, PI0_CFG)
+        assert np.array_equal(got, trial_grid(pvalues[g], listed, PI0_CFG))
         assert np.array_equal(got, reference_grid(pvalues[g], listed, TAUS))
         assert estimate_pi0(pvalues[g], view, PI0_CFG) == estimate_pi0(
             pvalues[g], listed, PI0_CFG)
@@ -385,8 +390,24 @@ def test_view_sums_its_classes_in_its_own_order():
     supports = _checked_study(pvalues, listed, PI0_CFG)[1]
     assert supports.ids.tolist() == ids.tolist()
     g = np.concatenate([np.arange(12, ids.size), np.arange(12)[::-1]])
-    got = _trial_grid(pvalues[g], supports.take(g), PI0_CFG)
+    got = trial_grid(pvalues[g], supports.take(g), PI0_CFG)
     assert np.array_equal(got, reference_grid(pvalues[g], [listed[i] for i in g], TAUS))
+
+
+def test_builder_reads_each_label_once_with_its_members():
+    # labels 0 and 2 have equal supports, so they form one class
+    ids = np.array([0, 1, 0, 2, 1, 0, 2])
+    arrays = [np.array([0.2, 1.0]), np.array([0.1, 0.3, 1.0]), np.array([0.2, 1.0])]
+    members = []
+
+    def support_of(hypotheses):
+        members.append(hypotheses.tolist())
+        return arrays[ids[hypotheses[0]]]
+
+    supports = NullSupports(ids, PI0_CFG, support_of)
+    assert members == [[0, 2, 5], [1, 4], [3, 6]]
+    assert supports.ids.tolist() == [0, 1, 0, 0, 1, 0, 0] and len(supports._rows) == 2
+    assert len(NullSupports(np.array([], dtype=np.intp), PI0_CFG, support_of)) == 0
 
 
 def test_invalid_class_array_refused_once_naming_its_first_hypothesis(monkeypatch):

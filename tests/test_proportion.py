@@ -22,12 +22,18 @@ from discrete_fdr import (
     groupwise_pi0,
     overall_pi0,
 )
-from discrete_fdr.proportion import _checked_study, _trial_grid
+from discrete_fdr import proportion
+from discrete_fdr.proportion import _checked_study
 from discrete_fdr.simulate import score_study
 from instances import INVALID_PVALUES
 from rational_oracles import binomial_pmf_exact, null_distribution_exact
 
 TWO_POINT = np.array([0.5, 1.0])
+
+
+def trial_grid(pvalues, supports, cfg=None):
+    """The trial estimates that ``estimate_pi0`` minimises, one per guiding value."""
+    return np.array([beta for _, beta in estimate_pi0(pvalues, supports, cfg).trial_values])
 
 
 def reference_trial_grid(pvalues, supports, taus):
@@ -78,7 +84,7 @@ def random_class_instance(rng, max_m=300):
 
 def trial_estimate(pvalues, supports, tau):
     """The trial estimate at the guiding value ``tau``, the last of its grid."""
-    return float(_trial_grid(pvalues, supports, Pi0Config(tau, tau / 2))[-1])
+    return float(trial_grid(pvalues, supports, Pi0Config(tau, tau / 2))[-1])
 
 
 class TestTrialEstimate:
@@ -105,7 +111,7 @@ class TestTrialGridAgainstReference:
 
     def assert_matches_reference(self, pvalues, supports):
         expected = reference_trial_grid(pvalues, supports, self.TAUS)
-        got = _trial_grid(pvalues, supports, self.CFG)
+        got = trial_grid(pvalues, supports, self.CFG)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_seeded_instances(self):
@@ -164,7 +170,7 @@ class TestTrialGridAgainstReference:
                          for i in off if rows[i][0] == k)
             with pytest.raises(InvalidConfigError,
                                match=f"p-value of hypothesis {first} is not a point"):
-                _trial_grid(pvalues, supports, self.CFG)
+                trial_grid(pvalues, supports, self.CFG)
         on = [s[min(np.searchsorted(s, p), s.size - 1)] for s, p in zip(supports, pvalues)]
         self.assert_matches_reference(on, supports)
 
@@ -178,22 +184,22 @@ class TestTrialGridAgainstReference:
 
     def test_no_support_point_below_tau_counts_class_size(self):
         support = np.array([0.6, 1.0])
-        got = _trial_grid([0.6, 1.0, 1.0], [support] * 3, self.CFG)
+        got = trial_grid([0.6, 1.0, 1.0], [support] * 3, self.CFG)
         # every guiding value is below 0.6, so each hypothesis counts 1
         assert got.tolist() == [1.0] * self.TAUS.size
         self.assert_matches_reference([0.6, 1.0, 1.0], [support] * 3)
 
     def test_single_atom_support(self):
         self.assert_matches_reference([1.0] * 5, [np.array([1.0])] * 5)
-        assert _trial_grid([1.0], [np.array([1.0])], self.CFG).tolist() == (
+        assert trial_grid([1.0], [np.array([1.0])], self.CFG).tolist() == (
             [1.0] * self.TAUS.size
         )
 
     def test_length_and_empty_errors(self):
         with pytest.raises(InvalidConfigError, match="equal length"):
-            _trial_grid([0.5, 1.0], [TWO_POINT], self.CFG)
+            trial_grid([0.5, 1.0], [TWO_POINT], self.CFG)
         with pytest.raises(EmptyStudyError):
-            _trial_grid([], [], self.CFG)
+            trial_grid([], [], self.CFG)
 
     def test_exact_rational_binomial_supports(self):
         # dyadic supports of small totals are exact in double precision, so
@@ -207,8 +213,8 @@ class TestTrialGridAgainstReference:
         totals = rng.integers(1, 9, size=60)
         picks = [int(rng.integers(0, len(exact[t]))) for t in totals]
         p_exact = [exact[t][j] for t, j in zip(totals, picks)]
-        got = _trial_grid([float(x) for x in p_exact],
-                          [floats[t] for t in totals], cfg)
+        got = trial_grid([float(x) for x in p_exact],
+                         [floats[t] for t in totals], cfg)
         for tau, beta in zip(taus, got):
             total = Fraction(0)
             for t, p in zip(totals, p_exact):
@@ -241,6 +247,26 @@ class TestTrialGridAgainstReference:
             assert ids == sorted(ids, reverse=descending)
             traces.append(estimate_pi0(p, [objs[k] for k in cls], cfg).trial_values)
         assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize("scored", [False, True], ids=["listed", "scored"])
+def test_study_checked_once_per_estimate(monkeypatch, scored):
+    # estimate_pi0 checks its study once, and groupwise_pi0 the whole study
+    # once and then each group through estimate_pi0
+    pvalues, supports = random_class_instance(np.random.default_rng(41))
+    cfg = Pi0Config(0.5, 0.01)
+    if scored:
+        supports = _checked_study(pvalues, supports, cfg)[1]
+    checked = []
+    original = proportion._checked_study
+    monkeypatch.setattr(proportion, "_checked_study",
+                        lambda *args: checked.append(len(args[0])) or original(*args))
+    estimate_pi0(pvalues, supports, cfg)
+    assert checked == [pvalues.size]
+    checked.clear()
+    partition = Partition((np.arange(0, pvalues.size, 2), np.arange(1, pvalues.size, 2)))
+    groupwise_pi0(pvalues, supports, partition, cfg)
+    assert checked == [pvalues.size, *partition.sizes]
 
 
 @pytest.mark.parametrize("bad", INVALID_PVALUES)

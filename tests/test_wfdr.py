@@ -409,6 +409,14 @@ class TestWfdrReject:
         assert WfdrConfig(l_star=2, g_star=3, grouping="metric").g_star == 3
         assert WfdrConfig(l_star=2, g_star=np.int64(1)).g_star == 1
 
+    @pytest.mark.parametrize("pi0", [0.2, "0.2", (0.2, 0.0005)])
+    def test_pi0_must_be_a_grid(self, pi0):
+        with pytest.raises(InvalidConfigError,
+                           match=re.escape(f"pi0 must be a Pi0Config, got {pi0!r}")):
+            WfdrConfig(pi0=pi0)
+        assert WfdrConfig(pi0=None).pi0 is None
+        assert WfdrConfig(pi0=Pi0Config(0.2, 0.1)).pi0 == Pi0Config(0.2, 0.1)
+
     def test_invalid_support_names_study_hypothesis(self):
         # the bad support sits in the second quantile group, at study index 2
         supports = [np.array([0.01, 1.0])] * 4
